@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, synth
+from . import dataio, pipeline, synth
 from .causal import Panel, adjust_panel, fit_did, report_parameters
 from .config import load_run_config
 from .errors import StcastError
@@ -189,7 +189,7 @@ def _cmd_forecast(args) -> int:
     dist = model.forecast(adjusted.z, panel_t.y,
                           horizon=config.horizon,
                           num_samples=config.num_samples,
-                          seed=config.seed + 1)
+                          seed=config.seed + pipeline._FORECAST_SEED_OFFSET)
     # Future dates continue the panel's spacing; post holds at its final
     # value (the onset is in-sample or earlier for any sane run).
     step = panel.times[1] - panel.times[0]

@@ -5,10 +5,10 @@ regions sharing one parameter set; an affine head maps the top hidden
 state to the output distribution's raw parameters.  Training slides
 fixed-length windows over each region's history and minimizes the exact
 next-step negative log-likelihood by momentum SGD with hand-derived
-backpropagation (no autodiff).  Forecasting rolls the encoder over the
-observed history, then draws each future value from the projected
-distribution and feeds it back as the next input; z is held at its last
-observed value over the horizon.
+backpropagation (no autodiff).  Forecasting encodes each region's history
+once, shares the final state across its sample paths, then draws each
+future value from the projected distribution and feeds it back as the
+next input; z is held at its last observed value over the horizon.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ class ForecastModel:
     # -- forecasting ----------------------------------------------------------
 
     def _encode_history(self, zs: np.ndarray, ys: np.ndarray, copies: int):
-        """Roll the encoder over the full history; returns the final
-        hidden state for (region x copy) rows and the last z inputs."""
+        """Encode each region's history once; returns its final hidden state
+        shared by (region x copy) sample rows, and the last z inputs."""
         n, t_hist = ys.shape
         feats = np.stack([zs, ys], axis=-1)
         bad = np.argwhere(~np.isfinite(feats))
@@ -296,10 +296,10 @@ class ForecastModel:
             raise PropagationError(
                 f"non-finite encoder input for region index {i} at time {t}"
             )
-        rows = np.repeat(feats, copies, axis=0)  # (n*copies, T, 2)
-        hidden = self.gru.init_hidden(n * copies)
+        hidden = self.gru.init_hidden(n)
         for t in range(t_hist):
-            hidden, _ = self.gru.step(rows[:, t, :], hidden)
+            hidden, _ = self.gru.step(feats[:, t, :], hidden)
+        hidden = [np.repeat(h, copies, axis=0) for h in hidden]
         z_last = np.repeat(zs[:, -1], copies)
         return hidden, z_last
 

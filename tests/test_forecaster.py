@@ -207,6 +207,16 @@ class TestTraining:
         assert worst < 1e-4
 
 
+def _encode_every_copy(model, zs, ys, copies):
+    """Reference encoder: rolls the GRU over one row per (region, copy)."""
+    feats = np.stack([zs, ys], axis=-1)
+    rows = np.repeat(feats, copies, axis=0)
+    hidden = model.gru.init_hidden(rows.shape[0])
+    for t in range(rows.shape[1]):
+        hidden, _ = model.gru.step(rows[:, t, :], hidden)
+    return hidden, np.repeat(zs[:, -1], copies)
+
+
 class TestForecast:
     def _fitted(self, seed=0, family="gaussian"):
         adjusted, panel = random_training_data(seed)
@@ -282,6 +292,52 @@ class TestForecast:
     def test_samples_finite_enforced(self):
         with pytest.raises(PropagationError):
             ForecastDistribution(samples=np.full((1, 1, 2), np.inf))
+
+    @pytest.mark.parametrize("copies", [1, 3, 100])
+    def test_hidden_state_matches_per_copy_encoding(self, copies):
+        model, adjusted, panel = self._fitted()
+        zs, ys = model._standardize(adjusted.z, panel.y)
+        ref_hidden, ref_z = _encode_every_copy(model, zs, ys, copies)
+        hidden, z_last = model._encode_history(zs, ys, copies)
+        assert len(hidden) == len(ref_hidden)
+        for h, ref in zip(hidden, ref_hidden):
+            assert h.shape == (panel.n * copies, model.config.hidden_size)
+            assert np.array_equal(h, ref)
+        assert np.array_equal(z_last, ref_z)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "student_t"])
+    def test_samples_match_per_copy_sampler(self, family):
+        model, adjusted, panel = self._fitted(family=family)
+        num_samples, horizon, seed = 30, 4, 17
+        dist = model.forecast(adjusted.z, panel.y, horizon=horizon,
+                              num_samples=num_samples, seed=seed)
+
+        zs, ys = model._standardize(adjusted.z, panel.y)
+        hidden, z_last = _encode_every_copy(model, zs, ys, num_samples)
+        rng = np.random.default_rng(seed)
+        draws, _ = model._decode(hidden, z_last, horizon,
+                                 lambda params, _k: heads.sample(params, rng))
+        cube = draws.reshape(panel.n, num_samples, horizon).transpose(0, 2, 1)
+        expected = cube * model.scaler["y_std"][:, None, None] \
+            + model.scaler["y_mean"][:, None, None]
+        assert np.array_equal(dist.samples, expected)
+
+    def test_gru_rows_per_step(self):
+        model, adjusted, panel = self._fitted()
+        n, t_hist = panel.y.shape
+        num_samples, horizon = 7, 5
+        batch_sizes = []
+        step = model.gru.step
+
+        def recording_step(x, hidden):
+            batch_sizes.append(x.shape[0])
+            return step(x, hidden)
+
+        model.gru.step = recording_step
+        model.forecast(adjusted.z, panel.y, horizon=horizon,
+                       num_samples=num_samples, seed=1)
+        assert batch_sizes == [n] * t_hist + [n * num_samples] * (horizon - 1)
+        assert sum(batch_sizes) == n * t_hist + n * num_samples * (horizon - 1)
 
 
 class TestCheckpoint:
