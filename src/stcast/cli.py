@@ -12,28 +12,33 @@ previous stage's artifacts:
     evaluate       score a forecast against a truth panel -> scores.csv
     pipeline       all stages end to end with a held-out scoring window
 
-``--config`` points at a key=value file; individual flags override it.
-Exit codes: 0 success, otherwise the failing error class's code (see
-errors module).  Stage subcommands operate on the full panel they are
-given; only ``pipeline`` reserves the final horizon steps for scoring.
+A stage subcommand ingests its inputs, calls that stage's function in
+``pipeline`` and prints a summary.  Stage subcommands operate on the full
+panel they are given; only ``pipeline`` reserves the final horizon steps
+for scoring.
+
+Configuration flags are generated from the ``RunConfig`` fields;
+``--config`` points at a key=value file, and flags override it.
+``simulate`` passes only the flags given to ``GeneratorSpec``.
+
+Exit codes: 0 success; 7 malformed CSV / unreadable file (including any
+``OSError``); otherwise the failing error class's code (see errors module).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from dataclasses import fields
 
 import numpy as np
 
 from . import dataio, pipeline, synth
-from .causal import Panel, adjust_panel, fit_did, report_parameters
-from .config import load_run_config
+from .config import RunConfig, load_run_config
 from .errors import StcastError
 from .forecaster import ForecastModel
 from .pipeline import evaluate_files, model_label, run_pipeline
-from .spatial import build_spatial_matrix, spatial_matrix_to_csv
-from .transforms import fit_target_transform
+from .spatial import build_spatial_matrix
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -42,50 +47,47 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="run seed")
 
 
-_OVERRIDE_KEYS = (
-    "regions", "panel", "alpha", "post_onset_date", "target_transform",
-    "distribution", "hidden_size", "num_layers", "context_len", "horizon",
-    "learning_rate", "epochs", "batch_size", "grad_clip", "num_samples",
-    "no_spatial", "no_factors",
-)
-
-
-def _add_overrides(parser: argparse.ArgumentParser, keys=_OVERRIDE_KEYS) -> None:
-    typed = {
-        "alpha": float, "learning_rate": float, "grad_clip": float,
-        "hidden_size": int, "num_layers": int, "context_len": int,
-        "horizon": int, "epochs": int, "batch_size": int, "num_samples": int,
-    }
-    for key in keys:
-        flag = "--" + key.replace("_", "-")
-        if key in ("no_spatial", "no_factors"):
+def _add_overrides(parser: argparse.ArgumentParser, keys=None) -> None:
+    """One flag per ``RunConfig`` field (all, or those in ``keys``) other
+    than the common ``out`` and ``seed``."""
+    for f in fields(RunConfig):
+        if f.name in ("out", "seed") or (keys is not None and f.name not in keys):
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
             parser.add_argument(flag, action="store_const", const=True,
-                                default=None, dest=key)
+                                dest=f.name)
         else:
-            parser.add_argument(flag, type=typed.get(key, str), dest=key)
+            kind = {"int": int, "float": float}.get(f.type, str)
+            parser.add_argument(flag, type=kind, dest=f.name)
 
 
 def _config_from(args: argparse.Namespace):
-    overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-    overrides["out"] = getattr(args, "out", None)
-    overrides["seed"] = getattr(args, "seed", None)
-    return load_run_config(getattr(args, "config", None), overrides)
+    """The run config from ``--config`` plus flags, and its output dir."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    config = load_run_config(getattr(args, "config", None), overrides)
+    return config, pipeline.output_dir(config.out)
 
 
-def _load_inputs(config):
-    return dataio.ingest(config.regions, config.panel, config.onset_date())
+def _stage_inputs(args):
+    """Config, output dir, regions, and the target transform fitted on the
+    ingested panel together with the transformed panel."""
+    config, out = _config_from(args)
+    regions, panel = dataio.ingest(config.regions, config.panel,
+                                   config.onset_date())
+    transform, panel_t = pipeline.transform_targets(panel,
+                                                    config.target_transform)
+    return config, out, regions, transform, panel_t
 
 
-def _transformed(panel, config):
-    transform = fit_target_transform(panel.y, config.target_transform)
-    return transform, Panel(
-        region_ids=panel.region_ids,
-        times=panel.times,
-        y=transform.apply(panel.y),
-        c=panel.c,
-        treated=panel.treated,
-        post=panel.post,
-    )
+def _spatial_matrix(regions, config):
+    if config.no_spatial:
+        return None
+    return build_spatial_matrix(regions, config.alpha)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -93,24 +95,10 @@ def _transformed(panel, config):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    out = Path(args.out or "stcast-out")
-    out.mkdir(parents=True, exist_ok=True)
-    gamma = tuple(float(v) for v in args.gamma.split(",")) if args.gamma else (1.0, -0.5, -1.0, 0.3)
-    spec = synth.GeneratorSpec(
-        n_regions=args.n_regions,
-        t_steps=args.t_steps,
-        alpha=args.alpha,
-        true_rho=args.rho,
-        true_delta=args.delta,
-        true_gamma=gamma,
-        true_beta0=args.beta0,
-        true_beta1=args.beta1,
-        true_beta2=args.beta2,
-        treated_fraction=args.treated_fraction,
-        post_onset_index=args.post_onset_index,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    out = pipeline.output_dir(args.out or "stcast-out")
+    given = {f.name: getattr(args, f.name) for f in fields(synth.GeneratorSpec)
+             if getattr(args, f.name, None) is not None}
+    spec = synth.GeneratorSpec(**given)
     regions, panel, truth = synth.generate(spec)
     dataio.write_regions_csv(regions, panel.treated, out / "regions.csv")
     dataio.write_panel_csv(panel, out / "panel.csv")
@@ -122,93 +110,59 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_build_spatial(args) -> int:
-    config = _config_from(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, out = _config_from(args)
     regions, _ = dataio.read_regions(config.regions)
-    S = build_spatial_matrix(regions, config.alpha)
-    spatial_matrix_to_csv(S, out / "spatial_matrix.csv")
+    S = pipeline.build_spatial(regions, config.alpha, out)
     print(f"wrote {out / 'spatial_matrix.csv'} (N={S.n}, alpha={S.alpha})")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    config = _config_from(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    regions, panel = _load_inputs(config)
-    _, panel_t = _transformed(panel, config)
-    S = None if config.no_spatial else build_spatial_matrix(regions, config.alpha)
-    estimate = fit_did(panel_t, S, no_spatial=config.no_spatial,
-                       no_factors=config.no_factors)
-    report = report_parameters(estimate)
-    dataio.write_did_estimate_csv(estimate, out / "did_estimate.csv")
-    dataio.write_parameter_report(report, out / "parameter_report.txt")
+    config, out, regions, _, panel_t = _stage_inputs(args)
+    _, report = pipeline.estimate(panel_t, _spatial_matrix(regions, config),
+                                  config, out)
     print(report.text(), end="")
     return 0
 
 
 def _cmd_adjust(args) -> int:
-    config = _config_from(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    regions, panel = _load_inputs(config)
-    _, panel_t = _transformed(panel, config)
-    estimate = dataio.read_did_estimate(args.estimate)
-    S = None if config.no_spatial else build_spatial_matrix(regions, config.alpha)
-    adjusted = adjust_panel(panel_t, estimate, S, no_spatial=config.no_spatial)
-    dataio.write_adjusted_csv(panel_t, adjusted, out / "adjusted_panel.csv")
+    config, out, regions, _, panel_t = _stage_inputs(args)
+    est = dataio.read_did_estimate(args.estimate)
+    pipeline.adjust(panel_t, est, _spatial_matrix(regions, config), config, out)
     print(f"wrote {out / 'adjusted_panel.csv'}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = _config_from(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _, panel = _load_inputs(config)
-    _, panel_t = _transformed(panel, config)
+    config, out, _, _, panel_t = _stage_inputs(args)
     adjusted = dataio.read_adjusted_csv(args.adjusted, panel_t)
-    model = ForecastModel(config.model_config())
-    trace = model.fit(adjusted, panel_t)
-    model.save(out / "model.npz")
+    _, trace = pipeline.train(adjusted, panel_t, config, out)
     print(f"wrote {out / 'model.npz'} "
           f"(epochs={len(trace)}, final mean NLL {trace[-1]:.4f})")
     return 0
 
 
 def _cmd_forecast(args) -> int:
-    config = _config_from(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _, panel = _load_inputs(config)
-    transform, panel_t = _transformed(panel, config)
+    config, out, _, transform, panel_t = _stage_inputs(args)
     adjusted = dataio.read_adjusted_csv(args.adjusted, panel_t)
-    estimate = dataio.read_did_estimate(args.estimate)
+    est = dataio.read_did_estimate(args.estimate)
     model = ForecastModel.load(args.model)
-    dist = model.forecast(adjusted.z, panel_t.y,
-                          horizon=config.horizon,
-                          num_samples=config.num_samples,
-                          seed=config.seed + pipeline._FORECAST_SEED_OFFSET)
-    # Future dates continue the panel's spacing; post holds at its final
-    # value (the onset is in-sample or earlier for any sane run).
-    step = panel.times[1] - panel.times[0]
-    dates = [panel.times[-1] + step * (k + 1) for k in range(config.horizon)]
-    post_future = np.array([
-        1.0 if d >= config.onset_date() else 0.0 for d in dates
-    ])
-    effect = estimate.delta * np.outer(panel.treated, post_future)
-    samples = transform.invert(dist.samples + effect[:, :, None])
-    dataio.write_forecast_samples_csv(samples, panel.region_ids, dates,
-                                      out / "forecast_samples.csv")
+    # Future dates continue the panel's spacing; post follows the onset
+    # date, so an onset inside the horizon switches the effect on there.
+    step = panel_t.times[1] - panel_t.times[0]
+    dates = [panel_t.times[-1] + step * (k + 1) for k in range(config.horizon)]
+    post = np.array([float(d >= config.onset_date()) for d in dates])
+    pipeline.forecast(model, adjusted, panel_t, transform, est, post, dates,
+                      config, out)
     print(f"wrote {out / 'forecast_samples.csv'} "
-          f"({panel.n} regions x {config.horizon} steps x {config.num_samples} samples)")
+          f"({panel_t.n} regions x {config.horizon} steps x "
+          f"{config.num_samples} samples)")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    out = args.out or "stcast-out"
-    report, paths = evaluate_files(args.forecast, args.truth, out,
+    report, paths = evaluate_files(args.forecast, args.truth,
+                                   args.out or "stcast-out",
                                    model=args.model_name)
     for metric, level, value in report.rows():
         label = metric if not level else f"{metric}[{level}]"
@@ -218,7 +172,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = _config_from(args)
+    config, _ = _config_from(args)
     artifacts = run_pipeline(config)
     print(f"pipeline ok ({model_label(config)}); artifacts in {config.out}:")
     for name in sorted(artifacts):
@@ -240,18 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic panel")
     _add_common(p)
-    p.add_argument("--n-regions", type=int, default=6)
-    p.add_argument("--t-steps", type=int, default=300)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=0.4)
-    p.add_argument("--delta", type=float, default=-2.0)
-    p.add_argument("--gamma", help="comma-separated covariate effects")
-    p.add_argument("--beta0", type=float, default=1.0)
-    p.add_argument("--beta1", type=float, default=0.5)
-    p.add_argument("--beta2", type=float, default=-0.3)
-    p.add_argument("--treated-fraction", type=float, default=0.5)
-    p.add_argument("--post-onset-index", type=int, default=150)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
+    p.add_argument("--n-regions", type=int)
+    p.add_argument("--t-steps", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--rho", type=float, dest="true_rho", metavar="RHO")
+    p.add_argument("--delta", type=float, dest="true_delta", metavar="DELTA")
+    p.add_argument("--gamma", type=_floats, dest="true_gamma", metavar="GAMMA",
+                   help="comma-separated covariate effects")
+    p.add_argument("--beta0", type=float, dest="true_beta0", metavar="BETA0")
+    p.add_argument("--beta1", type=float, dest="true_beta1", metavar="BETA1")
+    p.add_argument("--beta2", type=float, dest="true_beta2", metavar="BETA2")
+    p.add_argument("--treated-fraction", type=float)
+    p.add_argument("--post-onset-index", type=int)
+    p.add_argument("--noise-sigma", type=float)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("build-spatial", help="regions.csv -> spatial_matrix.csv")
@@ -308,7 +263,7 @@ def main(argv=None) -> int:
     except StcastError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 7
 

@@ -45,19 +45,8 @@ class RunConfig:
             )
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            hidden_size=self.hidden_size,
-            num_layers=self.num_layers,
-            distribution=self.distribution,
-            context_len=self.context_len,
-            horizon=self.horizon,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            grad_clip=self.grad_clip,
-            num_samples=self.num_samples,
-            seed=self.seed,
-            batch_size=self.batch_size,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelConfig)})
 
     def onset_date(self) -> dt.date:
         if not self.post_onset_date:

@@ -321,21 +321,10 @@ class ForecastModel:
                 hidden, _ = self.gru.step(x, hidden)
         return draws, params_per_step
 
-    def forecast(self, z_history: np.ndarray, y_history: np.ndarray,
-                 horizon: int | None = None, num_samples: int | None = None,
-                 seed: int | None = None) -> ForecastDistribution:
-        """Ancestral-sampling forecast from the end of the given history.
-
-        Sample values are returned on the scale of the training inputs
-        (the per-region standardization is inverted).  The model itself
-        is immutable here; parallel callers should pass distinct seeds
-        (e.g. run_seed + stream_index) to own independent sample streams.
-        """
+    def _standardized_history(self, z_history, y_history):
+        """Standardized (z, y) histories, once checked against the model."""
         if not self.fitted:
             raise InputValidationError("model is not fitted")
-        cfg = self.config
-        horizon = cfg.horizon if horizon is None else int(horizon)
-        num_samples = cfg.num_samples if num_samples is None else int(num_samples)
         z_history = np.asarray(z_history, dtype=float)
         y_history = np.asarray(y_history, dtype=float)
         if y_history.ndim != 2 or z_history.shape != y_history.shape:
@@ -349,13 +338,29 @@ class ForecastModel:
                 f"model was fitted on {self.scaler['y_mean'].shape[0]} regions, "
                 f"history has {n}"
             )
-        if t_hist < cfg.context_len:
+        if t_hist < self.config.context_len:
             raise InsufficientDataError(
-                f"history length {t_hist} < context_len {cfg.context_len}"
+                f"history length {t_hist} < context_len {self.config.context_len}"
             )
+        return self._standardize(z_history, y_history)
+
+    def forecast(self, z_history: np.ndarray, y_history: np.ndarray,
+                 horizon: int | None = None, num_samples: int | None = None,
+                 seed: int | None = None) -> ForecastDistribution:
+        """Ancestral-sampling forecast from the end of the given history.
+
+        Sample values are returned on the scale of the training inputs
+        (the per-region standardization is inverted).  The model itself
+        is immutable here; parallel callers should pass distinct seeds
+        (e.g. run_seed + stream_index) to own independent sample streams.
+        """
+        zs, ys = self._standardized_history(z_history, y_history)
+        cfg = self.config
+        horizon = cfg.horizon if horizon is None else int(horizon)
+        num_samples = cfg.num_samples if num_samples is None else int(num_samples)
+        n = ys.shape[0]
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
 
-        zs, ys = self._standardize(z_history, y_history)
         hidden, z_last = self._encode_history(zs, ys, num_samples)
         draws, _ = self._decode(
             hidden, z_last, horizon, lambda params, _k: heads.sample(params, rng)
@@ -371,10 +376,8 @@ class ForecastModel:
         the projected parameters at every step.  Exercises exactly the
         forecasting code path; used to verify that later steps depend on
         earlier draws."""
-        if not self.fitted:
-            raise InputValidationError("model is not fitted")
+        zs, ys = self._standardized_history(z_history, y_history)
         forced = np.asarray(forced_draws, dtype=float)
-        zs, ys = self._standardize(z_history, y_history)
         forced_std = (forced - self.scaler["y_mean"][:, None]) \
             / self.scaler["y_std"][:, None]
         hidden, z_last = self._encode_history(zs, ys, 1)

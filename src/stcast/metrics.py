@@ -200,8 +200,10 @@ def score_report(samples: np.ndarray, observed: np.ndarray,
     cov_int = {a: coverage(samples, observed, a) for a in coverage_levels}
     cov_q = {t: quantile_exceedance(samples, observed, t) for t in quantiles}
 
-    # Joint paths: flatten (region, horizon) per sample.
-    paths = np.moveaxis(samples, -1, 0).reshape(samples.shape[-1], -1)
+    # Joint paths: flatten (region, horizon) per sample.  Taking them from
+    # a C-ordered copy fixes the energy score's summation order, so its
+    # bits do not depend on how the caller's array is strided.
+    paths = np.ascontiguousarray(samples).reshape(-1, samples.shape[-1]).T
     energy = energy_score(paths, observed.reshape(-1))
 
     per_region = {}

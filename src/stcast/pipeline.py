@@ -1,16 +1,15 @@
-"""End-to-end run orchestration.
+"""The stage graph, shared by the CLI and ``run_pipeline``.
 
-``run_pipeline`` executes the full sequence on one panel: ingest and
-transform targets, build the spatial weight matrix, fit the two-stage
-regression, adjust the targets, train the forecaster, sample forecasts,
-and score them against a held-out tail of the panel (the last ``horizon``
-steps are reserved for evaluation and never seen by estimation, the
-scaler, or training).  Sampled trajectories are predictions of the
-adjusted series, so the estimated treatment effect is added back to
-treated post-period cells before the inverse target transform.
+Each stage is one function that computes its result and writes its
+artifacts into an output directory: ``transform_targets`` (writes
+nothing), ``build_spatial``, ``estimate``, ``adjust``, ``train``,
+``forecast`` and ``evaluate``.  ``run_pipeline`` chains them on one panel
+and scores the forecast against a held-out tail: the last ``horizon``
+steps are never seen by estimation, the scaler, or training.
 
-Every run writes a manifest recording the configuration, seed, and
-SHA-256 content hashes of all artifacts; a failed run records the failing
+A run first replaces any earlier manifest with ``status=running``.  It
+ends with a manifest of the configuration, seed, and SHA-256 content
+hashes of all artifacts; a run that raises anything records the failing
 stage and flags already-written artifacts as stale.
 """
 
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +76,10 @@ def write_manifest(out_dir: Path, config: RunConfig, status: str,
 def _stage(name: str):
     try:
         yield
-    except StcastError as err:
+    except BaseException as err:
         err.stage = name
-        err.args = (f"stage '{name}': {err.args[0]}",) + err.args[1:]
+        if isinstance(err, StcastError):
+            err.args = (f"stage '{name}': {err.args[0]}",) + err.args[1:]
         raise
 
 
@@ -91,27 +92,102 @@ def model_label(config: RunConfig) -> str:
     return f"{config.distribution}-{suffix}"
 
 
+def output_dir(path) -> Path:
+    """The output directory, created if missing."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def transform_targets(panel: Panel, kind: str):
+    """Fit the target transform on ``panel``; returns it and the panel with
+    transformed targets."""
+    transform = fit_target_transform(panel.y, kind)
+    return transform, replace(panel, y=transform.apply(panel.y))
+
+
+def build_spatial(regions, alpha: float, out: Path):
+    S = build_spatial_matrix(regions, alpha)
+    spatial_matrix_to_csv(S, out / "spatial_matrix.csv")
+    return S
+
+
+def estimate(panel_t: Panel, S, config: RunConfig, out: Path):
+    """Fit the regression; returns the estimate and its parameter report."""
+    est = fit_did(panel_t, S, no_spatial=config.no_spatial,
+                  no_factors=config.no_factors)
+    report = report_parameters(est)
+    dataio.write_did_estimate_csv(est, out / "did_estimate.csv")
+    dataio.write_parameter_report(report, out / "parameter_report.txt")
+    return est, report
+
+
+def adjust(panel_t: Panel, est, S, config: RunConfig, out: Path):
+    adjusted = adjust_panel(panel_t, est, S, no_spatial=config.no_spatial)
+    dataio.write_adjusted_csv(panel_t, adjusted, out / "adjusted_panel.csv")
+    return adjusted
+
+
+def train(adjusted, panel_t: Panel, config: RunConfig, out: Path):
+    """Train the forecaster; returns the model and its per-epoch NLL trace."""
+    model = ForecastModel(config.model_config())
+    trace = model.fit(adjusted, panel_t)
+    model.save(out / "model.npz")
+    return model, trace
+
+
+def forecast(model, adjusted, panel_t: Panel, transform, est, post, dates,
+             config: RunConfig, out: Path) -> np.ndarray:
+    """Sample ``config.horizon`` steps past the end of ``panel_t``.
+
+    ``post`` and ``dates`` describe the forecast steps.  Samples predict
+    the adjusted series; the estimated treatment effect is restored on
+    treated post-period cells, then the target transform is undone.
+    """
+    dist = model.forecast(
+        adjusted.z, panel_t.y,
+        horizon=config.horizon,
+        num_samples=config.num_samples,
+        seed=config.seed + _FORECAST_SEED_OFFSET,
+    )
+    effect = est.delta * np.outer(panel_t.treated, post)
+    samples = transform.invert(dist.samples + effect[:, :, None])
+    dataio.write_forecast_samples_csv(samples, panel_t.region_ids, dates,
+                                      out / "forecast_samples.csv")
+    return samples
+
+
+def evaluate(samples, truth, region_ids, model: str, out: Path):
+    """Score (N, m, s) samples against (N, m) truth; writes both score CSVs."""
+    report = score_report(samples, truth, region_ids=region_ids)
+    dataio.write_scores_csv(report, out / "scores.csv")
+    dataio.write_scores_long_csv(report, model, truth.shape[1],
+                                 out / "scores_long.csv")
+    return report
+
+
 def run_pipeline(config: RunConfig, regions=None, panel=None) -> dict[str, Path]:
     """Execute all stages; returns a name -> path map of artifacts.
 
     ``regions``/``panel`` may be passed in-memory (e.g. straight from the
     generator); otherwise they are ingested from the configured paths.
     """
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {name: out_dir / name for name in ARTIFACTS}
+    out_dir = output_dir(config.out)
+    manifest = out_dir / "manifest.txt"
+    manifest.write_text("status=running\n")
     try:
-        artifacts = _run_stages(config, out_dir, paths, regions, panel)
-    except StcastError as err:
+        _run_stages(config, out_dir, regions, panel)
+    except BaseException as err:
         write_manifest(out_dir, config, "failed",
                        failed_stage=getattr(err, "stage", "unknown"))
         raise
     write_manifest(out_dir, config, "ok")
-    artifacts["manifest.txt"] = out_dir / "manifest.txt"
+    artifacts = {name: out_dir / name for name in ARTIFACTS}
+    artifacts["manifest.txt"] = manifest
     return artifacts
 
 
-def _run_stages(config, out_dir, paths, regions, panel):
+def _run_stages(config, out, regions, panel):
     with _stage("ingest"):
         if panel is None or regions is None:
             regions, panel = dataio.ingest(
@@ -122,69 +198,32 @@ def _run_stages(config, out_dir, paths, regions, panel):
             raise InsufficientDataError(
                 f"panel has {panel.t} steps, cannot hold out horizon={horizon}"
             )
-        cond_panel = panel.window(panel.t - horizon)
+        t_start = panel.t - horizon
+        cond_panel = panel.window(t_start)
 
     with _stage("transform"):
-        transform = fit_target_transform(cond_panel.y, config.target_transform)
-        cond_t = Panel(
-            region_ids=cond_panel.region_ids,
-            times=cond_panel.times,
-            y=transform.apply(cond_panel.y),
-            c=cond_panel.c,
-            treated=cond_panel.treated,
-            post=cond_panel.post,
-        )
+        transform, cond_t = transform_targets(cond_panel, config.target_transform)
 
     with _stage("spatial"):
-        S = build_spatial_matrix(regions, config.alpha)
-        spatial_matrix_to_csv(S, paths["spatial_matrix.csv"])
+        S = build_spatial(regions, config.alpha, out)
 
     with _stage("estimate"):
-        estimate = fit_did(cond_t, S, no_spatial=config.no_spatial,
-                           no_factors=config.no_factors)
-        dataio.write_did_estimate_csv(estimate, paths["did_estimate.csv"])
-        dataio.write_parameter_report(report_parameters(estimate),
-                                      paths["parameter_report.txt"])
+        est, _ = estimate(cond_t, S, config, out)
 
     with _stage("adjust"):
-        adjusted = adjust_panel(cond_t, estimate, S, no_spatial=config.no_spatial)
-        dataio.write_adjusted_csv(cond_t, adjusted, paths["adjusted_panel.csv"])
+        adjusted = adjust(cond_t, est, S, config, out)
 
     with _stage("train"):
-        model = ForecastModel(config.model_config())
-        model.fit(adjusted, cond_t)
-        model.save(paths["model.npz"])
+        model, _ = train(adjusted, cond_t, config, out)
 
     with _stage("forecast"):
-        dist = model.forecast(
-            adjusted.z, cond_t.y,
-            horizon=horizon,
-            num_samples=config.num_samples,
-            seed=config.seed + _FORECAST_SEED_OFFSET,
-        )
-        # Samples predict the adjusted series; restore the estimated
-        # treatment effect on treated post-period cells, then undo the
-        # target transform.
-        t_start = panel.t - horizon
-        effect = estimate.delta * np.outer(
-            panel.treated, panel.post[t_start:]
-        )
-        samples_t = dist.samples + effect[:, :, None]
-        samples = transform.invert(samples_t)
-        forecast_dates = panel.times[t_start:]
-        dataio.write_forecast_samples_csv(
-            samples, panel.region_ids, forecast_dates,
-            paths["forecast_samples.csv"],
-        )
+        samples = forecast(model, adjusted, cond_t, transform, est,
+                           panel.post[t_start:], panel.times[t_start:],
+                           config, out)
 
     with _stage("evaluate"):
-        truth = panel.y[:, t_start:]
-        report = score_report(samples, truth, region_ids=panel.region_ids)
-        dataio.write_scores_csv(report, paths["scores.csv"])
-        dataio.write_scores_long_csv(report, model_label(config), horizon,
-                                     paths["scores_long.csv"])
-
-    return dict(paths)
+        evaluate(samples, panel.y[:, t_start:], panel.region_ids,
+                 model_label(config), out)
 
 
 def evaluate_files(forecast_path, truth_panel_path, out_dir,
@@ -194,8 +233,7 @@ def evaluate_files(forecast_path, truth_panel_path, out_dir,
     Cells are aligned on (region_id, date); any forecast cell missing
     from the truth file is an alignment error.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     region_ids, dates, samples = dataio.read_forecast_samples(forecast_path)
     truth_map = dataio.read_truth_values(truth_panel_path)
     observed = np.empty((len(region_ids), len(dates)))
@@ -207,9 +245,5 @@ def evaluate_files(forecast_path, truth_panel_path, out_dir,
                     f"truth panel has no value for ({rid}, {date.isoformat()})"
                 )
             observed[i, j] = truth_map[key]
-    report = score_report(samples, observed, region_ids=region_ids)
-    scores_path = out_dir / "scores.csv"
-    long_path = out_dir / "scores_long.csv"
-    dataio.write_scores_csv(report, scores_path)
-    dataio.write_scores_long_csv(report, model, len(dates), long_path)
-    return report, {"scores.csv": scores_path, "scores_long.csv": long_path}
+    report = evaluate(samples, observed, region_ids, model, out)
+    return report, {name: out / name for name in ("scores.csv", "scores_long.csv")}

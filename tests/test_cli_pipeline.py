@@ -1,14 +1,17 @@
+import argparse
 import datetime as dt
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from stcast import dataio
-from stcast.cli import main
-from stcast.config import load_run_config, parse_config_file
+from stcast.cli import build_parser, main
+from stcast.config import RunConfig, load_run_config, parse_config_file
 from stcast.errors import ConfigError
-from stcast.pipeline import run_pipeline
+from stcast.forecaster import ModelConfig
+from stcast.pipeline import ARTIFACTS, model_label, run_pipeline
 from stcast.synth import GeneratorSpec, generate
 
 
@@ -25,6 +28,18 @@ def synth_files(tmp_path_factory):
     dataio.write_ground_truth_csv(truth, root / "ground_truth.csv")
     onset = panel.times[60].isoformat()
     return {"root": root, "panel": panel, "onset": onset, "spec": spec}
+
+
+def as_flags(values: dict) -> list[str]:
+    """CLI flags for a dict of config values (booleans as bare switches)."""
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False:
+            flags += [flag, str(value)]
+    return flags
 
 
 def base_overrides(synth_files, out, **extra):
@@ -71,6 +86,22 @@ class TestRunConfig:
     def test_bad_transform_rejected(self):
         with pytest.raises(ConfigError, match="target_transform"):
             load_run_config(overrides={"target_transform": "sqrt"})
+
+    def test_every_field_has_a_pipeline_flag(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = sub.choices["pipeline"]._option_string_actions
+        for f in fields(RunConfig):
+            if f.name in ("out", "seed"):
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            assert flag in flags and flags[flag].dest == f.name, flag
+
+    def test_model_fields_share_defaults(self):
+        run = {f.name: f.default for f in fields(RunConfig)}
+        for f in fields(ModelConfig):
+            assert f.name in run, f.name
+            assert run[f.name] == f.default, f.name
 
 
 class TestPipeline:
@@ -175,6 +206,31 @@ class TestPipeline:
         assert "stale_artifact.spatial_matrix.csv=" in manifest
 
 
+    def test_crash_replaces_ok_manifest(self, synth_files, tmp_path,
+                                        monkeypatch):
+        cfg = load_run_config(overrides=base_overrides(synth_files, tmp_path))
+        manifest = tmp_path / "manifest.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_pipeline(cfg)
+            assert "status=ok" in manifest.read_text()
+            seen = []
+
+            def disk_full(*args):
+                seen.append(manifest.read_text())
+                raise OSError("No space left on device")
+
+            monkeypatch.setattr(dataio, "write_forecast_samples_csv", disk_full)
+            with pytest.raises(OSError):
+                run_pipeline(cfg)
+        assert seen == ["status=running\n"]
+        text = manifest.read_text()
+        assert "status=failed" in text
+        assert "failed_stage=forecast" in text
+        assert "artifact_sha256" not in text
+        assert "stale_artifact.forecast_samples.csv=" in text
+
+
 class TestCli:
     def test_simulate_then_pipeline(self, tmp_path, capsys):
         data = tmp_path / "sim"
@@ -236,6 +292,45 @@ class TestCli:
                      "--num-samples", "10", "--seed", "1"]) == 0
         assert (out / "forecast_samples.csv").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("extra", [
+        {"target_transform": "standardize"},
+        {"target_transform": "none"},
+        {"target_transform": "standardize", "no_spatial": True},
+    ], ids=["standardize", "none", "no-spatial"])
+    def test_stages_match_pipeline_bytes(self, synth_files, tmp_path, capsys,
+                                         extra):
+        # Stage subcommands run on the conditioning range, then evaluate
+        # against the full panel, reproduce every pipeline artifact.
+        panel = synth_files["panel"]
+        values = base_overrides(synth_files, tmp_path / "pipe", **extra)
+        cond = tmp_path / "cond.csv"
+        dataio.write_panel_csv(panel.window(panel.t - values["horizon"]), cond)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["pipeline", *as_flags(values)]) == 0
+            stages = tmp_path / "stages"
+            flags = as_flags({**values, "panel": str(cond), "out": str(stages)})
+            assert main(["build-spatial", "--regions", values["regions"],
+                         "--out", str(stages)]) == 0
+            assert main(["estimate", *flags]) == 0
+            assert main(["adjust", *flags,
+                         "--estimate", str(stages / "did_estimate.csv")]) == 0
+            assert main(["train", *flags,
+                         "--adjusted", str(stages / "adjusted_panel.csv")]) == 0
+            assert main(["forecast", *flags,
+                         "--model", str(stages / "model.npz"),
+                         "--adjusted", str(stages / "adjusted_panel.csv"),
+                         "--estimate", str(stages / "did_estimate.csv")]) == 0
+            label = model_label(load_run_config(overrides=values))
+            assert main(["evaluate", "--out", str(stages),
+                         "--forecast", str(stages / "forecast_samples.csv"),
+                         "--truth", values["panel"],
+                         "--model-name", label]) == 0
+        capsys.readouterr()
+        for name in ARTIFACTS:
+            assert (stages / name).read_bytes() == \
+                (tmp_path / "pipe" / name).read_bytes(), name
 
     def test_evaluate_perfect_forecast(self, tmp_path, capsys):
         # Samples equal to the truth everywhere give zero scores.
@@ -309,6 +404,25 @@ class TestCli:
                    "--out", str(tmp_path / "o")])
         assert rc != 0
         capsys.readouterr()
+
+    def test_unreadable_file_exit_code(self, tmp_path, capsys):
+        rc = main(["build-spatial", "--regions", str(tmp_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 7
+        assert "error:" in capsys.readouterr().err
+
+    def test_simulate_defaults_are_generator_defaults(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path / "cli")]) == 0
+        capsys.readouterr()
+        regions, panel, truth = generate(GeneratorSpec())
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        dataio.write_regions_csv(regions, panel.treated, ref / "regions.csv")
+        dataio.write_panel_csv(panel, ref / "panel.csv")
+        dataio.write_ground_truth_csv(truth, ref / "ground_truth.csv")
+        for name in ("regions.csv", "panel.csv", "ground_truth.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (ref / name).read_bytes(), name
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["build-spatial", "--regions", str(tmp_path / "nope.csv"),

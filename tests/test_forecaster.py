@@ -269,6 +269,20 @@ class TestForecast:
         with pytest.raises(InsufficientDataError):
             model.forecast(adjusted.z[:, :5], panel.y[:, :5])
 
+    def test_rollout_rejects_wrong_region_count(self):
+        model, adjusted, panel = self._fitted()
+        assert panel.n == 3
+        forced = np.zeros((2, 4))
+        with pytest.raises(InputValidationError, match="fitted on 3 regions"):
+            model.rollout_params(adjusted.z[:2], panel.y[:2], forced)
+
+    def test_rollout_rejects_short_history(self):
+        model, adjusted, panel = self._fitted()
+        assert model.config.context_len == 10
+        with pytest.raises(InsufficientDataError):
+            model.rollout_params(adjusted.z[:, :3], panel.y[:, :3],
+                                 np.zeros((panel.n, 4)))
+
     def test_sampling_feedback_changes_params(self):
         model, adjusted, panel = self._fitted()
         m = 4

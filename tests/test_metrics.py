@@ -231,6 +231,18 @@ class TestScoreReport:
         assert np.mean(list(report.crps_per_region.values())) == pytest.approx(
             report.crps, rel=1e-9)
 
+    def test_scores_independent_of_memory_layout(self):
+        # Forecasters fill (N, s, m) buffers and hand back a transposed
+        # view; scoring it must give the bits that scoring the same
+        # values read back from a C-ordered file gives.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            strided = rng.normal(size=(4, 30, 4)).transpose(0, 2, 1)
+            obs = rng.normal(size=(4, 4))
+            a = score_report(strided, obs)
+            b = score_report(np.ascontiguousarray(strided), obs)
+            assert a.rows() == b.rows()
+
     def test_rows_layout(self):
         report = ScoreReport(
             crps=0.5, wql={0.5: 0.1}, coverage_interval={0.1: 0.93},
