@@ -239,17 +239,25 @@ def build_design_matrix(p: Panel, S: SpatialMatrix | None,
 # Least-squares core
 # ---------------------------------------------------------------------------
 
-def _solve_least_squares(X: np.ndarray, y: np.ndarray, labels: list[str]) -> np.ndarray:
+def _pivoted_qr(X: np.ndarray) -> tuple:
+    """Economic pivoted QR of ``X``: (q, r, piv, numerical rank)."""
+    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.max() > 0 else 0.0
+    return q, r, piv, int(np.sum(diag > tol))
+
+
+def _solve_least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
+                         qr: tuple | None = None) -> np.ndarray:
     """Pivoted-QR least squares with collinearity diagnostics.
 
     Exactly rank-deficient designs raise ``EstimationError`` naming the
     dependent columns; near-singular designs fall back to a tiny ridge
-    with a warning.
+    with a warning.  ``qr`` is ``_pivoted_qr(X)`` when the caller has
+    already factored ``X``.
     """
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    q, r, piv, rank = _pivoted_qr(X) if qr is None else qr
     diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.max() > 0 else 0.0
-    rank = int(np.sum(diag > tol))
     k = X.shape[1]
     if rank < k:
         bad = sorted(labels[j] for j in piv[rank:])
@@ -339,16 +347,14 @@ def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
         h_labels = h_labels + ["spatial_lag"]
 
     # Rank check on the instrument matrix, naming deficient columns.
-    _, r, piv = scipy.linalg.qr(h, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(h.shape) * np.finfo(float).eps if diag.max() > 0 else 0.0
-    rank = int(np.sum(diag > tol))
+    h_qr = _pivoted_qr(h)
+    _, _, piv, rank = h_qr
     if rank < h.shape[1]:
         bad = sorted(h_labels[j] for j in piv[rank:])
         raise EstimationError(f"rank-deficient instrument matrix; columns: {bad}")
 
-    # Stage 1: project the lag on the instruments.
-    gamma1 = _solve_least_squares(h, w, h_labels)
+    # Stage 1: project the lag on the instruments, reusing the factorisation.
+    gamma1 = _solve_least_squares(h, w, h_labels, h_qr)
     w_hat = h @ gamma1
 
     # Stage 2: regress the target on the fitted lag plus exogenous columns.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 
 import numpy as np
 
@@ -44,20 +45,25 @@ def _parse_float(text: str, line: int, column: str) -> float:
         raise IngestionError(
             f"line {line}: cannot parse '{text}' in column '{column}'"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise IngestionError(
             f"line {line}: non-finite value in column '{column}'"
         )
     return value
 
 
-def _parse_date(text: str, line: int) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text.strip())
-    except ValueError:
-        raise IngestionError(
-            f"line {line}: cannot parse date '{text}' (expected YYYY-MM-DD)"
-        ) from None
+def _parse_date(parsed: dict[str, dt.date], text: str, line: int) -> dt.date:
+    """ISO date from ``text``, memoised in ``parsed``: each distinct string
+    is parsed once, so a malformed one is reported at its first line."""
+    date = parsed.get(text)
+    if date is None:
+        try:
+            date = parsed[text] = dt.date.fromisoformat(text.strip())
+        except ValueError:
+            raise IngestionError(
+                f"line {line}: cannot parse date '{text}' (expected YYYY-MM-DD)"
+            ) from None
+    return date
 
 
 def _read_rows(path, expected_header: list[str], exact: bool = True):
@@ -136,6 +142,8 @@ def read_panel(path, rs: RegionSet, treated: np.ndarray,
 
     cells: dict[tuple[str, dt.date], tuple[float, list[float]]] = {}
     first_line: dict[tuple[str, dt.date], int] = {}
+    per_region = dict.fromkeys(index, 0)
+    parsed: dict[str, dt.date] = {}
     for line, row in rows:
         if len(row) != n_fields:
             raise IngestionError(
@@ -145,7 +153,7 @@ def read_panel(path, rs: RegionSet, treated: np.ndarray,
         rid = row[0].strip()
         if rid not in index:
             raise IngestionError(f"line {line}: unknown region '{rid}'")
-        date = _parse_date(row[1], line)
+        date = _parse_date(parsed, row[1], line)
         key = (rid, date)
         if key in cells:
             raise IngestionError(
@@ -157,16 +165,17 @@ def read_panel(path, rs: RegionSet, treated: np.ndarray,
         covs = [_parse_float(row[3 + k], line, cov_names[k])
                 for k in range(len(cov_names))]
         cells[key] = (y, covs)
+        per_region[rid] += 1
 
-    dates = sorted({d for _, d in cells})
+    dates = sorted(set(parsed.values()))
     if not dates:
         raise IngestionError(f"{path}: no data rows")
-    for rid in rs.region_ids:
-        have = [d for (r, d) in cells if r == rid]
-        if len(have) != len(dates):
-            missing = sorted(set(dates) - set(have))[:3]
+    for rid, count in per_region.items():
+        if count != len(dates):
+            have = {d for (r, d) in cells if r == rid}
+            missing = sorted(set(dates) - have)[:3]
             raise IngestionError(
-                f"region '{rid}' covers {len(have)} of {len(dates)} dates; "
+                f"region '{rid}' covers {count} of {len(dates)} dates; "
                 f"first missing: {missing}"
             )
     if len(dates) > 1:
@@ -226,12 +235,13 @@ def read_truth_values(path) -> dict[tuple[str, dt.date], float]:
     """(region, date) -> y map from a panel.csv, for forecast evaluation."""
     header, rows = _read_rows(path, ["region_id", "date", "y"], exact=False)
     out = {}
+    parsed: dict[str, dt.date] = {}
     for line, row in rows:
         if len(row) != len(header):
             raise IngestionError(
                 f"line {line}: expected {len(header)} fields, got {len(row)}"
             )
-        key = (row[0].strip(), _parse_date(row[1], line))
+        key = (row[0].strip(), _parse_date(parsed, row[1], line))
         if key in out:
             raise IngestionError(
                 f"line {line}: duplicate (region, date) = {key}"
@@ -308,11 +318,12 @@ def read_adjusted_csv(path, panel: Panel) -> AdjustedPanel:
     dindex = {d: j for j, d in enumerate(panel.times)}
     y_tilde = np.full((panel.n, panel.t), np.nan)
     z = np.full((panel.n, panel.t), np.nan)
+    parsed: dict[str, dt.date] = {}
     for line, row in rows:
         if len(row) != 4:
             raise IngestionError(f"line {line}: expected 4 fields, got {len(row)}")
         rid = row[0].strip()
-        date = _parse_date(row[1], line)
+        date = _parse_date(parsed, row[1], line)
         if rid not in index or date not in dindex:
             raise AlignmentError(
                 f"line {line}: ({rid}, {date}) not present in the panel"
@@ -359,12 +370,13 @@ def read_forecast_samples(path):
     """Returns (region_ids, dates, samples (N, m, num_samples))."""
     _, rows = _read_rows(path, ["region_id", "date", "sample", "value"])
     data: dict[tuple[str, dt.date], dict[int, float]] = {}
-    region_order: list[str] = []
+    region_order: dict[str, None] = {}     # insertion-ordered set
+    parsed: dict[str, dt.date] = {}
     for line, row in rows:
         if len(row) != 4:
             raise IngestionError(f"line {line}: expected 4 fields, got {len(row)}")
         rid = row[0].strip()
-        date = _parse_date(row[1], line)
+        date = _parse_date(parsed, row[1], line)
         try:
             k = int(row[2])
         except ValueError:
@@ -372,8 +384,7 @@ def read_forecast_samples(path):
                 f"line {line}: sample index '{row[2]}' is not an integer"
             ) from None
         value = _parse_float(row[3], line, "value")
-        if rid not in region_order:
-            region_order.append(rid)
+        region_order[rid] = None
         cell = data.setdefault((rid, date), {})
         if k in cell:
             raise IngestionError(
@@ -382,7 +393,7 @@ def read_forecast_samples(path):
         cell[k] = value
     if not data:
         raise IngestionError(f"{path}: no data rows")
-    dates = sorted({d for _, d in data})
+    dates = sorted(set(parsed.values()))
     counts = {len(v) for v in data.values()}
     if len(counts) != 1:
         raise IngestionError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -121,16 +122,37 @@ def geodesic_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of each element as a Python float: libm rounds, not numpy."""
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
+def _sin_squared(half_angles: np.ndarray) -> np.ndarray:
+    """``math.sin(x)**2`` per element; Python's ``**`` is libm ``pow``,
+    which can round differently from numpy's ``x*x``."""
+    return np.fromiter(map(pow, map(math.sin, half_angles.tolist()), repeat(2.0)),
+                       float, half_angles.size)
+
+
 def pairwise_distances(rs: RegionSet) -> np.ndarray:
-    """(N, N) symmetric matrix of great-circle distances in km."""
-    coords = rs.coordinates()
-    n = rs.n
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = geodesic_distance(
-                (coords[i, 0], coords[i, 1]), (coords[j, 0], coords[j, 1])
-            )
+    """(N, N) symmetric matrix of great-circle distances in km.
+
+    Bit-identical to ``geodesic_distance`` on every pair i < j: the IEEE
+    operations (subtract, halve, multiply, add, radians, sqrt, min) run in
+    numpy, and sin, cos, asin and the squares in libm, in the same
+    operand order.  Coordinates were validated when the ``RegionSet``
+    was built.
+    """
+    lat, lon = np.radians(rs.coordinates()).T
+    cos_lat = _libm(math.cos, lat)
+    k = np.arange(rs.n)
+    i, j = np.nonzero(k[:, None] < k)      # pairs i < j, as np.triu_indices(n, 1)
+    sq_dlat = _sin_squared((lat[j] - lat[i]) / 2.0)
+    sq_dlon = _sin_squared((lon[j] - lon[i]) / 2.0)
+    h = sq_dlat + cos_lat[i] * cos_lat[j] * sq_dlon
+    arc = _libm(math.asin, np.minimum(1.0, np.sqrt(h)))
+    d = np.zeros((rs.n, rs.n))
+    d[i, j] = d[j, i] = 2.0 * EARTH_RADIUS_KM * arc
     return d
 
 

@@ -1,7 +1,9 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stcast.causal import (
     DidEstimate,
@@ -265,6 +267,40 @@ class TestEstimation:
         est = estimate_ols_given_rho(X, targets, truth.rho, panel.d)
         assert est.rho == truth.rho
         assert est.delta == pytest.approx(truth.delta, abs=1e-8)
+
+
+class TestInstrumentFactorisation:
+    @pytest.mark.parametrize("lag_exogenous", [False, True])
+    def test_one_qr_of_the_instrument_matrix(self, monkeypatch, lag_exogenous):
+        # The rank check and the stage-1 solve share one pivoted QR of the
+        # instrument matrix; stage 2 factors the second-stage design.
+        spec = GeneratorSpec(seed=5, t_steps=60, post_onset_index=30)
+        regions, panel, _ = generate(spec)
+        S = build_spatial_matrix(regions, spec.alpha)
+        X, targets = build_design_matrix(panel, S)
+        widths = []
+        qr = scipy.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            widths.append(np.shape(a)[1])
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        estimate_rho_iv(X, targets, S, panel, lag_exogenous=lag_exogenous)
+        d = panel.d
+        # Instruments: 4 indicator columns, D covariates, D lagged
+        # covariates and S^2 y (plus the lag itself when exogenous).
+        h_width = 4 + 2 * d + 1 + int(lag_exogenous)
+        assert widths == [h_width, 1 + 4 + d]
+
+    def test_rank_deficient_instruments_named(self):
+        rng = np.random.default_rng(0)
+        c = rng.normal(size=(4, 30, 3))
+        c[:, :, 2] = c[:, :, 1]
+        panel = make_panel(rng.normal(size=(4, 30)), c=c)
+        with pytest.raises(EstimationError, match=re.escape(
+                "rank-deficient instrument matrix; columns: ['S.c3(t-1)', 'c3']")):
+            fit_did(panel, _matrix_for(panel))
 
 
 class TestAdjustment:

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,48 @@ class TestIngestDiagnostics:
             dataio.read_regions(path)
 
 
+THREE_REGIONS = GOOD_REGIONS + "R02,0.0,0.0,0\n"
+
+
+class TestIngestDiagnosticMessages:
+    """Exact messages and line numbers of the single-pass ingest."""
+
+    def test_coverage_names_first_short_region_in_region_order(self, tmp_path):
+        # R02's rows come first in the file and it is short too, but R01
+        # precedes it in regions.csv.
+        content = ("region_id,date,y,c1,c2\n"
+                   "R02,2021-01-01,1.0,0.0,0.0\n"
+                   "R02,2021-01-02,1.0,0.0,0.0\n"
+                   + GOOD_PANEL.split("\n", 1)[1]
+                   .replace("R01,2021-01-02,5.0,0.3,0.4\n", "")
+                   .replace("R01,2021-01-03,6.0,0.3,0.4\n", ""))
+        regions = write(tmp_path, "regions.csv", THREE_REGIONS)
+        panel_path = write(tmp_path, "panel.csv", content)
+        with pytest.raises(IngestionError, match=re.escape(
+                "region 'R01' covers 1 of 3 dates; first missing: "
+                "[datetime.date(2021, 1, 2), datetime.date(2021, 1, 3)]")):
+            dataio.ingest(regions, panel_path, ONSET)
+
+    def test_repeated_bad_date_reported_at_first_line(self, tmp_path):
+        content = GOOD_PANEL.replace("2021-01-02", "2021-02-30")
+        regions = write(tmp_path, "regions.csv", GOOD_REGIONS)
+        panel_path = write(tmp_path, "panel.csv", content)
+        with pytest.raises(IngestionError, match=re.escape(
+                "line 3: cannot parse date '2021-02-30' (expected YYYY-MM-DD)")):
+            dataio.ingest(regions, panel_path, ONSET)
+
+    @pytest.mark.parametrize("date_text", ["2021-01-03", " 2021-01-03"])
+    def test_duplicate_cites_first_line(self, tmp_path, date_text):
+        # The same date spelt differently is still the same cell.
+        content = GOOD_PANEL + f"R01,{date_text},9.0,0.0,0.0\n"
+        regions = write(tmp_path, "regions.csv", GOOD_REGIONS)
+        panel_path = write(tmp_path, "panel.csv", content)
+        with pytest.raises(IngestionError, match=re.escape(
+                "line 8: duplicate (region, date) = (R01, 2021-01-03) "
+                "(first at line 7)")):
+            dataio.ingest(regions, panel_path, ONSET)
+
+
 class TestEstimateRoundTrip:
     def test_did_estimate_csv(self, tmp_path):
         est = DidEstimate(
@@ -199,6 +242,18 @@ class TestForecastSamplesRoundTrip:
         dataio.write_forecast_samples_csv(samples, ("a", "b"), dates, path)
         rids, rdates, cube = dataio.read_forecast_samples(path)
         assert rids == ("a", "b")
+        assert rdates == dates
+        assert np.array_equal(cube, samples)
+
+    def test_regions_keep_file_order(self, tmp_path):
+        rng = np.random.default_rng(1)
+        samples = rng.normal(size=(4, 2, 3))
+        dates = (dt.date(2021, 2, 1), dt.date(2021, 2, 2))
+        region_ids = ("R03", "R00", "R02", "R01")
+        path = tmp_path / "fc.csv"
+        dataio.write_forecast_samples_csv(samples, region_ids, dates, path)
+        rids, rdates, cube = dataio.read_forecast_samples(path)
+        assert rids == region_ids
         assert rdates == dates
         assert np.array_equal(cube, samples)
 

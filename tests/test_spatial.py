@@ -13,8 +13,10 @@ from stcast.spatial import (
     SpatialMatrix,
     build_spatial_matrix,
     geodesic_distance,
+    pairwise_distances,
     spatial_lag,
 )
+from stcast.synth import GeneratorSpec, generate
 
 # Computed independently with a 30-digit haversine and cross-checked
 # against the spherical law of cosines before this module was written.
@@ -58,6 +60,53 @@ class TestGeodesicDistance:
         ac = geodesic_distance(a, c)
         cb = geodesic_distance(c, b)
         assert ab <= ac + cb + 1e-9
+
+
+def _geodesic_loop(rs):
+    """The double-loop oracle: one ``geodesic_distance`` call per pair."""
+    coords = rs.coordinates()
+    d = np.zeros((rs.n, rs.n))
+    for i in range(rs.n):
+        for j in range(i + 1, rs.n):
+            d[i, j] = d[j, i] = geodesic_distance(
+                (coords[i, 0], coords[i, 1]), (coords[j, 0], coords[j, 1])
+            )
+    return d
+
+
+def _region_set(coords):
+    return RegionSet(tuple(Region(f"R{k:03d}", float(lat), float(lon))
+                           for k, (lat, lon) in enumerate(coords)))
+
+
+class TestPairwiseDistances:
+    """The vectorised haversine must equal the scalar one bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 6, 500])
+    def test_synthetic_region_sets(self, n):
+        regions, _, _ = generate(GeneratorSpec(
+            n_regions=n, t_steps=4, post_onset_index=2, seed=n))
+        assert np.array_equal(pairwise_distances(regions),
+                              _geodesic_loop(regions))
+
+    def test_uniform_global_points(self):
+        rng = np.random.default_rng(2024)
+        rs = _region_set(zip(rng.uniform(-90.0, 90.0, 400),
+                             rng.uniform(-180.0, 180.0, 400)))
+        assert np.array_equal(pairwise_distances(rs), _geodesic_loop(rs))
+
+    def test_poles_antimeridian_and_coincident_points(self):
+        rs = _region_set([
+            (90.0, 0.0), (90.0, 180.0), (-90.0, 0.0), (-90.0, -180.0),
+            (0.0, 180.0), (0.0, -180.0), (0.0, 0.0), (12.5, 179.999),
+            (-12.5, -179.999), (45.0, -120.0), (45.0, -120.0),
+            (-33.9, 151.2), (33.9, -28.8),
+        ])
+        d = pairwise_distances(rs)
+        assert np.array_equal(d, _geodesic_loop(rs))
+        assert d[9, 10] == 0.0
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
 
 
 class TestBuildSpatialMatrix:
