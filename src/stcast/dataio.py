@@ -351,7 +351,7 @@ def write_ground_truth_csv(truth: DidEstimate, path) -> None:
 def write_forecast_samples_csv(samples: np.ndarray, region_ids, dates, path) -> None:
     """samples is (N, m, num_samples); rows ordered by region, date, sample."""
     samples = np.asarray(samples, dtype=float)
-    n, m, s = samples.shape
+    n, m, _ = samples.shape
     if len(region_ids) != n or len(dates) != m:
         raise AlignmentError(
             f"samples {samples.shape} vs {len(region_ids)} regions, "
@@ -361,9 +361,11 @@ def write_forecast_samples_csv(samples: np.ndarray, region_ids, dates, path) -> 
         fh.write("region_id,date,sample,value\n")
         for i, rid in enumerate(region_ids):
             for j, date in enumerate(dates):
-                iso = date.isoformat()
-                for k in range(s):
-                    fh.write(f"{rid},{iso},{k},{_fmt(samples[i, j, k])}\n")
+                prefix = f"{rid},{date.isoformat()},"
+                fh.write("".join(
+                    f"{prefix}{k},{value!r}\n"
+                    for k, value in enumerate(samples[i, j].tolist())
+                ))
 
 
 def read_forecast_samples(path):

@@ -9,6 +9,11 @@ backpropagation (no autodiff).  Forecasting encodes each region's history
 once, shares the final state across its sample paths, then draws each
 future value from the projected distribution and feeds it back as the
 next input; z is held at its last observed value over the horizon.
+The decode projects and draws over all N x num_samples rows at once, but
+advances the GRU over fixed blocks of DECODE_BLOCK_ROWS rows and writes
+each block's new state back in place, so its temporaries stay one
+block in size whatever the sample count; GEMM rows are independent, so
+the samples are bit-identical to one step over all rows.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import (
 from .gru import GRUStack, init_gru_params
 
 INPUT_SIZE = 2          # features per step: (z, y)
+DECODE_BLOCK_ROWS = 1024  # rows per GRU step while decoding sample paths
 MOMENTUM = 0.9
 _SCALE_FLOOR = 1e-8
 
@@ -307,7 +313,8 @@ class ForecastModel:
         """Shared rollout: project, draw via draw_fn, feed the draw back.
 
         draw_fn(params, step) -> standardized draws, shape (batch,).
-        Returns (draws (batch, steps), params_per_step).
+        Returns (draws (batch, steps), params_per_step); ``hidden`` is
+        advanced in place.
         """
         draws = np.empty((z_last.shape[0], steps))
         params_per_step = []
@@ -317,9 +324,26 @@ class ForecastModel:
             params_per_step.append(params)
             draws[:, k] = draw_fn(params, k)
             if k + 1 < steps:
-                x = np.column_stack([z_last, draws[:, k]])
-                hidden, _ = self.gru.step(x, hidden)
+                self._step_in_blocks(hidden, z_last, draws[:, k])
         return draws, params_per_step
+
+    def _step_in_blocks(self, hidden, z, y):
+        """Advance ``hidden`` one step on inputs (z, y), in place, one
+        block of DECODE_BLOCK_ROWS rows at a time.  A block's new state
+        depends only on its own old rows, and ``step`` returns every layer
+        before the write-back.  numpy sends a one-row product to gemv,
+        whose bits differ from gemm's, so a one-row last block takes a
+        row from the block before it."""
+        n = z.shape[0]
+        bounds = list(range(0, n, DECODE_BLOCK_ROWS)) + [n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            bounds[-2] -= 1
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            rows = slice(start, stop)
+            x = np.column_stack([z[rows], y[rows]])
+            new, _ = self.gru.step(x, [h[rows] for h in hidden])
+            for h, h_new in zip(hidden, new):
+                h[rows] = h_new
 
     def _standardized_history(self, z_history, y_history):
         """Standardized (z, y) histories, once checked against the model."""

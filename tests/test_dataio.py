@@ -257,6 +257,33 @@ class TestForecastSamplesRoundTrip:
         assert rdates == dates
         assert np.array_equal(cube, samples)
 
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        """The per-cell writer emits exactly the bytes of one formatted
+        numpy scalar per row."""
+        def per_row_writer(samples, region_ids, dates, path):
+            with open(path, "w", newline="") as fh:
+                fh.write("region_id,date,sample,value\n")
+                for i, rid in enumerate(region_ids):
+                    for j, date in enumerate(dates):
+                        iso = date.isoformat()
+                        for k in range(samples.shape[2]):
+                            fh.write(f"{rid},{iso},{k},"
+                                     f"{repr(float(samples[i, j, k]))}\n")
+
+        rng = np.random.default_rng(5)
+        samples = rng.normal(scale=1e3, size=(3, 2, 40))
+        samples[0, 0, :4] = [-0.0, 1e-300, 1e300, 2.0]
+        samples[2, 1, -3:] = [5e-324, -1.7976931348623157e308, 0.1]
+        # A transposed view, as the forecaster returns it.
+        samples = np.ascontiguousarray(samples.transpose(0, 2, 1)).transpose(0, 2, 1)
+        dates = (dt.date(2021, 2, 1), dt.date(2021, 2, 2))
+        region_ids = ("R2", "R0", "R1")
+        expected, actual = tmp_path / "rows.csv", tmp_path / "cells.csv"
+        per_row_writer(samples, region_ids, dates, expected)
+        dataio.write_forecast_samples_csv(samples, region_ids, dates, actual)
+        assert actual.read_bytes() == expected.read_bytes()
+        assert b",0,-0.0\n" in actual.read_bytes()
+
     def test_malformed_sample_index(self, tmp_path):
         path = tmp_path / "fc.csv"
         path.write_text("region_id,date,sample,value\n"

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from stcast.errors import (
     PropagationError,
 )
 from stcast.forecaster import (
+    DECODE_BLOCK_ROWS,
     ForecastDistribution,
     ForecastModel,
     ModelConfig,
@@ -217,6 +219,28 @@ def _encode_every_copy(model, zs, ys, copies):
     return hidden, np.repeat(zs[:, -1], copies)
 
 
+def _decode_all_rows(model, hidden, z_last, steps, draw_fn):
+    """Reference decoder: one GRU step over every sample row at once."""
+    draws = np.empty((z_last.shape[0], steps))
+    params_per_step = []
+    for k in range(steps):
+        raw = hidden[-1] @ model.params["head.W"] + model.params["head.b"]
+        params = heads.project_raw(raw, model.config.distribution)
+        params_per_step.append(params)
+        draws[:, k] = draw_fn(params, k)
+        if k + 1 < steps:
+            x = np.column_stack([z_last, draws[:, k]])
+            hidden, _ = model.gru.step(x, hidden)
+    return draws, params_per_step
+
+
+def _identity_scaled(model, n):
+    """Mark an unfitted model fitted on n regions with a neutral scaler."""
+    model.scaler = {"y_mean": np.zeros(n), "y_std": np.ones(n),
+                    "z_mean": np.zeros(n), "z_std": np.ones(n)}
+    return model
+
+
 class TestForecast:
     def _fitted(self, seed=0, family="gaussian"):
         adjusted, panel = random_training_data(seed)
@@ -352,6 +376,121 @@ class TestForecast:
                        num_samples=num_samples, seed=1)
         assert batch_sizes == [n] * t_hist + [n * num_samples] * (horizon - 1)
         assert sum(batch_sizes) == n * t_hist + n * num_samples * (horizon - 1)
+
+    def test_gru_rows_per_step_multi_block(self, monkeypatch):
+        model, adjusted, panel = self._fitted()
+        n, t_hist = panel.y.shape
+        num_samples, horizon = DECODE_BLOCK_ROWS + 76, 4
+        rows = n * num_samples
+        assert rows > 3 * DECODE_BLOCK_ROWS and rows % DECODE_BLOCK_ROWS
+        calls = []                      # GRU batch sizes; None marks a draw
+        step, sample = model.gru.step, heads.sample
+
+        def recording_step(x, hidden):
+            calls.append(x.shape[0])
+            return step(x, hidden)
+
+        def recording_sample(params, rng):
+            calls.append(None)
+            return sample(params, rng)
+
+        model.gru.step = recording_step
+        monkeypatch.setattr(heads, "sample", recording_sample)
+        model.forecast(adjusted.z, panel.y, horizon=horizon,
+                       num_samples=num_samples, seed=1)
+        assert calls[:t_hist] == [n] * t_hist
+        assert calls[t_hist] is None
+        decode_steps, current = [], []
+        for size in calls[t_hist + 1:]:
+            if size is None:
+                decode_steps.append(current)
+                current = []
+            else:
+                current.append(size)
+        assert current == []            # the last draw feeds no step
+        assert len(decode_steps) == horizon - 1
+        for sizes in decode_steps:
+            assert len(sizes) > 3
+            assert max(sizes) <= DECODE_BLOCK_ROWS
+            assert sum(sizes) == rows
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "student_t"])
+    def test_multi_block_samples_match_one_step_over_all_rows(self, family):
+        model, adjusted, panel = self._fitted(family=family)
+        num_samples, horizon, seed = DECODE_BLOCK_ROWS + 76, 4, 23
+        assert panel.n * num_samples > 3 * DECODE_BLOCK_ROWS
+        assert panel.n * num_samples % DECODE_BLOCK_ROWS
+        dist = model.forecast(adjusted.z, panel.y, horizon=horizon,
+                              num_samples=num_samples, seed=seed)
+
+        zs, ys = model._standardize(adjusted.z, panel.y)
+        hidden, z_last = _encode_every_copy(model, zs, ys, num_samples)
+        rng = np.random.default_rng(seed)
+        draws, _ = _decode_all_rows(model, hidden, z_last, horizon,
+                                    lambda params, _k: heads.sample(params, rng))
+        cube = draws.reshape(panel.n, num_samples, horizon).transpose(0, 2, 1)
+        expected = cube * model.scaler["y_std"][:, None, None] \
+            + model.scaler["y_mean"][:, None, None]
+        assert np.array_equal(dist.samples, expected)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "student_t"])
+    def test_multi_block_rollout_matches_one_step_over_all_rows(self, family):
+        n, t_hist, steps = 3 * DECODE_BLOCK_ROWS + 228, 10, 4
+        model = _identity_scaled(
+            ForecastModel(small_config(distribution=family, seed=5)), n)
+        rng = np.random.default_rng(6)
+        z, y = rng.normal(size=(2, n, t_hist))
+        forced = rng.normal(size=(n, steps))
+        params = model.rollout_params(z, y, forced)
+
+        hidden = model.gru.init_hidden(n)
+        for t in range(t_hist):
+            hidden, _ = model.gru.step(np.column_stack([z[:, t], y[:, t]]),
+                                       hidden)
+        _, expected = _decode_all_rows(model, hidden, z[:, -1], steps,
+                                       lambda _params, k: forced[:, k])
+        assert len(params) == steps
+        for got, ref in zip(params, expected):
+            for field in ("mu", "sigma", "nu"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rows", [
+        1, 2, DECODE_BLOCK_ROWS - 1, DECODE_BLOCK_ROWS, DECODE_BLOCK_ROWS + 1,
+        2 * DECODE_BLOCK_ROWS + 1, 3 * DECODE_BLOCK_ROWS + 228,
+    ])
+    def test_blocked_step_matches_one_step_over_all_rows(self, rows):
+        model = ForecastModel(small_config())
+        rng = np.random.default_rng(rows)
+        hidden = [rng.normal(size=(rows, model.config.hidden_size))
+                  for _ in range(model.config.num_layers)]
+        z, y = rng.normal(size=(2, rows))
+        expected, _ = model.gru.step(np.column_stack([z, y]), hidden)
+        model._step_in_blocks(hidden, z, y)
+        for h, ref in zip(hidden, expected):
+            assert np.array_equal(h, ref)
+
+    def test_forecast_peak_allocation_is_one_state_plus_a_block(self):
+        """The decode keeps no temporaries the size of all sample rows:
+        the traced peak stays within a small multiple of one hidden-state
+        set (the parent's unblocked decode peaked near 11 sets)."""
+        n, num_samples, horizon = 200, 100, 5
+        model = _identity_scaled(ForecastModel(
+            small_config(hidden_size=32, num_samples=num_samples,
+                         horizon=horizon)), n)
+        rows = n * num_samples
+        state_bytes = rows * model.config.hidden_size \
+            * model.config.num_layers * 8
+        rng = np.random.default_rng(9)
+        z, y = rng.normal(size=(2, n, 12))
+        tracemalloc.start()
+        try:
+            model.forecast(z, y, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * state_bytes, peak / state_bytes
 
 
 class TestCheckpoint:
