@@ -5,10 +5,12 @@ regions sharing one parameter set; an affine head maps the top hidden
 state to the output distribution's raw parameters.  Training slides
 fixed-length windows over each region's history and minimizes the exact
 next-step negative log-likelihood by momentum SGD with hand-derived
-backpropagation (no autodiff).  Forecasting encodes each region's history
-once, shares the final state across its sample paths, then draws each
-future value from the projected distribution and feeds it back as the
-next input; z is held at its last observed value over the horizon.
+backpropagation (no autodiff).  Each batch projects the top hidden state
+per step, then forms the head NLL and its gradient once per batch over
+all steps.  Forecasting encodes each region's history once, shares the
+final state across its sample paths, then draws each future value from
+the projected distribution and feeds it back as the next input; z is
+held at its last observed value over the horizon.
 The decode projects and draws over all N x num_samples rows at once, but
 advances the GRU over fixed blocks of DECODE_BLOCK_ROWS rows and writes
 each block's new state back in place, so its temporaries stay one
@@ -121,9 +123,12 @@ class ForecastModel:
                                            (config.hidden_size, arity))
             params["head.b"] = np.zeros(arity)
         self._validate_params(params, arity)
-        self.params = params
         self.gru = GRUStack(INPUT_SIZE, config.hidden_size, config.num_layers,
                             params=params)
+        # The encoder's entries are views into the stack's blocks, so SGD
+        # updates by name reach the weights the stack computes with.
+        self.params = {**self.gru.params,
+                       "head.W": params["head.W"], "head.b": params["head.b"]}
         self.scaler = scaler
         self.region_ids = region_ids
 
@@ -228,32 +233,44 @@ class ForecastModel:
         return inputs, targets
 
     def _batch_forward_backward(self, batch_in, batch_tgt):
-        """Sum of per-step NLLs and the parameter gradients of the mean."""
+        """Sum of per-step NLLs and the parameter gradients of the mean.
+
+        The head projection runs per step into one (L, B, arity) buffer;
+        the NLL and its raw-output gradient are then formed once for the
+        whole batch.  Per-step NLL sums, head products and gradient sums
+        keep their per-step order, so the results are bit-identical to a
+        per-step head.  Each step's cache is dropped once its backward has
+        run, so the backward's buffers reuse that memory.
+        """
         cfg = self.config
         b, t0, _ = batch_in.shape
-        scale = 1.0 / (b * t0)
+        head_w, head_b = self.params["head.W"], self.params["head.b"]
         hidden = self.gru.init_hidden(b)
-        caches, tops, d_raws = [], [], []
-        nll_total = 0.0
+        caches, tops = [], []
+        raw = np.empty((t0, b, head_b.shape[0]))
         for k in range(t0):
             hidden, cache = self.gru.step(batch_in[:, k, :], hidden)
-            raw = hidden[-1] @ self.params["head.W"] + self.params["head.b"]
-            values, d_raw = heads.nll_and_raw_grad(raw, batch_tgt[:, k],
-                                                   cfg.distribution)
-            nll_total += float(values.sum())
+            np.matmul(hidden[-1], head_w, out=raw[k])
+            raw[k] += head_b
             caches.append(cache)
             tops.append(hidden[-1])
-            d_raws.append(d_raw * scale)
+        values, d_raw = heads.nll_and_raw_grad(
+            raw, np.ascontiguousarray(batch_tgt.T), cfg.distribution)
+        nll_total = 0.0
+        for step_values in values:
+            nll_total += float(step_values.sum())
+        d_raw *= 1.0 / (b * t0)
 
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads = self.gru.zero_grads()
+        grads["head.W"] = g_head_w = np.zeros_like(head_w)
+        grads["head.b"] = g_head_b = np.zeros_like(head_b)
+        head_w_t = head_w.T
         d_hidden = self.gru.init_hidden(b)
         for k in range(t0 - 1, -1, -1):
-            grads["head.W"] += tops[k].T @ d_raws[k]
-            grads["head.b"] += d_raws[k].sum(axis=0)
-            d_top = d_raws[k] @ self.params["head.W"].T
-            d_out = list(d_hidden)
-            d_out[-1] = d_out[-1] + d_top
-            _, d_hidden = self.gru.step_backward(caches[k], d_out, grads)
+            g_head_w += tops[k].T @ d_raw[k]
+            g_head_b += d_raw[k].sum(axis=0)
+            d_hidden[-1] += d_raw[k] @ head_w_t
+            _, d_hidden = self.gru.step_backward(caches.pop(), d_hidden, grads)
         return nll_total, grads
 
     def _sgd_update(self, grads, velocity):
@@ -268,26 +285,6 @@ class ForecastModel:
             v *= MOMENTUM
             v -= cfg.learning_rate * grads[key]
             p += v
-
-    def total_training_nll(self, adjusted: AdjustedPanel, panel: Panel) -> tuple[float, int]:
-        """Sum over all windows and steps of the per-step NLL at the
-        current parameters (no updates); returns (total, term_count)."""
-        if not self.fitted:
-            raise InputValidationError("model is not fitted")
-        zs, ys = self._standardize(adjusted.z, panel.y)
-        ts = (adjusted.y_tilde - self.scaler["y_mean"][:, None]) \
-            / self.scaler["y_std"][:, None]
-        inputs, targets = self._build_windows(zs, ys, ts)
-        b, t0, _ = inputs.shape
-        hidden = self.gru.init_hidden(b)
-        total = 0.0
-        for k in range(t0):
-            hidden, _ = self.gru.step(inputs[:, k, :], hidden)
-            raw = hidden[-1] @ self.params["head.W"] + self.params["head.b"]
-            total += float(heads.nll(
-                heads.project_raw(raw, self.config.distribution), targets[:, k]
-            ).sum())
-        return total, b * t0
 
     # -- forecasting ----------------------------------------------------------
 

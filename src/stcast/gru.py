@@ -9,9 +9,22 @@ candidate matmul):
     h' = u * h + (1 - u) * c
 
 All arrays are float64; a step operates on a (batch, features) slab so
-training can batch arbitrarily many windows.  The backward pass
-accumulates parameter gradients into a caller-owned dict, which keeps
-one allocation per training batch instead of one per step.
+training can batch arbitrarily many windows.
+
+Parameter layout: each layer keeps its weights in three gate-stacked
+blocks, W (3, in, H), U (3, H, H) and b (3, H), gates in (r, u, c)
+order.  The named entries ``l{l}.W_r`` ... ``l{l}.b_c`` are views into
+the blocks, so an in-place update by name updates the block; assigning
+``GRUStack.params`` copies the given arrays into fresh blocks.  Gates
+sit on the leading axis, so every gate's slab stays contiguous.
+
+The forward step keeps one 2-D product per gate and operand.  The
+backward step writes the three gate gradients into one (3, B, H) buffer
+and forms its products as broadcasting matmuls over the gate axis;
+numpy runs one gemm per gate slice with the per-gate product's shape and
+transpose flags, so every gradient is bit-identical to the per-gate
+form.  Parameter gradients accumulate into blocks of the same layout
+(``zero_grads``), one allocation per training batch.
 """
 
 from __future__ import annotations
@@ -20,7 +33,23 @@ import numpy as np
 
 from scipy.special import expit as _sigmoid
 
-PARAM_NAMES = ("W_r", "U_r", "b_r", "W_u", "U_u", "b_u", "W_c", "U_c", "b_c")
+GATES = ("r", "u", "c")
+
+
+class GateBlocks(dict):
+    """Name -> array dict over gate-stacked blocks.
+
+    ``blocks[l]`` is layer l's (W, U, b); the entries ``l{l}.W_r`` ...
+    ``l{l}.b_c`` are views into it, in the order W, U, b per gate.
+    """
+
+    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]):
+        super().__init__()
+        self.blocks = blocks
+        for layer, layer_blocks in enumerate(blocks):
+            for g, gate in enumerate(GATES):
+                for kind, block in zip("WUb", layer_blocks):
+                    self[f"l{layer}.{kind}_{gate}"] = block[g]
 
 
 def init_gru_params(input_size: int, hidden_size: int, num_layers: int,
@@ -29,7 +58,7 @@ def init_gru_params(input_size: int, hidden_size: int, num_layers: int,
     params: dict[str, np.ndarray] = {}
     for layer in range(num_layers):
         in_dim = input_size if layer == 0 else hidden_size
-        for gate in ("r", "u", "c"):
+        for gate in GATES:
             w_bound = 1.0 / np.sqrt(in_dim)
             u_bound = 1.0 / np.sqrt(hidden_size)
             params[f"l{layer}.W_{gate}"] = rng.uniform(
@@ -41,7 +70,7 @@ def init_gru_params(input_size: int, hidden_size: int, num_layers: int,
 
 
 class GRUStack:
-    """Thin stateful wrapper over the parameter dict.
+    """Thin stateful wrapper over the gate-stacked parameter blocks.
 
     Hidden state is a list of (batch, hidden) arrays, one per layer.
     """
@@ -58,8 +87,28 @@ class GRUStack:
             params = init_gru_params(input_size, hidden_size, num_layers, rng)
         self.params = params
 
+    @property
+    def params(self) -> GateBlocks:
+        return self._params
+
+    @params.setter
+    def params(self, params: dict[str, np.ndarray]):
+        """Copy the named per-gate arrays (other keys are ignored) into
+        fresh blocks."""
+        self._params = GateBlocks([
+            tuple(np.array([params[f"l{layer}.{kind}_{gate}"] for gate in GATES],
+                           dtype=float)
+                  for kind in "WUb")
+            for layer in range(self.num_layers)
+        ])
+
     def init_hidden(self, batch: int) -> list[np.ndarray]:
         return [np.zeros((batch, self.hidden_size)) for _ in range(self.num_layers)]
+
+    def zero_grads(self) -> GateBlocks:
+        """Zero gradient blocks in the parameters' layout and names."""
+        return GateBlocks([tuple(np.zeros_like(block) for block in blocks)
+                           for blocks in self.params.blocks])
 
     def step(self, x: np.ndarray, hidden: list[np.ndarray]):
         """One time step for the whole stack.
@@ -89,42 +138,58 @@ class GRUStack:
 
         ``d_new_hidden[l]`` is the loss gradient w.r.t. layer l's output
         at this step, accumulated from the next time step and (for the
-        top layer) the projection head.  Returns (dx, d_hidden_prev);
-        parameter gradients are added to ``grads`` in place.
+        top layer) the projection head; it is not modified.  Parameter
+        gradients are added to ``grads`` in place: straight into its
+        blocks when it comes from ``zero_grads``, else by name.  Returns
+        (None, d_hidden_prev); the gradient w.r.t. the layer-0 input is
+        not formed.
         """
-        p = self.params
-        d_out = [d.copy() for d in d_new_hidden]
+        if not isinstance(grads, GateBlocks):
+            stacked = self.zero_grads()
+            result = self.step_backward(cache, d_new_hidden, stacked)
+            for key, g in stacked.items():
+                grads[key] += g
+            return result
         d_prev: list[np.ndarray] = [None] * self.num_layers
-        dx = None
+        d_h_new = d_new_hidden[-1]
         for layer in range(self.num_layers - 1, -1, -1):
             inp, h, r, u, c = cache[layer]
-            pre = f"l{layer}."
-            d_h_new = d_out[layer]
+            w, u_block, _ = self.params.blocks[layer]
+            u_t = u_block.transpose(0, 2, 1)
+            g_w, g_u, g_b = grads.blocks[layer]
 
-            da_u = d_h_new * (h - c) * u * (1.0 - u)
-            da_c = d_h_new * (1.0 - u) * (1.0 - c * c)
-            dhr = da_c @ p[pre + "U_c"].T
-            da_r = dhr * h * r * (1.0 - r)
+            # In-place chains keep each per-gate expression's left-to-right
+            # order, e.g. da_u = d_h_new * (h - c) * u * (1 - u).
+            da = np.empty((3,) + h.shape)      # pre-activation grads, (r, u, c)
+            da_r, da_u, da_c = da
+            one_minus_u = 1.0 - u
+            np.multiply(d_h_new, h - c, out=da_u)
+            da_u *= u
+            da_u *= one_minus_u
+            np.multiply(d_h_new, one_minus_u, out=da_c)
+            da_c *= 1.0 - c * c
+            dhr = da_c @ u_t[2]
+            np.multiply(dhr, h, out=da_r)
+            da_r *= r
+            da_r *= 1.0 - r
 
-            d_prev[layer] = (d_h_new * u + dhr * r
-                             + da_r @ p[pre + "U_r"].T
-                             + da_u @ p[pre + "U_u"].T)
-            d_inp = (da_r @ p[pre + "W_r"].T
-                     + da_u @ p[pre + "W_u"].T
-                     + da_c @ p[pre + "W_c"].T)
+            rec = np.matmul(da[:2], u_t[:2])
+            d_h = d_h_new * u
+            dhr *= r
+            d_h += dhr
+            d_h += rec[0]
+            d_h += rec[1]
+            d_prev[layer] = d_h
 
-            grads[pre + "W_r"] += inp.T @ da_r
-            grads[pre + "U_r"] += h.T @ da_r
-            grads[pre + "b_r"] += da_r.sum(axis=0)
-            grads[pre + "W_u"] += inp.T @ da_u
-            grads[pre + "U_u"] += h.T @ da_u
-            grads[pre + "b_u"] += da_u.sum(axis=0)
-            grads[pre + "W_c"] += inp.T @ da_c
-            grads[pre + "U_c"] += (r * h).T @ da_c
-            grads[pre + "b_c"] += da_c.sum(axis=0)
+            g_w += np.matmul(inp.T, da)
+            g_u[:2] += np.matmul(h.T, da[:2])
+            g_u[2] += (r * h).T @ da_c
+            g_b += da.sum(axis=1)
 
             if layer > 0:
-                d_out[layer - 1] = d_out[layer - 1] + d_inp
-            else:
-                dx = d_inp
-        return dx, d_prev
+                # (r + u) + c, then the layer's own output gradient.
+                d_inp = np.matmul(da, w.transpose(0, 2, 1))
+                d_h_new = d_inp[0] + d_inp[1]
+                d_h_new += d_inp[2]
+                d_h_new += d_new_hidden[layer - 1]
+        return None, d_prev

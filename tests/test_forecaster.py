@@ -156,12 +156,14 @@ class TestTraining:
         cfg = small_config(context_len=5, horizon=1, epochs=2)
         model = ForecastModel(cfg)
         model.fit(adjusted, panel)
-        total, count = model.total_training_nll(adjusted, panel)
-
-        # Naive oracle: loop windows and steps one by one.
         zs, ys = model._standardize(adjusted.z, panel.y)
         ts = (adjusted.y_tilde - model.scaler["y_mean"][:, None]) \
             / model.scaler["y_std"][:, None]
+        inputs, targets = model._build_windows(zs, ys, ts)
+        total, _ = model._batch_forward_backward(inputs, targets)
+        count = targets.size
+
+        # Naive oracle: loop windows and steps one by one.
         n, t = ys.shape
         t0 = cfg.context_len
         naive = 0.0
@@ -232,6 +234,79 @@ def _decode_all_rows(model, hidden, z_last, steps, draw_fn):
             x = np.column_stack([z_last, draws[:, k]])
             hidden, _ = model.gru.step(x, hidden)
     return draws, params_per_step
+
+
+def _reference_step_backward(model, cache, d_new_hidden, grads):
+    """Reference backward step: the per-gate form, reading each gate's
+    weights by name; it also forms the layer-0 input gradient."""
+    p = model.params
+    num_layers = model.config.num_layers
+    d_out = [d.copy() for d in d_new_hidden]
+    d_prev = [None] * num_layers
+    dx = None
+    for layer in range(num_layers - 1, -1, -1):
+        inp, h, r, u, c = cache[layer]
+        pre = f"l{layer}."
+        d_h_new = d_out[layer]
+
+        da_u = d_h_new * (h - c) * u * (1.0 - u)
+        da_c = d_h_new * (1.0 - u) * (1.0 - c * c)
+        dhr = da_c @ p[pre + "U_c"].T
+        da_r = dhr * h * r * (1.0 - r)
+
+        d_prev[layer] = (d_h_new * u + dhr * r
+                         + da_r @ p[pre + "U_r"].T
+                         + da_u @ p[pre + "U_u"].T)
+        d_inp = (da_r @ p[pre + "W_r"].T
+                 + da_u @ p[pre + "W_u"].T
+                 + da_c @ p[pre + "W_c"].T)
+
+        grads[pre + "W_r"] += inp.T @ da_r
+        grads[pre + "U_r"] += h.T @ da_r
+        grads[pre + "b_r"] += da_r.sum(axis=0)
+        grads[pre + "W_u"] += inp.T @ da_u
+        grads[pre + "U_u"] += h.T @ da_u
+        grads[pre + "b_u"] += da_u.sum(axis=0)
+        grads[pre + "W_c"] += inp.T @ da_c
+        grads[pre + "U_c"] += (r * h).T @ da_c
+        grads[pre + "b_c"] += da_c.sum(axis=0)
+
+        if layer > 0:
+            d_out[layer - 1] = d_out[layer - 1] + d_inp
+        else:
+            dx = d_inp
+    return dx, d_prev
+
+
+def _reference_batch_forward_backward(model, batch_in, batch_tgt):
+    """Reference training step: head projection, NLL and raw gradient per
+    step, per-gate backward, gradients in separate arrays by name."""
+    cfg = model.config
+    b, t0, _ = batch_in.shape
+    scale = 1.0 / (b * t0)
+    hidden = model.gru.init_hidden(b)
+    caches, tops, d_raws = [], [], []
+    nll_total = 0.0
+    for k in range(t0):
+        hidden, cache = model.gru.step(batch_in[:, k, :], hidden)
+        raw = hidden[-1] @ model.params["head.W"] + model.params["head.b"]
+        values, d_raw = heads.nll_and_raw_grad(raw, batch_tgt[:, k],
+                                               cfg.distribution)
+        nll_total += float(values.sum())
+        caches.append(cache)
+        tops.append(hidden[-1])
+        d_raws.append(d_raw * scale)
+
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    d_hidden = model.gru.init_hidden(b)
+    for k in range(t0 - 1, -1, -1):
+        grads["head.W"] += tops[k].T @ d_raws[k]
+        grads["head.b"] += d_raws[k].sum(axis=0)
+        d_top = d_raws[k] @ model.params["head.W"].T
+        d_out = list(d_hidden)
+        d_out[-1] = d_out[-1] + d_top
+        _, d_hidden = _reference_step_backward(model, caches[k], d_out, grads)
+    return nll_total, grads
 
 
 def _identity_scaled(model, n):
@@ -491,6 +566,121 @@ class TestForecast:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * state_bytes, peak / state_bytes
+
+
+def _windowed_panel(family="gaussian"):
+    """An N=5, T=43 panel and a context-30 config: 65 windows, so the
+    last batch of 64 holds one window."""
+    adjusted, panel = random_training_data(0, n=5, t=43)
+    cfg = small_config(distribution=family, hidden_size=32, context_len=30,
+                       horizon=6, batch_size=64, epochs=3)
+    return adjusted, panel, cfg
+
+
+class TestStackedTrainingStep:
+    """The gate-stacked backward and the once-per-batch head reproduce the
+    per-gate, per-step training step bit for bit."""
+
+    @pytest.mark.parametrize("family", heads.FAMILIES)
+    @pytest.mark.parametrize("batch", [1, 2, 6, 20, 64])
+    @pytest.mark.parametrize("context_len", [1, 25])
+    def test_batch_matches_per_gate_reference(self, family, batch,
+                                              context_len):
+        model = ForecastModel(small_config(
+            distribution=family, hidden_size=32, context_len=context_len,
+            seed=batch))
+        rng = np.random.default_rng(100 + batch + context_len)
+        batch_in = rng.normal(size=(batch, context_len, 2))
+        batch_tgt = rng.normal(size=(batch, context_len))
+        nll, grads = model._batch_forward_backward(batch_in, batch_tgt)
+        ref_nll, ref_grads = _reference_batch_forward_backward(
+            model, batch_in, batch_tgt)
+        assert nll == ref_nll
+        assert list(grads) == list(ref_grads) == list(model.params)
+        for key, ref in ref_grads.items():
+            assert np.array_equal(grads[key], ref), key
+
+    @pytest.mark.parametrize("family", heads.FAMILIES)
+    def test_fit_matches_per_gate_reference(self, family):
+        adjusted, panel, cfg = _windowed_panel(family)
+        assert panel.n * (panel.t - cfg.context_len) % cfg.batch_size == 1
+        model, ref = ForecastModel(cfg), ForecastModel(cfg)
+        ref._batch_forward_backward = (
+            lambda batch_in, batch_tgt: _reference_batch_forward_backward(
+                ref, batch_in, batch_tgt))
+        trace = model.fit(adjusted, panel)
+        ref_trace = ref.fit(adjusted, panel)
+        assert trace == ref_trace
+        assert list(model.params) == list(ref.params)
+        for key, value in ref.params.items():
+            assert np.array_equal(model.params[key], value), key
+
+    def test_head_nll_once_per_batch(self, monkeypatch):
+        adjusted, panel, cfg = _windowed_panel()
+        calls = []
+        nll_and_raw_grad = heads.nll_and_raw_grad
+
+        def recording(raw, y, family):
+            calls.append(raw.shape)
+            return nll_and_raw_grad(raw, y, family)
+
+        monkeypatch.setattr(heads, "nll_and_raw_grad", recording)
+        ForecastModel(cfg).fit(adjusted, panel)
+        per_epoch = [(cfg.context_len, 64, 2), (cfg.context_len, 1, 2)]
+        assert calls == per_epoch * cfg.epochs
+
+    def test_training_step_rows_unchanged(self):
+        adjusted, panel, cfg = _windowed_panel()
+        model = ForecastModel(cfg)
+        rows = []
+        step = model.gru.step
+
+        def recording_step(x, hidden):
+            rows.append(x.shape[0])
+            return step(x, hidden)
+
+        model.gru.step = recording_step
+        model.fit(adjusted, panel)
+        per_epoch = [64] * cfg.context_len + [1] * cfg.context_len
+        assert rows == per_epoch * cfg.epochs
+
+
+class TestParameterBlocks:
+    def test_named_params_are_views_of_the_stack_blocks(self):
+        model = ForecastModel(small_config())
+        blocks = model.gru.params.blocks
+        for layer, (w, u, b) in enumerate(blocks):
+            for g, gate in enumerate("ruc"):
+                pre = f"l{layer}."
+                for kind, block in (("W", w), ("U", u), ("b", b)):
+                    entry = model.params[f"{pre}{kind}_{gate}"]
+                    assert entry.base is block
+                    assert np.shares_memory(entry, block[g])
+                    assert entry.flags.c_contiguous
+
+    def test_assigning_params_copies_into_fresh_blocks(self):
+        model = ForecastModel(small_config())
+        given = {k: v.copy() for k, v in model.params.items()}
+        model.gru.params = given
+        given["l0.W_r"] += 1.0
+        assert not np.shares_memory(model.gru.params["l0.W_r"],
+                                    given["l0.W_r"])
+        assert not np.array_equal(model.gru.params["l0.W_r"],
+                                  given["l0.W_r"])
+
+    def test_loaded_model_trains_its_own_blocks(self, tmp_path):
+        adjusted, panel = random_training_data(12)
+        model = ForecastModel(small_config(epochs=1))
+        model.fit(adjusted, panel)
+        model.save(tmp_path / "model.npz")
+        clone = ForecastModel.load(tmp_path / "model.npz")
+        assert list(clone.params) == list(model.params)
+        for key, value in clone.gru.params.items():
+            assert clone.params[key] is value
+        clone.fit(adjusted, panel)
+        model.fit(adjusted, panel)
+        for key in model.params:
+            assert np.array_equal(model.params[key], clone.params[key])
 
 
 class TestCheckpoint:

@@ -115,15 +115,40 @@ class TestBackward:
                 assert an == pytest.approx(fd, rel=1e-4, abs=1e-7), key
 
     def test_input_gradient_flows(self):
+        """The gradient reaches the previous hidden state (the layer-0
+        input gradient is not formed) and matches central differences."""
         rng = np.random.default_rng(6)
         stack = GRUStack(2, 3, 1, rng=rng)
         x = rng.normal(size=(1, 2))
-        hidden = stack.init_hidden(1)
+        hidden = [rng.normal(size=(1, 3))]
         new_hidden, cache = stack.step(x, hidden)
         grads = {k: np.zeros_like(v) for k, v in stack.params.items()}
-        dx, _ = stack.step_backward(cache, [np.ones((1, 3))], grads)
-        assert dx.shape == (1, 2)
-        assert np.any(dx != 0.0)
+        dx, d_prev = stack.step_backward(cache, [np.ones((1, 3))], grads)
+        assert dx is None
+        assert d_prev[0].shape == (1, 3)
+        assert np.any(d_prev[0] != 0.0)
+        for j in range(3):
+            up, dn = hidden[0].copy(), hidden[0].copy()
+            up[0, j] += 1e-6
+            dn[0, j] -= 1e-6
+            fd = (stack.step(x, [up])[0][0].sum()
+                  - stack.step(x, [dn])[0][0].sum()) / 2e-6
+            assert d_prev[0][0, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_named_and_block_gradients_agree(self):
+        rng = np.random.default_rng(12)
+        stack = GRUStack(2, 5, 2, rng=rng)
+        hidden = [rng.normal(size=(4, 5)) for _ in range(2)]
+        _, cache = stack.step(rng.normal(size=(4, 2)), hidden)
+        d_new = [rng.normal(size=(4, 5)) for _ in range(2)]
+        by_name = {k: np.zeros_like(v) for k, v in stack.params.items()}
+        blocks = stack.zero_grads()
+        _, d_a = stack.step_backward(cache, d_new, by_name)
+        _, d_b = stack.step_backward(cache, d_new, blocks)
+        for a, b in zip(d_a, d_b):
+            assert np.array_equal(a, b)
+        for key in by_name:
+            assert np.array_equal(by_name[key], blocks[key]), key
 
 
 class TestInit:
