@@ -189,6 +189,12 @@ class AdjustedPanel:
 # Design matrix
 # ---------------------------------------------------------------------------
 
+# Design column label -> DidEstimate coefficient name; the covariate
+# columns c1..cD map to gamma1..gammaD.
+_COEFFICIENT_NAMES = {"const": "beta0", "treated": "beta1", "post": "beta2",
+                      "treated_post": "delta"}
+
+
 def design_column_labels(d: int, include_spatial: bool = True,
                          include_factors: bool = True) -> list[str]:
     labels = ["spatial_lag"] if include_spatial else []
@@ -375,6 +381,33 @@ def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
     return rho_hat, rho_se
 
 
+def _ols_estimate(X: np.ndarray, targets: np.ndarray, labels: list[str],
+                  rho: float, rho_se: float | None = None) -> DidEstimate:
+    """OLS of ``targets`` on the exogenous columns ``X`` (``labels``, from
+    const on) with classical standard errors, packed with the given lag
+    coefficient and, when known, its standard error."""
+    beta = _solve_least_squares(X, targets, labels)
+    residuals = targets - X @ beta
+    sigma2, cov = _classical_covariance(X, residuals)
+    ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    standard_errors = {
+        _COEFFICIENT_NAMES.get(label, "gamma" + label[1:]): float(se)
+        for label, se in zip(labels, ses)
+    }
+    if rho_se is not None:
+        standard_errors["rho"] = float(rho_se)
+    return DidEstimate(
+        rho=float(rho),
+        beta0=float(beta[0]),
+        beta1=float(beta[1]),
+        beta2=float(beta[2]),
+        delta=float(beta[3]),
+        gamma=beta[4:],
+        residual_variance=sigma2,
+        standard_errors=standard_errors,
+    )
+
+
 def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
                            d: int, include_factors: bool = True,
                            rho_se: float | None = None) -> DidEstimate:
@@ -389,36 +422,7 @@ def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
             f"design matrix has {X.shape[1]} columns, expected {len(labels)}"
         )
     offset_targets = targets - rho_hat * X[:, 0]
-    exog = X[:, 1:]
-    exog_labels = labels[1:]
-    beta = _solve_least_squares(exog, offset_targets, exog_labels)
-    residuals = offset_targets - exog @ beta
-    sigma2, cov = _classical_covariance(exog, residuals)
-    ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-
-    se_map = dict(zip(exog_labels, ses))
-    gamma = beta[4:] if include_factors else np.zeros(0)
-    standard_errors = {
-        "beta0": float(se_map["const"]),
-        "beta1": float(se_map["treated"]),
-        "beta2": float(se_map["post"]),
-        "delta": float(se_map["treated_post"]),
-    }
-    if include_factors:
-        for k in range(d):
-            standard_errors[f"gamma{k + 1}"] = float(se_map[f"c{k + 1}"])
-    if rho_se is not None:
-        standard_errors["rho"] = float(rho_se)
-    return DidEstimate(
-        rho=float(rho_hat),
-        beta0=float(beta[0]),
-        beta1=float(beta[1]),
-        beta2=float(beta[2]),
-        delta=float(beta[3]),
-        gamma=gamma,
-        residual_variance=sigma2,
-        standard_errors=standard_errors,
-    )
+    return _ols_estimate(X[:, 1:], offset_targets, labels[1:], rho_hat, rho_se)
 
 
 def fit_did(p: Panel, S: SpatialMatrix | None, no_spatial: bool = False,
@@ -433,30 +437,7 @@ def fit_did(p: Panel, S: SpatialMatrix | None, no_spatial: bool = False,
         X, targets = build_design_matrix(p, None, include_spatial=False,
                                          include_factors=include_factors)
         labels = design_column_labels(p.d, False, include_factors)
-        beta = _solve_least_squares(X, targets, labels)
-        residuals = targets - X @ beta
-        sigma2, cov = _classical_covariance(X, residuals)
-        ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        se_map = dict(zip(labels, ses))
-        standard_errors = {
-            "beta0": float(se_map["const"]),
-            "beta1": float(se_map["treated"]),
-            "beta2": float(se_map["post"]),
-            "delta": float(se_map["treated_post"]),
-        }
-        if include_factors:
-            for k in range(p.d):
-                standard_errors[f"gamma{k + 1}"] = float(se_map[f"c{k + 1}"])
-        return DidEstimate(
-            rho=0.0,
-            beta0=float(beta[0]),
-            beta1=float(beta[1]),
-            beta2=float(beta[2]),
-            delta=float(beta[3]),
-            gamma=beta[4:] if include_factors else np.zeros(0),
-            residual_variance=sigma2,
-            standard_errors=standard_errors,
-        )
+        return _ols_estimate(X, targets, labels, 0.0)
 
     X, targets = build_design_matrix(p, S, include_spatial=True,
                                      include_factors=include_factors)

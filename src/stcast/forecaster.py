@@ -148,9 +148,6 @@ class ForecastModel:
     def fitted(self) -> bool:
         return self.scaler is not None
 
-    def parameter_count(self) -> int:
-        return int(sum(v.size for v in self.params.values()))
-
     # -- standardization ----------------------------------------------------
 
     @staticmethod
@@ -270,7 +267,7 @@ class ForecastModel:
             g_head_w += tops[k].T @ d_raw[k]
             g_head_b += d_raw[k].sum(axis=0)
             d_hidden[-1] += d_raw[k] @ head_w_t
-            _, d_hidden = self.gru.step_backward(caches.pop(), d_hidden, grads)
+            d_hidden = self.gru.step_backward(caches.pop(), d_hidden, grads)
         return nll_total, grads
 
     def _sgd_update(self, grads, velocity):
@@ -379,6 +376,9 @@ class ForecastModel:
         cfg = self.config
         horizon = cfg.horizon if horizon is None else int(horizon)
         num_samples = cfg.num_samples if num_samples is None else int(num_samples)
+        if horizon <= 0 or num_samples <= 0:
+            raise InputValidationError(f"horizon ({horizon}) and num_samples "
+                                       f"({num_samples}) must be positive")
         n = ys.shape[0]
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
 
@@ -432,25 +432,3 @@ class ForecastModel:
             scaler = {k[len("scaler."):]: data[k] for k in data.files
                       if k.startswith("scaler.")}
         return cls(config, params=params, scaler=scaler, region_ids=region_ids)
-
-
-# ---------------------------------------------------------------------------
-# Functional views of the two core steps (handy for oracles/tests)
-# ---------------------------------------------------------------------------
-
-def encode_step(model: ForecastModel, prev_hidden: list[np.ndarray],
-                x: np.ndarray, time_index: int | None = None) -> list[np.ndarray]:
-    """One encoder step; validates finiteness of the inputs."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        where = "" if time_index is None else f" at time {time_index}"
-        raise PropagationError(f"non-finite encoder input{where}")
-    hidden, _ = model.gru.step(x, prev_hidden)
-    return hidden
-
-
-def project(hidden: np.ndarray, head_w: np.ndarray, head_b: np.ndarray,
-            family: str) -> heads.DistributionParams:
-    """Affine map plus links from a hidden state to distribution parameters."""
-    raw = np.asarray(hidden, dtype=float) @ head_w + head_b
-    return heads.project_raw(raw, family)

@@ -23,8 +23,9 @@ backward step writes the three gate gradients into one (3, B, H) buffer
 and forms its products as broadcasting matmuls over the gate axis;
 numpy runs one gemm per gate slice with the per-gate product's shape and
 transpose flags, so every gradient is bit-identical to the per-gate
-form.  Parameter gradients accumulate into blocks of the same layout
-(``zero_grads``), one allocation per training batch.
+form.  Parameter gradients accumulate only into blocks of the same
+layout (``zero_grads``), one allocation per training batch; the step
+returns the previous hidden state's gradient alone.
 """
 
 from __future__ import annotations
@@ -133,23 +134,17 @@ class GRUStack:
         return new_hidden, cache
 
     def step_backward(self, cache, d_new_hidden: list[np.ndarray],
-                      grads: dict[str, np.ndarray]):
+                      grads: GateBlocks) -> list[np.ndarray]:
         """Backprop one step.
 
         ``d_new_hidden[l]`` is the loss gradient w.r.t. layer l's output
         at this step, accumulated from the next time step and (for the
         top layer) the projection head; it is not modified.  Parameter
-        gradients are added to ``grads`` in place: straight into its
-        blocks when it comes from ``zero_grads``, else by name.  Returns
-        (None, d_hidden_prev); the gradient w.r.t. the layer-0 input is
-        not formed.
+        gradients are added in place to the blocks of ``grads``, which
+        must come from ``zero_grads``.  Returns d_hidden_prev, the
+        gradient w.r.t. each layer's previous hidden state; the gradient
+        w.r.t. the layer-0 input is not formed.
         """
-        if not isinstance(grads, GateBlocks):
-            stacked = self.zero_grads()
-            result = self.step_backward(cache, d_new_hidden, stacked)
-            for key, g in stacked.items():
-                grads[key] += g
-            return result
         d_prev: list[np.ndarray] = [None] * self.num_layers
         d_h_new = d_new_hidden[-1]
         for layer in range(self.num_layers - 1, -1, -1):
@@ -192,4 +187,4 @@ class GRUStack:
                 d_h_new = d_inp[0] + d_inp[1]
                 d_h_new += d_inp[2]
                 d_h_new += d_new_hidden[layer - 1]
-        return None, d_prev
+        return d_prev

@@ -1,10 +1,13 @@
 import datetime as dt
+import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from stcast import causal, dataio
 from stcast.causal import (
     DidEstimate,
     Panel,
@@ -267,6 +270,150 @@ class TestEstimation:
         est = estimate_ols_given_rho(X, targets, truth.rho, panel.d)
         assert est.rho == truth.rho
         assert est.delta == pytest.approx(truth.delta, abs=1e-8)
+
+
+def _parent_estimate_ols_given_rho(X, targets, rho_hat, d,
+                                   include_factors=True, rho_se=None):
+    """The OLS stage as it stood before the shared OLS tail, kept as the
+    reference the merged tail must reproduce bit for bit."""
+    labels = design_column_labels(d, True, include_factors)
+    offset_targets = targets - rho_hat * X[:, 0]
+    exog = X[:, 1:]
+    exog_labels = labels[1:]
+    beta = causal._solve_least_squares(exog, offset_targets, exog_labels)
+    residuals = offset_targets - exog @ beta
+    sigma2, cov = causal._classical_covariance(exog, residuals)
+    ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+    se_map = dict(zip(exog_labels, ses))
+    gamma = beta[4:] if include_factors else np.zeros(0)
+    standard_errors = {
+        "beta0": float(se_map["const"]),
+        "beta1": float(se_map["treated"]),
+        "beta2": float(se_map["post"]),
+        "delta": float(se_map["treated_post"]),
+    }
+    if include_factors:
+        for k in range(d):
+            standard_errors[f"gamma{k + 1}"] = float(se_map[f"c{k + 1}"])
+    if rho_se is not None:
+        standard_errors["rho"] = float(rho_se)
+    return DidEstimate(
+        rho=float(rho_hat), beta0=float(beta[0]), beta1=float(beta[1]),
+        beta2=float(beta[2]), delta=float(beta[3]), gamma=gamma,
+        residual_variance=sigma2, standard_errors=standard_errors,
+    )
+
+
+def _parent_fit_did(p, S, no_spatial=False, no_factors=False,
+                    lag_exogenous=False):
+    """``fit_did`` with its former inline ``no_spatial`` branch."""
+    include_factors = not no_factors
+    if no_spatial:
+        X, targets = build_design_matrix(p, None, include_spatial=False,
+                                         include_factors=include_factors)
+        labels = design_column_labels(p.d, False, include_factors)
+        beta = causal._solve_least_squares(X, targets, labels)
+        residuals = targets - X @ beta
+        sigma2, cov = causal._classical_covariance(X, residuals)
+        ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        se_map = dict(zip(labels, ses))
+        standard_errors = {
+            "beta0": float(se_map["const"]),
+            "beta1": float(se_map["treated"]),
+            "beta2": float(se_map["post"]),
+            "delta": float(se_map["treated_post"]),
+        }
+        if include_factors:
+            for k in range(p.d):
+                standard_errors[f"gamma{k + 1}"] = float(se_map[f"c{k + 1}"])
+        return DidEstimate(
+            rho=0.0, beta0=float(beta[0]), beta1=float(beta[1]),
+            beta2=float(beta[2]), delta=float(beta[3]),
+            gamma=beta[4:] if include_factors else np.zeros(0),
+            residual_variance=sigma2, standard_errors=standard_errors,
+        )
+    X, targets = build_design_matrix(p, S, include_spatial=True,
+                                     include_factors=include_factors)
+    rho_hat, rho_se = estimate_rho_iv(X, targets, S, p,
+                                      include_factors=include_factors,
+                                      lag_exogenous=lag_exogenous)
+    return _parent_estimate_ols_given_rho(X, targets, rho_hat, p.d,
+                                          include_factors=include_factors,
+                                          rho_se=rho_se)
+
+
+# Every combination of fit_did's three flags.
+FLAG_SETS = [
+    dict(no_spatial=a, no_factors=b, lag_exogenous=c)
+    for a, b, c in itertools.product([False, True], repeat=3)
+]
+_FLAG_IDS = ["-".join(k for k, v in f.items() if v) or "default"
+             for f in FLAG_SETS]
+
+
+def _tail_panels():
+    """Twelve generator panels of varied shape and dynamics, at least ten
+    of which fit under every flag set, plus one whose treatment indicator
+    is constant (both fits must raise alike)."""
+    panels = []
+    for s in range(12):
+        spec = GeneratorSpec(
+            n_regions=3 + s % 5, t_steps=(40, 120, 300)[s % 3],
+            post_onset_index=(20, 60, 150)[s % 3],
+            true_rho=(0.0, 0.4, 0.2, 0.6)[s % 4],
+            noise_family=("gaussian", "student_t")[s % 2],
+            true_gamma=(0.4, -0.2, -0.4, 0.12)[: 1 + s % 4],
+            seed=200 + s,
+        )
+        regions, panel, _ = generate(spec)
+        panels.append((panel, build_spatial_matrix(regions, spec.alpha)))
+    rng = np.random.default_rng(3)
+    flat = make_panel(rng.normal(size=(4, 30)), c=rng.normal(size=(4, 30, 2)),
+                      treated=np.zeros(4))
+    panels.append((flat, _matrix_for(flat)))
+    return panels
+
+
+def _outcome(fit, panel, S, flags):
+    """Every field of the estimate with the SE-dict order, or the error."""
+    try:
+        est = fit(panel, S, **flags)
+    except Exception as err:            # noqa: BLE001 - compared, not hidden
+        return type(err), str(err)
+    return (est.coefficient_values(), est.gamma.tobytes(),
+            est.residual_variance, list(est.standard_errors.items()))
+
+
+class TestOlsTail:
+    @pytest.mark.parametrize("flags", FLAG_SETS, ids=_FLAG_IDS)
+    def test_fit_did_matches_parent_tail(self, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fitted = 0
+            for i, (panel, S) in enumerate(_tail_panels()):
+                ref = _outcome(_parent_fit_did, panel, S, flags)
+                assert _outcome(fit_did, panel, S, flags) == ref, i
+                fitted += not isinstance(ref[0], type)
+        assert fitted >= 10
+
+    @pytest.mark.parametrize("flags", FLAG_SETS, ids=_FLAG_IDS)
+    def test_standard_error_keys_and_csv_rows(self, flags, tmp_path):
+        # Weak covariate effects keep the no-factors fits stationary.
+        spec = GeneratorSpec(seed=31, t_steps=80, post_onset_index=40,
+                             true_gamma=(0.3, -0.2))
+        regions, panel, _ = generate(spec)
+        est = fit_did(panel, build_spatial_matrix(regions, spec.alpha),
+                      **flags)
+        names = est.coefficient_names()     # rho first, then beta0 ...
+        with_se = names[1:] + ([] if flags["no_spatial"] else ["rho"])
+        assert list(est.standard_errors) == with_se
+        path = tmp_path / "did_estimate.csv"
+        dataio.write_did_estimate_csv(est, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == names + ["residual_variance"]
+        for name, _, se in rows[:-1]:
+            assert (se != "") == (name in with_se), name
 
 
 class TestInstrumentFactorisation:

@@ -429,3 +429,26 @@ class TestCli:
                    "--out", str(tmp_path / "o")])
         assert rc == 7
         capsys.readouterr()
+
+    def test_nonpositive_forecast_size_exit_code(self, synth_files, tmp_path,
+                                                 capsys):
+        # A horizon or sample count below 1 is invalid input (exit 2) and
+        # leaves no forecast behind.
+        out = tmp_path / "stages"
+        flags = as_flags(base_overrides(synth_files, out, epochs=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["estimate", *flags]) == 0
+            assert main(["adjust", *flags,
+                         "--estimate", str(out / "did_estimate.csv")]) == 0
+            assert main(["train", *flags,
+                         "--adjusted", str(out / "adjusted_panel.csv")]) == 0
+            for bad in (["--horizon", "0"], ["--horizon", "-1"],
+                        ["--num-samples", "0"]):
+                rc = main(["forecast", *flags, *bad,
+                           "--model", str(out / "model.npz"),
+                           "--adjusted", str(out / "adjusted_panel.csv"),
+                           "--estimate", str(out / "did_estimate.csv")])
+                assert rc == 2, bad
+                assert not (out / "forecast_samples.csv").exists(), bad
+        assert "must be positive" in capsys.readouterr().err

@@ -16,8 +16,6 @@ from stcast.forecaster import (
     ForecastDistribution,
     ForecastModel,
     ModelConfig,
-    encode_step,
-    project,
 )
 from stcast import heads
 
@@ -66,29 +64,29 @@ class TestEncodeProject:
             model.params[key] = np.zeros_like(value)
         model.gru.params = model.params
         hidden = model.gru.init_hidden(1)
-        out = encode_step(model, hidden, np.zeros(2))
+        out, _ = model.gru.step(np.zeros((1, 2)), hidden)
         for h in out:
             assert np.array_equal(h, np.zeros((1, 8)))
 
     def test_purity(self):
         model = ForecastModel(small_config(seed=5))
-        x = np.array([0.3, -1.2])
+        x = np.array([[0.3, -1.2]])
         h0 = model.gru.init_hidden(1)
-        a = encode_step(model, h0, x)
-        b = encode_step(model, model.gru.init_hidden(1), x)
+        a, _ = model.gru.step(x, h0)
+        b, _ = model.gru.step(x, model.gru.init_hidden(1))
         for ha, hb in zip(a, b):
             assert np.array_equal(ha, hb)
 
     def test_nonfinite_input_propagation_error(self):
-        model = ForecastModel(small_config())
-        with pytest.raises(PropagationError, match="time 7"):
-            encode_step(model, model.gru.init_hidden(1),
-                        np.array([np.nan, 0.0]), time_index=7)
+        model = _identity_scaled(ForecastModel(small_config()), 2)
+        y = np.zeros((2, 12))
+        y[1, 7] = np.nan
+        with pytest.raises(PropagationError, match="region index 1 at time 7"):
+            model.forecast(np.zeros((2, 12)), y)
 
     def test_project_zero_hidden_zero_weights(self):
-        w = np.zeros((8, 2))
-        b = np.zeros(2)
-        p = project(np.zeros((1, 8)), w, b, "gaussian")
+        raw = np.zeros((1, 8)) @ np.zeros((8, 2)) + np.zeros(2)
+        p = heads.project_raw(raw, "gaussian")
         assert p.mu[0] == 0.0
         assert p.sigma[0] == pytest.approx(np.log(2.0) + 1e-6, abs=1e-12)
 
@@ -96,7 +94,7 @@ class TestEncodeProject:
         rng = np.random.default_rng(8)
         w = rng.normal(size=(8, 3))
         b = rng.normal(size=3)
-        p = project(rng.normal(size=(5, 8)), w, b, "student_t")
+        p = heads.project_raw(rng.normal(size=(5, 8)) @ w + b, "student_t")
         assert np.all(p.sigma > 0)
         assert np.all(p.nu > 2)
 
@@ -105,8 +103,8 @@ class TestEncodeProject:
         hidden = rng.normal(size=(1, 8))
         w = rng.normal(size=(8, 2))
         b = rng.normal(size=2)
-        p = project(hidden, w, b, "gaussian")
         raw = hidden @ w + b
+        p = heads.project_raw(raw, "gaussian")
         assert p.mu[0] == pytest.approx(raw[0, 0], abs=1e-12)
         assert p.sigma[0] == pytest.approx(
             np.logaddexp(0.0, raw[0, 1]) + 1e-6, abs=1e-12)
@@ -322,6 +320,15 @@ class TestForecast:
         model = ForecastModel(small_config(distribution=family, epochs=4))
         model.fit(adjusted, panel)
         return model, adjusted, panel
+
+    @pytest.mark.parametrize("kwargs", [
+        {"horizon": 0}, {"horizon": -1}, {"num_samples": 0}, {"num_samples": -2},
+    ], ids=["horizon0", "horizon-1", "samples0", "samples-2"])
+    def test_nonpositive_horizon_or_samples_rejected(self, kwargs):
+        adjusted, panel = random_training_data()
+        model = _identity_scaled(ForecastModel(small_config()), panel.n)
+        with pytest.raises(InputValidationError, match="must be positive"):
+            model.forecast(adjusted.z, panel.y, **kwargs)
 
     def test_seeded_determinism_single_sample(self):
         model, adjusted, panel = self._fitted()
@@ -708,4 +715,4 @@ class TestCheckpoint:
         model = ForecastModel(cfg)
         # 3 gates x (W 2x4 + U 4x4 + b 4) for one layer, head 4x2 + 2.
         expected = 3 * (8 + 16 + 4) + 8 + 2
-        assert model.parameter_count() == expected
+        assert sum(v.size for v in model.params.values()) == expected

@@ -94,11 +94,11 @@ class TestBackward:
             return float(np.sum(hidden[-1] @ w_out)), caches, hidden
 
         loss, caches, hidden = forward()
-        grads = {k: np.zeros_like(v) for k, v in stack.params.items()}
+        grads = stack.zero_grads()
         d_hidden = stack.init_hidden(3)
         d_hidden[-1] = np.tile(w_out, (3, 1))
         for k in range(steps - 1, -1, -1):
-            _, d_hidden = stack.step_backward(caches[k], d_hidden, grads)
+            d_hidden = stack.step_backward(caches[k], d_hidden, grads)
 
         for key in stack.params:
             flat = stack.params[key].reshape(-1)
@@ -122,9 +122,7 @@ class TestBackward:
         x = rng.normal(size=(1, 2))
         hidden = [rng.normal(size=(1, 3))]
         new_hidden, cache = stack.step(x, hidden)
-        grads = {k: np.zeros_like(v) for k, v in stack.params.items()}
-        dx, d_prev = stack.step_backward(cache, [np.ones((1, 3))], grads)
-        assert dx is None
+        d_prev = stack.step_backward(cache, [np.ones((1, 3))], stack.zero_grads())
         assert d_prev[0].shape == (1, 3)
         assert np.any(d_prev[0] != 0.0)
         for j in range(3):
@@ -134,21 +132,6 @@ class TestBackward:
             fd = (stack.step(x, [up])[0][0].sum()
                   - stack.step(x, [dn])[0][0].sum()) / 2e-6
             assert d_prev[0][0, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-    def test_named_and_block_gradients_agree(self):
-        rng = np.random.default_rng(12)
-        stack = GRUStack(2, 5, 2, rng=rng)
-        hidden = [rng.normal(size=(4, 5)) for _ in range(2)]
-        _, cache = stack.step(rng.normal(size=(4, 2)), hidden)
-        d_new = [rng.normal(size=(4, 5)) for _ in range(2)]
-        by_name = {k: np.zeros_like(v) for k, v in stack.params.items()}
-        blocks = stack.zero_grads()
-        _, d_a = stack.step_backward(cache, d_new, by_name)
-        _, d_b = stack.step_backward(cache, d_new, blocks)
-        for a, b in zip(d_a, d_b):
-            assert np.array_equal(a, b)
-        for key in by_name:
-            assert np.array_equal(by_name[key], blocks[key]), key
 
 
 class TestInit:
