@@ -1,8 +1,9 @@
 """Run configuration: flat key=value files plus command-line overrides.
 
-Every key has a default; unknown keys are rejected.  Booleans accept
-true/false/1/0/yes/no.  Lines starting with '#' and blank lines are
-ignored.
+Every key has a default; unknown keys are rejected, and every value is
+checked when the ``RunConfig`` is built, before any stage runs.
+Booleans accept true/false/1/0/yes/no.  Lines starting with '#' and
+blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -12,41 +13,34 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .forecaster import ModelConfig
+from .spatial import check_alpha
 from .transforms import TRANSFORM_KINDS
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ModelConfig):
+    """The forecaster's settings (inherited from ``ModelConfig``) plus the
+    run's inputs, output, spatial decay, target transform and ablations."""
+
     regions: str = ""
     panel: str = ""
     out: str = "stcast-out"
     alpha: float = 1.0
     post_onset_date: str = ""
     target_transform: str = "log1p-standardize"
-    distribution: str = "gaussian"
-    hidden_size: int = 32
-    num_layers: int = 2
-    context_len: int = 25
-    horizon: int = 5
-    learning_rate: float = 0.01
-    epochs: int = 50
-    batch_size: int = 64
-    grad_clip: float = 5.0
-    num_samples: int = 100
-    seed: int = 0
     no_spatial: bool = False
     no_factors: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
+        check_alpha(self.alpha)
+        if self.post_onset_date:
+            self.onset_date()
         if self.target_transform not in TRANSFORM_KINDS:
             raise ConfigError(
                 f"target_transform must be one of {TRANSFORM_KINDS}, "
                 f"got {self.target_transform!r}"
             )
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(**{f.name: getattr(self, f.name)
-                              for f in fields(ModelConfig)})
 
     def onset_date(self) -> dt.date:
         if not self.post_onset_date:

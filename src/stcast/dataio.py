@@ -209,12 +209,9 @@ def read_panel(path, rs: RegionSet, treated: np.ndarray,
     )
 
 
-def write_panel_csv(panel: Panel, path,
-                    covariate_names: tuple[str, ...] | None = None) -> None:
+def write_panel_csv(panel: Panel, path) -> None:
     d = panel.d
-    names = covariate_names or tuple(f"c{k + 1}" for k in range(d))
-    if len(names) != d:
-        raise IngestionError(f"{len(names)} covariate names for D={d}")
+    names = tuple(f"c{k + 1}" for k in range(d))
     with open(path, "w", newline="") as fh:
         fh.write("region_id,date," + ",".join(["y", *names]) + "\n")
         for i, rid in enumerate(panel.region_ids):

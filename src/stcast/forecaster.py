@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,8 +62,14 @@ class ModelConfig:
                      "epochs", "num_samples", "batch_size"):
             if int(getattr(self, name)) <= 0:
                 raise InputValidationError(f"{name} must be a positive integer")
-        if self.learning_rate < 0 or self.grad_clip <= 0:
-            raise InputValidationError("learning_rate must be >= 0, grad_clip > 0")
+        if int(self.seed) < 0:
+            raise InputValidationError("seed must be a non-negative integer")
+        # NaN fails both tests; grad_clip=inf means no clipping.
+        if not (0 <= self.learning_rate < np.inf and self.grad_clip > 0):
+            raise InputValidationError(
+                "learning_rate must be finite and >= 0, grad_clip > 0; got "
+                f"{self.learning_rate} and {self.grad_clip}"
+            )
         if self.distribution not in heads.FAMILIES:
             raise InputValidationError(
                 f"distribution must be one of {heads.FAMILIES}, "
@@ -417,7 +423,8 @@ class ForecastModel:
         arrays = {f"param.{k}": v for k, v in self.params.items()}
         for k, v in self.scaler.items():
             arrays[f"scaler.{k}"] = v
-        arrays["meta.config"] = np.array(json.dumps(asdict(self.config)))
+        config = {f.name: getattr(self.config, f.name) for f in fields(ModelConfig)}
+        arrays["meta.config"] = np.array(json.dumps(config))
         arrays["meta.region_ids"] = np.array(list(self.region_ids))
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)

@@ -77,15 +77,10 @@ class GRUStack:
     """
 
     def __init__(self, input_size: int, hidden_size: int, num_layers: int,
-                 params: dict[str, np.ndarray] | None = None,
-                 rng: np.random.Generator | None = None):
+                 params: dict[str, np.ndarray]):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        if params is None:
-            if rng is None:
-                rng = np.random.default_rng()
-            params = init_gru_params(input_size, hidden_size, num_layers, rng)
         self.params = params
 
     @property

@@ -6,7 +6,7 @@ ranked probability score via its energy form
     (1/n) sum_k |x_k - x|  -  (1/(2 n^2)) sum_{k,l} |x_k - x_l|
 
 its multivariate generalization with Euclidean norms, normalized pinball
-loss at requested quantiles, and empirical interval/quantile coverage.
+loss at the ``QUANTILES`` levels, and empirical interval/quantile coverage.
 Quantiles use linear interpolation between order statistics (the type-7
 convention).
 """
@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InputValidationError
 
-DEFAULT_QUANTILES = (0.1, 0.5, 0.9)
-DEFAULT_COVERAGE_LEVELS = (0.1, 0.5, 0.9)
+QUANTILES = (0.1, 0.5, 0.9)
+COVERAGE_LEVELS = (0.1, 0.5, 0.9)
 
 
 def quantile(samples: np.ndarray, q: float) -> float | np.ndarray:
@@ -183,8 +183,6 @@ class ScoreReport:
 
 
 def score_report(samples: np.ndarray, observed: np.ndarray,
-                 quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-                 coverage_levels: tuple[float, ...] = DEFAULT_COVERAGE_LEVELS,
                  region_ids: tuple[str, ...] | None = None) -> ScoreReport:
     """Score an (N, m, num_samples) ensemble against (N, m) observations."""
     samples = np.asarray(samples, dtype=float)
@@ -196,9 +194,9 @@ def score_report(samples: np.ndarray, observed: np.ndarray,
         )
     n = observed.shape[0]
 
-    wql = {t: weighted_quantile_loss(samples, observed, t) for t in quantiles}
-    cov_int = {a: coverage(samples, observed, a) for a in coverage_levels}
-    cov_q = {t: quantile_exceedance(samples, observed, t) for t in quantiles}
+    wql = {t: weighted_quantile_loss(samples, observed, t) for t in QUANTILES}
+    cov_int = {a: coverage(samples, observed, a) for a in COVERAGE_LEVELS}
+    cov_q = {t: quantile_exceedance(samples, observed, t) for t in QUANTILES}
 
     # Joint paths: flatten (region, horizon) per sample.  Taking them from
     # a C-ordered copy fixes the energy score's summation order, so its

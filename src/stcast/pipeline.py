@@ -130,7 +130,7 @@ def adjust(panel_t: Panel, est, S, config: RunConfig, out: Path):
 
 def train(adjusted, panel_t: Panel, config: RunConfig, out: Path):
     """Train the forecaster; returns the model and its per-epoch NLL trace."""
-    model = ForecastModel(config.model_config())
+    model = ForecastModel(config)
     trace = model.fit(adjusted, panel_t)
     model.save(out / "model.npz")
     return model, trace

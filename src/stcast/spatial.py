@@ -69,8 +69,9 @@ class RegionSet:
 class SpatialMatrix:
     """Row-stochastic inverse-distance weight matrix.
 
-    Invariants (checked at construction): zero diagonal, non-negative
-    entries, every row sums to 1 within ``ROW_SUM_TOL``.
+    Invariants (checked at construction): a finite ``alpha`` > 0, finite
+    and non-negative entries, zero diagonal, every row sums to 1 within
+    ``ROW_SUM_TOL``.
     """
 
     weights: np.ndarray
@@ -83,22 +84,29 @@ class SpatialMatrix:
         w.setflags(write=False)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InputValidationError(f"weights must be square, got {w.shape}")
-        if self.alpha <= 0:
-            raise InputValidationError(f"alpha must be > 0, got {self.alpha}")
+        check_alpha(self.alpha)
+        if not np.all(np.isfinite(w)):
+            raise InputValidationError("weights must be finite")
         if np.any(np.diag(w) != 0.0):
             raise InputValidationError("diagonal entries must be exactly 0")
         if np.any(w < 0):
             raise InputValidationError("weights must be non-negative")
-        row_sums = w.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) >= ROW_SUM_TOL:
+        worst = np.max(np.abs(w.sum(axis=1) - 1.0))
+        if not worst < ROW_SUM_TOL:     # NaN fails too
             raise InputValidationError(
                 f"rows must sum to 1 within {ROW_SUM_TOL}; "
-                f"worst deviation {np.max(np.abs(row_sums - 1.0)):.3e}"
+                f"worst deviation {worst:.3e}"
             )
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a decay exponent that is not a finite number above 0."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InputValidationError(f"alpha must be finite and > 0, got {alpha}")
 
 
 def _check_coordinates(lat: float, lon: float, label: str = "") -> None:
@@ -163,8 +171,7 @@ def build_spatial_matrix(rs: RegionSet, alpha: float = DEFAULT_ALPHA) -> Spatial
     renormalised so each row sums to one.  Distances are clamped to
     ``MIN_DISTANCE_KM`` before inversion.
     """
-    if alpha <= 0:
-        raise InputValidationError(f"alpha must be > 0, got {alpha}")
+    check_alpha(alpha)
     d = pairwise_distances(rs)
     d = np.maximum(d, MIN_DISTANCE_KM)
     inv = d ** (-float(alpha))
@@ -183,17 +190,11 @@ def spatial_lag(S: SpatialMatrix, series: np.ndarray) -> np.ndarray:
     contemporaneous).
     """
     series = np.asarray(series, dtype=float)
-    if series.ndim == 1:
-        series = series[:, None]
-        squeeze = True
-    else:
-        squeeze = False
     if series.shape[0] != S.n:
         raise InputValidationError(
             f"series has {series.shape[0]} rows but matrix is {S.n}x{S.n}"
         )
-    out = S.weights @ series
-    return out[:, 0] if squeeze else out
+    return S.weights @ series
 
 
 def spatial_matrix_to_csv(S: SpatialMatrix, path) -> None:

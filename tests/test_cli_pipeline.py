@@ -2,6 +2,7 @@ import argparse
 import datetime as dt
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from stcast import dataio
 from stcast.cli import build_parser, main
 from stcast.config import RunConfig, load_run_config, parse_config_file
-from stcast.errors import ConfigError
+from stcast.errors import ConfigError, InputValidationError
 from stcast.forecaster import ModelConfig
 from stcast.pipeline import ARTIFACTS, model_label, run_pipeline
 from stcast.synth import GeneratorSpec, generate
@@ -65,7 +66,8 @@ class TestRunConfig:
             "horizon=7\n"
             "no_spatial = true\n"
         )
-        cfg = load_run_config(cfg_file, {"horizon": 9, "seed": 4})
+        with pytest.warns(RuntimeWarning, match="5:1"):   # 25:9, at load
+            cfg = load_run_config(cfg_file, {"horizon": 9, "seed": 4})
         assert cfg.alpha == 2.0
         assert cfg.horizon == 9
         assert cfg.no_spatial is True
@@ -87,6 +89,41 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="target_transform"):
             load_run_config(overrides={"target_transform": "sqrt"})
 
+    def test_forecaster_settings_checked_at_load(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("epochs = 0\n")
+        with pytest.raises(InputValidationError,
+                           match="epochs must be a positive integer"):
+            load_run_config(cfg_file)
+
+    def test_model_settings_declared_once(self):
+        # RunConfig inherits the forecaster's settings and declares only
+        # the run's own keys.
+        model = [f.name for f in fields(ModelConfig)]
+        run = [f.name for f in fields(RunConfig)]
+        assert run[:len(model)] == model
+        assert set(RunConfig.__annotations__).isdisjoint(model)
+
+    def test_readme_table_matches_fields(self):
+        # The README's key table is the user-facing copy of the defaults.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text.split("### Configuration keys and defaults")[1]
+        rows = {}
+        for line in table.strip().splitlines()[2:]:
+            if not line.startswith("| `"):
+                break
+            key, default = (cell.strip() for cell in line.split("|")[1:3])
+            rows[key.strip("`")] = default
+        expected = {}
+        for f in fields(RunConfig):
+            if f.default == "":
+                expected[f.name] = "—"
+            elif isinstance(f.default, bool):
+                expected[f.name] = f"`{str(f.default).lower()}`"
+            else:
+                expected[f.name] = f"`{f.default}`"
+        assert rows == expected
+
     def test_every_field_has_a_pipeline_flag(self):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -96,12 +133,6 @@ class TestRunConfig:
                 continue
             flag = "--" + f.name.replace("_", "-")
             assert flag in flags and flags[flag].dest == f.name, flag
-
-    def test_model_fields_share_defaults(self):
-        run = {f.name: f.default for f in fields(RunConfig)}
-        for f in fields(ModelConfig):
-            assert f.name in run, f.name
-            assert run[f.name] == f.default, f.name
 
 
 class TestPipeline:
@@ -424,6 +455,21 @@ class TestCli:
             assert (tmp_path / "cli" / name).read_bytes() == \
                 (ref / name).read_bytes(), name
 
+    @pytest.mark.parametrize("bad", [
+        ["--distribution", "cauchy"], ["--epochs", "0"],
+        ["--grad-clip", "nan"], ["--learning-rate", "nan"],
+        ["--alpha", "nan"], ["--alpha", "inf"], ["--seed", "-1"],
+        ["--post-onset-date", "2020-13-40"],
+    ])
+    def test_invalid_setting_exits_before_any_stage_writes(
+            self, synth_files, tmp_path, capsys, bad):
+        out = tmp_path / "run"
+        rc = main(["pipeline", *as_flags(base_overrides(synth_files, out)), *bad])
+        assert rc == (9 if bad[0] == "--post-onset-date" else 2)
+        assert "error:" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in ARTIFACTS)
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["build-spatial", "--regions", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o")])
@@ -451,4 +497,4 @@ class TestCli:
                            "--estimate", str(out / "did_estimate.csv")])
                 assert rc == 2, bad
                 assert not (out / "forecast_samples.csv").exists(), bad
-        assert "must be positive" in capsys.readouterr().err
+        assert "must be a positive integer" in capsys.readouterr().err

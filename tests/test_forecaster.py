@@ -55,6 +55,24 @@ class TestModelConfig:
             small_config(hidden_size=0)
         with pytest.raises(InputValidationError):
             small_config(distribution="poisson")
+        with pytest.raises(InputValidationError, match="seed"):
+            small_config(seed=-1)   # numpy's generators reject it in training
+        # NaN grad_clip would silently switch clipping off; a non-finite
+        # learning rate would only fail in training, as a divergence.
+        for bad in ({"grad_clip": float("nan")},
+                    {"learning_rate": float("nan")},
+                    {"learning_rate": float("inf")}):
+            with pytest.raises(InputValidationError, match="learning_rate must"):
+                small_config(**bad)
+
+    def test_infinite_grad_clip_means_no_clipping(self):
+        adjusted, panel = random_training_data(2)
+        unclipped = ForecastModel(small_config(grad_clip=float("inf"), epochs=2))
+        unclipped.fit(adjusted, panel)
+        huge = ForecastModel(small_config(grad_clip=1e300, epochs=2))
+        huge.fit(adjusted, panel)
+        for key in huge.params:
+            assert np.array_equal(unclipped.params[key], huge.params[key]), key
 
 
 class TestEncodeProject:

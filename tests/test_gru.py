@@ -46,7 +46,8 @@ class TestForward:
             assert np.array_equal(h, np.zeros((1, 5)))
 
     def test_determinism(self):
-        stack = GRUStack(2, 4, 2, rng=np.random.default_rng(1))
+        stack = GRUStack(2, 4, 2,
+                         params=init_gru_params(2, 4, 2, np.random.default_rng(1)))
         x = np.random.default_rng(2).normal(size=(3, 2))
         h0 = stack.init_hidden(3)
         out1, _ = stack.step(x, h0)
@@ -56,7 +57,7 @@ class TestForward:
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(3)
-        stack = GRUStack(3, 4, 2, rng=rng)
+        stack = GRUStack(3, 4, 2, params=init_gru_params(3, 4, 2, rng))
         x = rng.normal(size=(1, 3))
         hidden = [rng.normal(size=(1, 4)) for _ in range(2)]
         new_hidden, _ = stack.step(x, hidden)
@@ -67,7 +68,7 @@ class TestForward:
 
     def test_gates_bounded(self):
         rng = np.random.default_rng(4)
-        stack = GRUStack(2, 6, 1, rng=rng)
+        stack = GRUStack(2, 6, 1, params=init_gru_params(2, 6, 1, rng))
         x = rng.normal(0, 3, size=(10, 2))
         hidden = [rng.normal(0, 3, size=(10, 6))]
         _, cache = stack.step(x, hidden)
@@ -80,7 +81,7 @@ class TestForward:
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
-        stack = GRUStack(2, 4, 2, rng=rng)
+        stack = GRUStack(2, 4, 2, params=init_gru_params(2, 4, 2, rng))
         steps = 6
         xs = rng.normal(size=(steps, 3, 2))
         w_out = rng.normal(size=(4,))
@@ -118,7 +119,7 @@ class TestBackward:
         """The gradient reaches the previous hidden state (the layer-0
         input gradient is not formed) and matches central differences."""
         rng = np.random.default_rng(6)
-        stack = GRUStack(2, 3, 1, rng=rng)
+        stack = GRUStack(2, 3, 1, params=init_gru_params(2, 3, 1, rng))
         x = rng.normal(size=(1, 2))
         hidden = [rng.normal(size=(1, 3))]
         new_hidden, cache = stack.step(x, hidden)

@@ -155,6 +155,12 @@ class TestBuildSpatialMatrix:
         with pytest.raises(InputValidationError):
             build_spatial_matrix(square_regions, alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_nonfinite_alpha_rejected(self, square_regions, alpha):
+        # A NaN or infinite exponent would give NaN weights.
+        with pytest.raises(InputValidationError, match="alpha must be finite"):
+            build_spatial_matrix(square_regions, alpha=alpha)
+
     def test_distance_floor_bounds_weights(self):
         # Two nearly coincident regions plus one far region: without the
         # 1 km clamp the near pair would soak up all weight of row 2.
@@ -213,6 +219,14 @@ class TestSpatialMatrixType:
         w = np.array([[0.0, 0.5], [1.0, 0.0]])
         with pytest.raises(InputValidationError):
             SpatialMatrix(weights=w, alpha=1.0)
+
+    def test_rejects_nonfinite_alpha_and_weights(self):
+        nan_w = np.array([[0.0, math.nan], [math.nan, 0.0]])
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for w, alpha in ((nan_w, math.nan), (nan_w, 1.0),
+                         (swap, math.nan), (swap, math.inf)):
+            with pytest.raises(InputValidationError):
+                SpatialMatrix(weights=w, alpha=alpha)
 
     def test_rejects_negative_weights(self):
         w = np.array([[0.0, 1.5, -0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
