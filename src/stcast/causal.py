@@ -245,56 +245,41 @@ def build_design_matrix(p: Panel, S: SpatialMatrix | None,
 # Least-squares core
 # ---------------------------------------------------------------------------
 
-def _pivoted_qr(X: np.ndarray) -> tuple:
-    """Economic pivoted QR of ``X``: (q, r, piv, numerical rank)."""
+_COLLINEAR = ("singular normal equations; collinear columns: {} "
+              "(constant treatment or post indicator?)")
+
+
+def _least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
+                   rank_error: str = _COLLINEAR) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of ``y`` on ``X`` from one pivoted QR: (beta, inv(X'X)).
+
+    With X[:, piv] = QR, beta solves R beta = Q'y and inv(X'X) is
+    R^-1 R^-T un-permuted, so X'X is never formed or inverted.  An exactly
+    rank-deficient ``X`` raises ``EstimationError`` with ``rank_error``
+    filled in with the dependent columns' ``labels``; a near-singular one
+    solves for beta with a tiny ridge on the normal equations, with a
+    warning.
+    """
     q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.max() > 0 else 0.0
-    return q, r, piv, int(np.sum(diag > tol))
-
-
-def _solve_least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
-                         qr: tuple | None = None) -> np.ndarray:
-    """Pivoted-QR least squares with collinearity diagnostics.
-
-    Exactly rank-deficient designs raise ``EstimationError`` naming the
-    dependent columns; near-singular designs fall back to a tiny ridge
-    with a warning.  ``qr`` is ``_pivoted_qr(X)`` when the caller has
-    already factored ``X``.
-    """
-    q, r, piv, rank = _pivoted_qr(X) if qr is None else qr
-    diag = np.abs(np.diag(r))
     k = X.shape[1]
+    rank = int(np.sum(diag > diag.max() * max(X.shape) * np.finfo(float).eps))
     if rank < k:
         bad = sorted(labels[j] for j in piv[rank:])
-        raise EstimationError(
-            f"singular normal equations; collinear columns: {bad} "
-            "(constant treatment or post indicator?)"
-        )
+        raise EstimationError(rank_error.format(bad))
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
     if diag.max() / diag.min() > _COND_LIMIT:
         warnings.warn(
             "design matrix nearly singular; solving with ridge "
             f"{_RIDGE:g} on the normal equations",
             RuntimeWarning,
         )
-        xtx = X.T @ X + _RIDGE * np.eye(k)
-        return np.linalg.solve(xtx, X.T @ y)
-    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y)
+        return np.linalg.solve(X.T @ X + _RIDGE * np.eye(k), X.T @ y), xtx_inv
     beta = np.empty(k)
-    beta[piv] = beta_piv
-    return beta
-
-
-def _classical_covariance(X: np.ndarray, residuals: np.ndarray) -> tuple[float, np.ndarray]:
-    n, k = X.shape
-    dof = max(n - k, 1)
-    sigma2 = float(residuals @ residuals) / dof
-    xtx = X.T @ X
-    try:
-        xtx_inv = np.linalg.inv(xtx)
-    except np.linalg.LinAlgError:
-        xtx_inv = np.linalg.inv(xtx + _RIDGE * np.eye(k))
-    return sigma2, sigma2 * xtx_inv
+    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+    return beta, xtx_inv
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +287,12 @@ def _classical_covariance(X: np.ndarray, residuals: np.ndarray) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
-                    p: Panel, include_factors: bool = True,
-                    lag_exogenous: bool = False) -> tuple[float, float]:
+                    p: Panel, include_factors: bool = True) -> tuple[float, float]:
     """Two-stage least-squares estimate of the spatial-lag coefficient.
 
     Instruments are the spatially lagged covariates S c[:, t-1] and the
     second-order spatial lag S^2 y[:, t-2]; both need two periods of
     history, so the IV stages run on the t >= 2 sub-rows of the design.
-    With ``lag_exogenous`` the lag column joins the instrument set (valid
-    when the data-generating process has no spatial feedback), making the
-    projection exact and 2SLS identical to OLS.
 
     Returns (rho_hat, rho_std_error).
     """
@@ -347,32 +328,24 @@ def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
 
     exog_labels = labels[1:]
     h = np.column_stack([exog] + iv_cols)
-    h_labels = exog_labels + iv_labels
-    if lag_exogenous:
-        h = np.column_stack([h, w])
-        h_labels = h_labels + ["spatial_lag"]
 
-    # Rank check on the instrument matrix, naming deficient columns.
-    h_qr = _pivoted_qr(h)
-    _, _, piv, rank = h_qr
-    if rank < h.shape[1]:
-        bad = sorted(h_labels[j] for j in piv[rank:])
-        raise EstimationError(f"rank-deficient instrument matrix; columns: {bad}")
-
-    # Stage 1: project the lag on the instruments, reusing the factorisation.
-    gamma1 = _solve_least_squares(h, w, h_labels, h_qr)
+    # Stage 1: project the lag on the instruments.
+    gamma1, _ = _least_squares(
+        h, w, exog_labels + iv_labels,
+        "rank-deficient instrument matrix; columns: {}")
     w_hat = h @ gamma1
 
     # Stage 2: regress the target on the fitted lag plus exogenous columns.
     z_hat = np.column_stack([w_hat, exog])
-    beta2sls = _solve_least_squares(z_hat, y_sub, ["spatial_lag"] + exog_labels)
+    beta2sls, xtx_inv = _least_squares(z_hat, y_sub,
+                                       ["spatial_lag"] + exog_labels)
     rho_hat = float(beta2sls[0])
 
     # Classical 2SLS covariance: residuals from the *actual* regressors.
     z_actual = np.column_stack([w, exog])
     residuals = y_sub - z_actual @ beta2sls
-    sigma2, cov = _classical_covariance(z_hat, residuals)
-    rho_se = float(np.sqrt(max(cov[0, 0], 0.0)))
+    sigma2 = float(residuals @ residuals) / max(len(y_sub) - z_hat.shape[1], 1)
+    rho_se = float(np.sqrt(sigma2 * xtx_inv[0, 0]))
 
     if abs(rho_hat) >= 1.0:
         raise NonstationarityError(
@@ -386,10 +359,10 @@ def _ols_estimate(X: np.ndarray, targets: np.ndarray, labels: list[str],
     """OLS of ``targets`` on the exogenous columns ``X`` (``labels``, from
     const on) with classical standard errors, packed with the given lag
     coefficient and, when known, its standard error."""
-    beta = _solve_least_squares(X, targets, labels)
+    beta, xtx_inv = _least_squares(X, targets, labels)
     residuals = targets - X @ beta
-    sigma2, cov = _classical_covariance(X, residuals)
-    ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sigma2 = float(residuals @ residuals) / max(len(targets) - X.shape[1], 1)
+    ses = np.sqrt(sigma2 * np.diag(xtx_inv))
     standard_errors = {
         _COEFFICIENT_NAMES.get(label, "gamma" + label[1:]): float(se)
         for label, se in zip(labels, ses)
@@ -426,7 +399,7 @@ def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
 
 
 def fit_did(p: Panel, S: SpatialMatrix | None, no_spatial: bool = False,
-            no_factors: bool = False, lag_exogenous: bool = False) -> DidEstimate:
+            no_factors: bool = False) -> DidEstimate:
     """Full estimation: design matrix, IV stage for the lag, then OLS.
 
     ``no_spatial`` drops the lag column and the IV stage entirely (rho is
@@ -442,8 +415,7 @@ def fit_did(p: Panel, S: SpatialMatrix | None, no_spatial: bool = False,
     X, targets = build_design_matrix(p, S, include_spatial=True,
                                      include_factors=include_factors)
     rho_hat, rho_se = estimate_rho_iv(X, targets, S, p,
-                                      include_factors=include_factors,
-                                      lag_exogenous=lag_exogenous)
+                                      include_factors=include_factors)
     return estimate_ols_given_rho(X, targets, rho_hat, p.d,
                                   include_factors=include_factors,
                                   rho_se=rho_se)

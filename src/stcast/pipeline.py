@@ -25,7 +25,8 @@ import numpy as np
 from . import dataio
 from .causal import Panel, adjust_panel, fit_did, report_parameters
 from .config import RunConfig
-from .errors import AlignmentError, InsufficientDataError, StcastError
+from .errors import (AlignmentError, InputValidationError,
+                     InsufficientDataError, StcastError)
 from .forecaster import ForecastModel
 from .metrics import score_report
 from .spatial import build_spatial_matrix, spatial_matrix_to_csv
@@ -171,7 +172,14 @@ def run_pipeline(config: RunConfig, regions=None, panel=None) -> dict[str, Path]
 
     ``regions``/``panel`` may be passed in-memory (e.g. straight from the
     generator); otherwise they are ingested from the configured paths.
+    Scoring needs ``num_samples >= 2``; a smaller count is rejected before
+    anything is written.
     """
+    if config.num_samples < 2:
+        raise InputValidationError(
+            f"pipeline scores its forecast, which needs num_samples >= 2, "
+            f"got {config.num_samples}"
+        )
     out_dir = output_dir(config.out)
     manifest = out_dir / "manifest.txt"
     manifest.write_text("status=running\n")

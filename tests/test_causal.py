@@ -247,20 +247,44 @@ class TestEstimation:
         residuals = offset - X[:, 1:] @ beta
         assert np.max(np.abs(X[:, 1:].T @ residuals)) < 1e-8
 
-    def test_two_stage_exactness_with_exogenous_lag(self):
-        # With no spatial feedback in the generator the lag can join the
-        # instrument set, making its projection exact: 2SLS must then
-        # coincide with plain OLS on the same rows.
-        spec = GeneratorSpec(noise_sigma=0.2, true_rho=0.0, seed=17)
+    def test_two_stage_matches_independent_2sls(self):
+        # 2SLS written out from the documented instruments and solved with
+        # lstsq: on the t >= 2 cells, stage 1 projects the lag S y(t-1) on
+        # [1, treated, post, treated*post, c(t), S c(t-1), S^2 y(t-2)];
+        # stage 2 regresses y(t) on the fitted lag and the exogenous
+        # columns; the classical SE takes residuals from the actual lag.
+        spec = GeneratorSpec(noise_sigma=0.2, seed=17)
         regions, panel, _ = generate(spec)
         S = build_spatial_matrix(regions, spec.alpha)
+        W, y, c = S.weights, panel.y, panel.c
+        n, t, d = panel.n, panel.t, panel.d
+
+        def cells(a, start):            # (N, T) -> region-major t-2 cells
+            return a[:, start:start + t - 2].reshape(-1)
+
+        treated = np.repeat(panel.treated, t - 2)
+        post = np.tile(panel.post[2:], n)
+        exog = np.column_stack([np.ones(n * (t - 2)), treated, post,
+                                treated * post]
+                               + [cells(c[:, :, k], 2) for k in range(d)])
+        lag = cells(W @ y, 1)
+        instruments = np.column_stack(
+            [exog] + [cells(W @ c[:, :, k], 1) for k in range(d)]
+            + [cells(W @ W @ y, 0)])
+        target = cells(y, 2)
+        lag_hat = instruments @ np.linalg.lstsq(instruments, lag,
+                                                rcond=None)[0]
+        z_hat = np.column_stack([lag_hat, exog])
+        beta = np.linalg.lstsq(z_hat, target, rcond=None)[0]
+        residuals = target - np.column_stack([lag, exog]) @ beta
+        sigma2 = residuals @ residuals / (len(target) - z_hat.shape[1])
+        # inv(Z'Z) = pinv(Z) pinv(Z)', so its [0, 0] entry is a row norm.
+        se = np.sqrt(sigma2 * np.sum(np.linalg.pinv(z_hat)[0] ** 2))
+
         X, targets = build_design_matrix(panel, S)
-        rho_iv, _ = estimate_rho_iv(X, targets, S, panel, lag_exogenous=True)
-        n, t = panel.n, panel.t
-        keep = np.concatenate([i * (t - 1) + np.arange(1, t - 1)
-                               for i in range(n)])
-        beta_ols = np.linalg.lstsq(X[keep], targets[keep], rcond=None)[0]
-        assert rho_iv == pytest.approx(beta_ols[0], abs=1e-6)
+        rho_hat, rho_se = estimate_rho_iv(X, targets, S, panel)
+        assert rho_hat == pytest.approx(beta[0], rel=1e-10)
+        assert rho_se == pytest.approx(se, rel=1e-10)
 
     def test_estimate_ols_given_rho_reuses_rho(self):
         spec = GeneratorSpec(noise_sigma=0.0, seed=9)
@@ -272,81 +296,71 @@ class TestEstimation:
         assert est.delta == pytest.approx(truth.delta, abs=1e-8)
 
 
-def _parent_estimate_ols_given_rho(X, targets, rho_hat, d,
-                                   include_factors=True, rho_se=None):
-    """The OLS stage as it stood before the shared OLS tail, kept as the
-    reference the merged tail must reproduce bit for bit."""
-    labels = design_column_labels(d, True, include_factors)
-    offset_targets = targets - rho_hat * X[:, 0]
-    exog = X[:, 1:]
-    exog_labels = labels[1:]
-    beta = causal._solve_least_squares(exog, offset_targets, exog_labels)
-    residuals = offset_targets - exog @ beta
-    sigma2, cov = causal._classical_covariance(exog, residuals)
-    ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+def _inv_gram_ols(X, targets, labels):
+    """Reference OLS: pivoted-QR beta and the textbook classical covariance
+    sigma^2 inv(X'X), which the library's QR bread must match to rounding.
+    Returns (beta, residual variance, standard errors).  None of the
+    reference panels is near-singular, so there is no ridge branch."""
+    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > diag.max() * max(X.shape) * np.finfo(float).eps))
+    if rank < X.shape[1]:
+        bad = sorted(labels[j] for j in piv[rank:])
+        raise EstimationError(
+            f"singular normal equations; collinear columns: {bad} "
+            "(constant treatment or post indicator?)"
+        )
+    beta = np.empty(X.shape[1])
+    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ targets)
+    residuals = targets - X @ beta
+    sigma2 = float(residuals @ residuals) / max(X.shape[0] - X.shape[1], 1)
+    cov = sigma2 * np.linalg.inv(X.T @ X)
+    return beta, sigma2, np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    se_map = dict(zip(exog_labels, ses))
-    gamma = beta[4:] if include_factors else np.zeros(0)
+
+def _inv_gram_estimate(X, targets, labels, rho, rho_se=None):
+    """The reference OLS packed as a DidEstimate, with the SE map built
+    key by key in the order the estimate is expected to keep."""
+    beta, sigma2, ses = _inv_gram_ols(X, targets, labels)
+    se_map = dict(zip(labels, ses))
     standard_errors = {
         "beta0": float(se_map["const"]),
         "beta1": float(se_map["treated"]),
         "beta2": float(se_map["post"]),
         "delta": float(se_map["treated_post"]),
     }
-    if include_factors:
-        for k in range(d):
-            standard_errors[f"gamma{k + 1}"] = float(se_map[f"c{k + 1}"])
+    for k in range(len(beta) - 4):
+        standard_errors[f"gamma{k + 1}"] = float(se_map[f"c{k + 1}"])
     if rho_se is not None:
         standard_errors["rho"] = float(rho_se)
     return DidEstimate(
-        rho=float(rho_hat), beta0=float(beta[0]), beta1=float(beta[1]),
-        beta2=float(beta[2]), delta=float(beta[3]), gamma=gamma,
+        rho=float(rho), beta0=float(beta[0]), beta1=float(beta[1]),
+        beta2=float(beta[2]), delta=float(beta[3]), gamma=beta[4:],
         residual_variance=sigma2, standard_errors=standard_errors,
     )
 
 
-def _parent_fit_did(p, S, no_spatial=False, no_factors=False,
-                    lag_exogenous=False):
-    """``fit_did`` with its former inline ``no_spatial`` branch."""
+def _inv_gram_fit_did(p, S, no_spatial=False, no_factors=False):
+    """``fit_did`` with the reference OLS tail after the library's IV
+    stage (which ``test_two_stage_matches_independent_2sls`` checks)."""
     include_factors = not no_factors
-    if no_spatial:
-        X, targets = build_design_matrix(p, None, include_spatial=False,
-                                         include_factors=include_factors)
-        labels = design_column_labels(p.d, False, include_factors)
-        beta = causal._solve_least_squares(X, targets, labels)
-        residuals = targets - X @ beta
-        sigma2, cov = causal._classical_covariance(X, residuals)
-        ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        se_map = dict(zip(labels, ses))
-        standard_errors = {
-            "beta0": float(se_map["const"]),
-            "beta1": float(se_map["treated"]),
-            "beta2": float(se_map["post"]),
-            "delta": float(se_map["treated_post"]),
-        }
-        if include_factors:
-            for k in range(p.d):
-                standard_errors[f"gamma{k + 1}"] = float(se_map[f"c{k + 1}"])
-        return DidEstimate(
-            rho=0.0, beta0=float(beta[0]), beta1=float(beta[1]),
-            beta2=float(beta[2]), delta=float(beta[3]),
-            gamma=beta[4:] if include_factors else np.zeros(0),
-            residual_variance=sigma2, standard_errors=standard_errors,
-        )
-    X, targets = build_design_matrix(p, S, include_spatial=True,
+    include_spatial = not no_spatial
+    X, targets = build_design_matrix(p, S if include_spatial else None,
+                                     include_spatial=include_spatial,
                                      include_factors=include_factors)
+    labels = design_column_labels(p.d, include_spatial, include_factors)
+    if no_spatial:
+        return _inv_gram_estimate(X, targets, labels, 0.0)
     rho_hat, rho_se = estimate_rho_iv(X, targets, S, p,
-                                      include_factors=include_factors,
-                                      lag_exogenous=lag_exogenous)
-    return _parent_estimate_ols_given_rho(X, targets, rho_hat, p.d,
-                                          include_factors=include_factors,
-                                          rho_se=rho_se)
+                                      include_factors=include_factors)
+    return _inv_gram_estimate(X[:, 1:], targets - rho_hat * X[:, 0],
+                              labels[1:], rho_hat, rho_se)
 
 
-# Every combination of fit_did's three flags.
+# Every combination of fit_did's two flags.
 FLAG_SETS = [
-    dict(no_spatial=a, no_factors=b, lag_exogenous=c)
-    for a, b, c in itertools.product([False, True], repeat=3)
+    dict(no_spatial=a, no_factors=b)
+    for a, b in itertools.product([False, True], repeat=2)
 ]
 _FLAG_IDS = ["-".join(k for k, v in f.items() if v) or "default"
              for f in FLAG_SETS]
@@ -376,24 +390,30 @@ def _tail_panels():
 
 
 def _outcome(fit, panel, S, flags):
-    """Every field of the estimate with the SE-dict order, or the error."""
+    """Every field of the estimate but the SE values, with the SE-dict
+    order, or the error; then the SE values."""
     try:
         est = fit(panel, S, **flags)
     except Exception as err:            # noqa: BLE001 - compared, not hidden
-        return type(err), str(err)
-    return (est.coefficient_values(), est.gamma.tobytes(),
-            est.residual_variance, list(est.standard_errors.items()))
+        return (type(err), str(err)), []
+    return ((est.coefficient_values(), est.gamma.tobytes(),
+             est.residual_variance, list(est.standard_errors)),
+            list(est.standard_errors.values()))
 
 
 class TestOlsTail:
     @pytest.mark.parametrize("flags", FLAG_SETS, ids=_FLAG_IDS)
     def test_fit_did_matches_parent_tail(self, flags):
+        # Coefficients, residual variance and errors are bit-identical to
+        # the inv(X'X) reference; the SEs differ only by rounding.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fitted = 0
             for i, (panel, S) in enumerate(_tail_panels()):
-                ref = _outcome(_parent_fit_did, panel, S, flags)
-                assert _outcome(fit_did, panel, S, flags) == ref, i
+                ref, ref_ses = _outcome(_inv_gram_fit_did, panel, S, flags)
+                got, ses = _outcome(fit_did, panel, S, flags)
+                assert got == ref, i
+                assert ses == pytest.approx(ref_ses, rel=1e-12, abs=0), i
                 fitted += not isinstance(ref[0], type)
         assert fitted >= 10
 
@@ -416,9 +436,41 @@ class TestOlsTail:
             assert (se != "") == (name in with_se), name
 
 
+class TestLeastSquares:
+    def test_near_singular_design_falls_back_to_ridge(self):
+        # A pivoted-R diagonal ratio of 9.97e12 lies between the ridge
+        # threshold (1e12) and the rank tolerance: the coefficients come
+        # from ridged normal equations, with the warning the benchmark
+        # counts by the word "ridge".
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=50)
+        noise = rng.normal(size=50)
+        X = np.column_stack([np.ones(50), x, x + 1e-13 * noise])
+        y = 1.0 + x + rng.normal(size=50)
+        with pytest.warns(RuntimeWarning) as record:
+            beta, _ = causal._least_squares(X, y, ["const", "x", "x_near"])
+        assert [str(w.message) for w in record] == [
+            "design matrix nearly singular; solving with ridge 1e-10 on "
+            "the normal equations"]
+        ref = np.linalg.solve(X.T @ X + 1e-10 * np.eye(3), X.T @ y)
+        assert np.array_equal(beta, ref)
+
+    def test_bread_is_the_inverse_gram_in_column_order(self):
+        # Column scales make the QR pivot order differ from the column
+        # order, so a bread left in pivot order would not match.
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40, 4)) * np.array([0.1, 1.0, 10.0, 3.0])
+        piv = scipy.linalg.qr(X, mode="economic", pivoting=True)[2]
+        assert list(piv) != [0, 1, 2, 3]
+        _, xtx_inv = causal._least_squares(X, rng.normal(size=40),
+                                           list("abcd"))
+        ref = np.linalg.inv(X.T @ X)
+        assert np.allclose(xtx_inv, ref, rtol=1e-10,
+                           atol=1e-12 * np.abs(ref).max())
+
+
 class TestInstrumentFactorisation:
-    @pytest.mark.parametrize("lag_exogenous", [False, True])
-    def test_one_qr_of_the_instrument_matrix(self, monkeypatch, lag_exogenous):
+    def test_one_qr_of_the_instrument_matrix(self, monkeypatch):
         # The rank check and the stage-1 solve share one pivoted QR of the
         # instrument matrix; stage 2 factors the second-stage design.
         spec = GeneratorSpec(seed=5, t_steps=60, post_onset_index=30)
@@ -433,11 +485,11 @@ class TestInstrumentFactorisation:
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
-        estimate_rho_iv(X, targets, S, panel, lag_exogenous=lag_exogenous)
+        estimate_rho_iv(X, targets, S, panel)
         d = panel.d
         # Instruments: 4 indicator columns, D covariates, D lagged
-        # covariates and S^2 y (plus the lag itself when exogenous).
-        h_width = 4 + 2 * d + 1 + int(lag_exogenous)
+        # covariates and S^2 y.
+        h_width = 4 + 2 * d + 1
         assert widths == [h_width, 1 + 4 + d]
 
     def test_rank_deficient_instruments_named(self):

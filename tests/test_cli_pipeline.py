@@ -470,6 +470,18 @@ class TestCli:
         assert not any((out / name).exists() for name in ARTIFACTS)
         assert not out.exists()
 
+    def test_single_sample_pipeline_exits_before_writing(
+            self, synth_files, tmp_path, capsys):
+        # Scoring needs two sample paths; the pipeline says so before it
+        # writes a manifest or any artifact.
+        out = tmp_path / "run"
+        out.mkdir()
+        rc = main(["pipeline", *as_flags(base_overrides(synth_files, out)),
+                   "--num-samples", "1"])
+        assert rc == 2
+        assert "num_samples >= 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["build-spatial", "--regions", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o")])
@@ -497,4 +509,9 @@ class TestCli:
                            "--estimate", str(out / "did_estimate.csv")])
                 assert rc == 2, bad
                 assert not (out / "forecast_samples.csv").exists(), bad
+            # One sample path is a valid forecast; only scoring needs two.
+            assert main(["forecast", *flags, "--num-samples", "1",
+                         "--model", str(out / "model.npz"),
+                         "--adjusted", str(out / "adjusted_panel.csv"),
+                         "--estimate", str(out / "did_estimate.csv")]) == 0
         assert "must be a positive integer" in capsys.readouterr().err
