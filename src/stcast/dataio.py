@@ -264,10 +264,17 @@ def read_did_estimate(path) -> DidEstimate:
     _, rows = _read_rows(path, ["coefficient", "estimate", "std_error"])
     values: dict[str, float] = {}
     ses: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for line, row in rows:
         if len(row) != 3:
             raise IngestionError(f"line {line}: expected 3 fields, got {len(row)}")
         name = row[0].strip()
+        if name in first_line:
+            raise IngestionError(
+                f"line {line}: duplicate coefficient '{name}' "
+                f"(first at line {first_line[name]})"
+            )
+        first_line[name] = line
         values[name] = _parse_float(row[1], line, "estimate")
         if row[2].strip():
             ses[name] = _parse_float(row[2], line, "std_error")
@@ -316,6 +323,7 @@ def read_adjusted_csv(path, panel: Panel) -> AdjustedPanel:
     y_tilde = np.full((panel.n, panel.t), np.nan)
     z = np.full((panel.n, panel.t), np.nan)
     parsed: dict[str, dt.date] = {}
+    first_line: dict[tuple[str, dt.date], int] = {}
     for line, row in rows:
         if len(row) != 4:
             raise IngestionError(f"line {line}: expected 4 fields, got {len(row)}")
@@ -325,6 +333,13 @@ def read_adjusted_csv(path, panel: Panel) -> AdjustedPanel:
             raise AlignmentError(
                 f"line {line}: ({rid}, {date}) not present in the panel"
             )
+        key = (rid, date)
+        if key in first_line:
+            raise IngestionError(
+                f"line {line}: duplicate (region, date) = ({rid}, {date}) "
+                f"(first at line {first_line[key]})"
+            )
+        first_line[key] = line
         y_tilde[index[rid], dindex[date]] = _parse_float(row[2], line, "y_tilde")
         z[index[rid], dindex[date]] = _parse_float(row[3], line, "z")
     if np.any(np.isnan(y_tilde)) or np.any(np.isnan(z)):

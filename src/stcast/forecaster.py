@@ -11,6 +11,9 @@ all steps.  Forecasting encodes each region's history once, shares the
 final state across its sample paths, then draws each future value from
 the projected distribution and feeds it back as the next input; z is
 held at its last observed value over the horizon.
+Per-region standardisation is ``TargetTransform``'s: ``fit`` fits one
+``standardize`` transform to z and one to y, applies them to the inputs
+and the target, and ``forecast`` inverts the y transform on its samples.
 The decode projects and draws over all N x num_samples rows at once, but
 advances the GRU over fixed blocks of DECODE_BLOCK_ROWS rows and writes
 each block's new state back in place, so its temporaries stay one
@@ -36,11 +39,11 @@ from .errors import (
     PropagationError,
 )
 from .gru import GRUStack, init_gru_params
+from .transforms import TargetTransform, fit_target_transform
 
 INPUT_SIZE = 2          # features per step: (z, y)
 DECODE_BLOCK_ROWS = 1024  # rows per GRU step while decoding sample paths
 MOMENTUM = 0.9
-_SCALE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,14 +101,6 @@ class ForecastDistribution:
         if not np.all(np.isfinite(s)):
             raise PropagationError("forecast produced non-finite samples")
 
-    def quantile(self, q: float) -> np.ndarray:
-        if not 0.0 <= q <= 1.0:
-            raise InputValidationError(f"quantile level {q} outside [0, 1]")
-        return np.quantile(self.samples, q, axis=-1, method="linear")
-
-    def mean(self) -> np.ndarray:
-        return self.samples.mean(axis=-1)
-
 
 # ---------------------------------------------------------------------------
 # Model
@@ -116,7 +111,8 @@ class ForecastModel:
 
     def __init__(self, config: ModelConfig,
                  params: dict[str, np.ndarray] | None = None,
-                 scaler: dict[str, np.ndarray] | None = None,
+                 z_transform: TargetTransform | None = None,
+                 y_transform: TargetTransform | None = None,
                  region_ids: tuple[str, ...] | None = None):
         self.config = config
         arity = heads.PARAM_ARITY[config.distribution]
@@ -135,7 +131,8 @@ class ForecastModel:
         # updates by name reach the weights the stack computes with.
         self.params = {**self.gru.params,
                        "head.W": params["head.W"], "head.b": params["head.b"]}
-        self.scaler = scaler
+        self.z_transform = z_transform
+        self.y_transform = y_transform
         self.region_ids = region_ids
 
     def _validate_params(self, params: dict[str, np.ndarray], arity: int):
@@ -152,27 +149,7 @@ class ForecastModel:
 
     @property
     def fitted(self) -> bool:
-        return self.scaler is not None
-
-    # -- standardization ----------------------------------------------------
-
-    @staticmethod
-    def _fit_scaler(z: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-        def stats(a):
-            mean = a.mean(axis=1)
-            std = a.std(axis=1)
-            return mean, np.where(std < _SCALE_FLOOR, 1.0, std)
-
-        y_mean, y_std = stats(y)
-        z_mean, z_std = stats(z)
-        return {"y_mean": y_mean, "y_std": y_std,
-                "z_mean": z_mean, "z_std": z_std}
-
-    def _standardize(self, z: np.ndarray, y: np.ndarray):
-        sc = self.scaler
-        zs = (z - sc["z_mean"][:, None]) / sc["z_std"][:, None]
-        ys = (y - sc["y_mean"][:, None]) / sc["y_std"][:, None]
-        return zs, ys
+        return self.y_transform is not None
 
     # -- training -----------------------------------------------------------
 
@@ -181,7 +158,7 @@ class ForecastModel:
 
         Inputs per step are (z[i,t], y[i,t]); the prediction target for
         step t is the adjusted next value y_tilde[i,t+1].  The target
-        shares the y scaler so sampled values can feed straight back in
+        shares the y transform so sampled values can feed straight back in
         during forecasting.
         """
         cfg = self.config
@@ -192,12 +169,12 @@ class ForecastModel:
                 f"need T >= context_len + horizon = "
                 f"{cfg.context_len + cfg.horizon}, got {t}"
             )
-        self.scaler = self._fit_scaler(z, y)
+        self.z_transform = fit_target_transform(z, "standardize")
+        self.y_transform = fit_target_transform(y, "standardize")
         self.region_ids = tuple(panel.region_ids)
-        zs, ys = self._standardize(z, y)
-        ts = (y_tilde - self.scaler["y_mean"][:, None]) / self.scaler["y_std"][:, None]
-
-        inputs, targets = self._build_windows(zs, ys, ts)
+        inputs, targets = self._build_windows(
+            self.z_transform.apply(z), self.y_transform.apply(y),
+            self.y_transform.apply(y_tilde))
         n_windows = inputs.shape[0]
         rng = np.random.default_rng(cfg.seed)
         velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -309,23 +286,17 @@ class ForecastModel:
         z_last = np.repeat(zs[:, -1], copies)
         return hidden, z_last
 
-    def _decode(self, hidden, z_last, steps: int, draw_fn):
-        """Shared rollout: project, draw via draw_fn, feed the draw back.
-
-        draw_fn(params, step) -> standardized draws, shape (batch,).
-        Returns (draws (batch, steps), params_per_step); ``hidden`` is
-        advanced in place.
-        """
+    def _decode(self, hidden, z_last, steps: int, rng) -> np.ndarray:
+        """Project, draw and feed each draw back; returns the standardized
+        draws (batch, steps).  ``hidden`` is advanced in place."""
         draws = np.empty((z_last.shape[0], steps))
-        params_per_step = []
         for k in range(steps):
             raw = hidden[-1] @ self.params["head.W"] + self.params["head.b"]
             params = heads.project_raw(raw, self.config.distribution)
-            params_per_step.append(params)
-            draws[:, k] = draw_fn(params, k)
+            draws[:, k] = heads.sample(params, rng)
             if k + 1 < steps:
                 self._step_in_blocks(hidden, z_last, draws[:, k])
-        return draws, params_per_step
+        return draws
 
     def _step_in_blocks(self, hidden, z, y):
         """Advance ``hidden`` one step on inputs (z, y), in place, one
@@ -345,7 +316,7 @@ class ForecastModel:
             for h, h_new in zip(hidden, new):
                 h[rows] = h_new
 
-    def _standardized_history(self, z_history, y_history):
+    def _scaled_history(self, z_history, y_history):
         """Standardized (z, y) histories, once checked against the model."""
         if not self.fitted:
             raise InputValidationError("model is not fitted")
@@ -357,16 +328,16 @@ class ForecastModel:
                 f"{z_history.shape} and {y_history.shape}"
             )
         n, t_hist = y_history.shape
-        if self.scaler["y_mean"].shape[0] != n:
+        fitted_n = self.y_transform.mean.shape[0]
+        if fitted_n != n:
             raise InputValidationError(
-                f"model was fitted on {self.scaler['y_mean'].shape[0]} regions, "
-                f"history has {n}"
+                f"model was fitted on {fitted_n} regions, history has {n}"
             )
         if t_hist < self.config.context_len:
             raise InsufficientDataError(
                 f"history length {t_hist} < context_len {self.config.context_len}"
             )
-        return self._standardize(z_history, y_history)
+        return self.z_transform.apply(z_history), self.y_transform.apply(y_history)
 
     def forecast(self, z_history: np.ndarray, y_history: np.ndarray,
                  horizon: int | None = None, num_samples: int | None = None,
@@ -378,41 +349,19 @@ class ForecastModel:
         is immutable here; parallel callers should pass distinct seeds
         (e.g. run_seed + stream_index) to own independent sample streams.
         """
-        zs, ys = self._standardized_history(z_history, y_history)
+        zs, ys = self._scaled_history(z_history, y_history)
         cfg = self.config
         horizon = cfg.horizon if horizon is None else int(horizon)
         num_samples = cfg.num_samples if num_samples is None else int(num_samples)
         if horizon <= 0 or num_samples <= 0:
             raise InputValidationError(f"horizon ({horizon}) and num_samples "
                                        f"({num_samples}) must be positive")
-        n = ys.shape[0]
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
 
         hidden, z_last = self._encode_history(zs, ys, num_samples)
-        draws, _ = self._decode(
-            hidden, z_last, horizon, lambda params, _k: heads.sample(params, rng)
-        )
-        cube = draws.reshape(n, num_samples, horizon).transpose(0, 2, 1)
-        out = cube * self.scaler["y_std"][:, None, None] \
-            + self.scaler["y_mean"][:, None, None]
-        return ForecastDistribution(samples=out)
-
-    def rollout_params(self, z_history: np.ndarray, y_history: np.ndarray,
-                       forced_draws: np.ndarray) -> list[heads.DistributionParams]:
-        """Decode along a forced sample path (original scale), returning
-        the projected parameters at every step.  Exercises exactly the
-        forecasting code path; used to verify that later steps depend on
-        earlier draws."""
-        zs, ys = self._standardized_history(z_history, y_history)
-        forced = np.asarray(forced_draws, dtype=float)
-        forced_std = (forced - self.scaler["y_mean"][:, None]) \
-            / self.scaler["y_std"][:, None]
-        hidden, z_last = self._encode_history(zs, ys, 1)
-        _, params = self._decode(
-            hidden, z_last, forced.shape[1],
-            lambda _params, k: forced_std[:, k],
-        )
-        return params
+        draws = self._decode(hidden, z_last, horizon, rng)
+        cube = draws.reshape(-1, num_samples, horizon).transpose(0, 2, 1)
+        return ForecastDistribution(samples=self.y_transform.invert(cube))
 
     # -- persistence ----------------------------------------------------------
 
@@ -421,8 +370,9 @@ class ForecastModel:
         if not self.fitted:
             raise InputValidationError("refusing to save an unfitted model")
         arrays = {f"param.{k}": v for k, v in self.params.items()}
-        for k, v in self.scaler.items():
-            arrays[f"scaler.{k}"] = v
+        for name, tf in (("y", self.y_transform), ("z", self.z_transform)):
+            arrays[f"scaler.{name}_mean"] = tf.mean
+            arrays[f"scaler.{name}_std"] = tf.std
         config = {f.name: getattr(self.config, f.name) for f in fields(ModelConfig)}
         arrays["meta.config"] = np.array(json.dumps(config))
         arrays["meta.region_ids"] = np.array(list(self.region_ids))
@@ -436,6 +386,7 @@ class ForecastModel:
             region_ids = tuple(str(r) for r in data["meta.region_ids"])
             params = {k[len("param."):]: data[k] for k in data.files
                       if k.startswith("param.")}
-            scaler = {k[len("scaler."):]: data[k] for k in data.files
-                      if k.startswith("scaler.")}
-        return cls(config, params=params, scaler=scaler, region_ids=region_ids)
+            z_tf, y_tf = (TargetTransform("standardize", data[f"scaler.{v}_mean"],
+                                          data[f"scaler.{v}_std"]) for v in "zy")
+        return cls(config, params=params, z_transform=z_tf, y_transform=y_tf,
+                   region_ids=region_ids)

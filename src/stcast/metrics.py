@@ -67,13 +67,6 @@ def mean_crps(samples: np.ndarray, observed: np.ndarray) -> float:
     ]))
 
 
-def _quantile_matrix(forecasts, tau: float) -> np.ndarray:
-    """Accept either a quantile-accessor object or a raw sample array."""
-    if hasattr(forecasts, "quantile"):
-        return np.asarray(forecasts.quantile(tau), dtype=float)
-    return np.asarray(quantile(np.asarray(forecasts, dtype=float), tau))
-
-
 def pinball_loss(q: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
     """Asymmetric penalty: (1-tau)|q-x| where q > x, else tau|q-x|."""
     q = np.asarray(q, dtype=float)
@@ -86,7 +79,7 @@ def weighted_quantile_loss(forecasts, observed: np.ndarray, tau: float) -> float
     if not 0.0 < tau < 1.0:
         raise InputValidationError(f"tau must be in (0, 1), got {tau}")
     observed = np.asarray(observed, dtype=float)
-    q = _quantile_matrix(forecasts, tau)
+    q = quantile(forecasts, tau)
     if q.shape != observed.shape:
         raise InputValidationError(
             f"quantile matrix {q.shape} does not align with observed {observed.shape}"
@@ -105,8 +98,8 @@ def coverage(forecasts, observed: np.ndarray, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
     observed = np.asarray(observed, dtype=float)
-    lo = _quantile_matrix(forecasts, alpha / 2.0)
-    hi = _quantile_matrix(forecasts, 1.0 - alpha / 2.0)
+    lo = quantile(forecasts, alpha / 2.0)
+    hi = quantile(forecasts, 1.0 - alpha / 2.0)
     return float(np.mean((lo <= observed) & (observed <= hi)))
 
 
@@ -116,7 +109,7 @@ def quantile_exceedance(forecasts, observed: np.ndarray, tau: float) -> float:
     if not 0.0 < tau < 1.0:
         raise InputValidationError(f"tau must be in (0, 1), got {tau}")
     observed = np.asarray(observed, dtype=float)
-    q = _quantile_matrix(forecasts, tau)
+    q = quantile(forecasts, tau)
     return float(np.mean(observed <= q))
 
 

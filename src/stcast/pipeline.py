@@ -5,7 +5,7 @@ artifacts into an output directory: ``transform_targets`` (writes
 nothing), ``build_spatial``, ``estimate``, ``adjust``, ``train``,
 ``forecast`` and ``evaluate``.  ``run_pipeline`` chains them on one panel
 and scores the forecast against a held-out tail: the last ``horizon``
-steps are never seen by estimation, the scaler, or training.
+steps are never seen by estimation, the target transforms, or training.
 
 A run first replaces any earlier manifest with ``status=running``.  It
 ends with a manifest of the configuration, seed, and SHA-256 content

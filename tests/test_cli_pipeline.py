@@ -436,6 +436,23 @@ class TestCli:
         assert rc != 0
         capsys.readouterr()
 
+    def test_duplicate_coefficient_exit_code(self, synth_files, tmp_path,
+                                             capsys):
+        # A second delta row would otherwise replace the fitted one.
+        out = tmp_path / "stages"
+        flags = as_flags(base_overrides(synth_files, out))
+        assert main(["estimate", *flags]) == 0
+        est_path = out / "did_estimate.csv"
+        lines = est_path.read_text().splitlines()
+        first = 1 + next(k for k, text in enumerate(lines)
+                         if text.startswith("delta,"))
+        est_path.write_text("\n".join(lines + ["delta,999.0,"]) + "\n")
+        capsys.readouterr()
+        assert main(["adjust", *flags, "--estimate", str(est_path)]) == 7
+        assert (f"line {len(lines) + 1}: duplicate coefficient 'delta' "
+                f"(first at line {first})") in capsys.readouterr().err
+        assert not (out / "adjusted_panel.csv").exists()
+
     def test_unreadable_file_exit_code(self, tmp_path, capsys):
         rc = main(["build-spatial", "--regions", str(tmp_path),
                    "--out", str(tmp_path / "o")])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stcast import dataio
-from stcast.causal import DidEstimate
+from stcast.causal import AdjustedPanel, DidEstimate
 from stcast.errors import IngestionError
 from stcast.metrics import ScoreReport
 from stcast.synth import GeneratorSpec, generate
@@ -196,6 +196,23 @@ class TestIngestDiagnosticMessages:
                 "line 8: duplicate (region, date) = (R01, 2021-01-03) "
                 "(first at line 7)")):
             dataio.ingest(regions, panel_path, ONSET)
+
+
+class TestAdjustedCsv:
+    def test_duplicate_cell_cites_first_line(self, tmp_path):
+        # A repeated cell would otherwise overwrite the first one's values.
+        regions = write(tmp_path, "regions.csv", GOOD_REGIONS)
+        _, panel = dataio.ingest(regions, write(tmp_path, "panel.csv", GOOD_PANEL),
+                                 ONSET)
+        path = tmp_path / "adjusted_panel.csv"
+        dataio.write_adjusted_csv(
+            panel, AdjustedPanel(y_tilde=panel.y.copy(), z=panel.y.copy()), path)
+        with open(path, "a") as fh:
+            fh.write("R00,2021-01-01,999.0,999.0\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                "line 8: duplicate (region, date) = (R00, 2021-01-01) "
+                "(first at line 2)")):
+            dataio.read_adjusted_csv(path, panel)
 
 
 class TestEstimateRoundTrip:

@@ -18,6 +18,7 @@ from stcast.forecaster import (
     ModelConfig,
 )
 from stcast import heads
+from stcast.transforms import TargetTransform, fit_target_transform
 
 from conftest import make_panel
 
@@ -38,6 +39,11 @@ def random_training_data(seed=0, n=3, t=60):
     panel = make_panel(y, c=rng.normal(size=(n, t, 4)))
     z = y + 0.3 * rng.normal(size=(n, t))
     return AdjustedPanel(y_tilde=y.copy(), z=z), panel
+
+
+def _scaled(model, adjusted, panel):
+    """The fitted model's standardized (z, y) inputs."""
+    return model.z_transform.apply(adjusted.z), model.y_transform.apply(panel.y)
 
 
 class TestModelConfig:
@@ -141,7 +147,7 @@ class TestTraining:
         diffs = np.diff(trace[:10])
         assert np.all(diffs <= 1e-9)
         # The head's location converges to the standardized constant (0).
-        zs, ys = model._standardize(adjusted.z, panel.y)
+        zs, ys = _scaled(model, adjusted, panel)
         hidden, z_last = model._encode_history(zs, ys, 1)
         raw = hidden[-1] @ model.params["head.W"] + model.params["head.b"]
         mu = raw[:, 0]
@@ -172,9 +178,8 @@ class TestTraining:
         cfg = small_config(context_len=5, horizon=1, epochs=2)
         model = ForecastModel(cfg)
         model.fit(adjusted, panel)
-        zs, ys = model._standardize(adjusted.z, panel.y)
-        ts = (adjusted.y_tilde - model.scaler["y_mean"][:, None]) \
-            / model.scaler["y_std"][:, None]
+        zs, ys = _scaled(model, adjusted, panel)
+        ts = model.y_transform.apply(adjusted.y_tilde)
         inputs, targets = model._build_windows(zs, ys, ts)
         total, _ = model._batch_forward_backward(inputs, targets)
         count = targets.size
@@ -326,9 +331,9 @@ def _reference_batch_forward_backward(model, batch_in, batch_tgt):
 
 
 def _identity_scaled(model, n):
-    """Mark an unfitted model fitted on n regions with a neutral scaler."""
-    model.scaler = {"y_mean": np.zeros(n), "y_std": np.ones(n),
-                    "z_mean": np.zeros(n), "z_std": np.ones(n)}
+    """Mark a model fitted on n regions with identity standardization."""
+    identity = TargetTransform("standardize", np.zeros(n), np.ones(n))
+    model.z_transform = model.y_transform = identity
     return model
 
 
@@ -363,12 +368,10 @@ class TestForecast:
     def test_degenerate_head_all_samples_near_zero(self):
         model, adjusted, panel = self._fitted()
         # Force the head to mu=0 and sigma at the link floor; neutralize
-        # the scaler so outputs stay on the standardized scale.
+        # the transforms so outputs stay on the standardized scale.
         model.params["head.W"][:] = 0.0
         model.params["head.b"][:] = np.array([0.0, -30.0])
-        n = panel.n
-        model.scaler = {"y_mean": np.zeros(n), "y_std": np.ones(n),
-                        "z_mean": np.zeros(n), "z_std": np.ones(n)}
+        _identity_scaled(model, panel.n)
         dist = model.forecast(adjusted.z, panel.y, num_samples=50, seed=3)
         assert np.max(np.abs(dist.samples)) < 1e-3
 
@@ -378,9 +381,7 @@ class TestForecast:
         raw_sigma = np.log(np.expm1(sigma_target - 1e-6))
         model.params["head.W"][:] = 0.0
         model.params["head.b"][:] = np.array([mu_target, raw_sigma])
-        n = panel.n
-        model.scaler = {"y_mean": np.zeros(n), "y_std": np.ones(n),
-                        "z_mean": np.zeros(n), "z_std": np.ones(n)}
+        _identity_scaled(model, panel.n)
         draws = model.forecast(adjusted.z[:, -10:], panel.y[:, -10:], horizon=1,
                                num_samples=100_000, seed=4).samples[0, 0]
         se_mean = sigma_target / np.sqrt(draws.size)
@@ -393,39 +394,45 @@ class TestForecast:
         with pytest.raises(InsufficientDataError):
             model.forecast(adjusted.z[:, :5], panel.y[:, :5])
 
-    def test_rollout_rejects_wrong_region_count(self):
+    def test_forecast_rejects_wrong_region_count(self):
         model, adjusted, panel = self._fitted()
         assert panel.n == 3
-        forced = np.zeros((2, 4))
         with pytest.raises(InputValidationError, match="fitted on 3 regions"):
-            model.rollout_params(adjusted.z[:2], panel.y[:2], forced)
+            model.forecast(adjusted.z[:2], panel.y[:2])
 
-    def test_rollout_rejects_short_history(self):
-        model, adjusted, panel = self._fitted()
-        assert model.config.context_len == 10
-        with pytest.raises(InsufficientDataError):
-            model.rollout_params(adjusted.z[:, :3], panel.y[:, :3],
-                                 np.zeros((panel.n, 4)))
-
-    def test_sampling_feedback_changes_params(self):
+    def test_sampling_feedback_changes_params(self, monkeypatch):
         model, adjusted, panel = self._fitted()
         m = 4
-        base = np.tile(panel.y[:, -1:], (1, m))
+        _, ys = _scaled(model, adjusted, panel)
+        base = np.tile(ys[:, -1:], (1, m))     # standardized forced draws
         bumped = base.copy()
         bumped[:, 1] += 5.0
-        params_a = model.rollout_params(adjusted.z, panel.y, base)
-        params_b = model.rollout_params(adjusted.z, panel.y, bumped)
+        project_raw = heads.project_raw
+
+        def rollout(forced):
+            """Forecast one sample path whose draws are forced; returns
+            the projected parameters at every step."""
+            projected, steps = [], iter(forced.T)
+
+            def recording_project(raw, family):
+                projected.append(project_raw(raw, family))
+                return projected[-1]
+
+            monkeypatch.setattr(heads, "project_raw", recording_project)
+            monkeypatch.setattr(heads, "sample",
+                                lambda params, rng: next(steps).copy())
+            dist = model.forecast(adjusted.z, panel.y, horizon=m,
+                                  num_samples=1)
+            assert np.allclose(model.y_transform.apply(dist.samples[:, :, 0]),
+                               forced)
+            return projected
+
+        params_a, params_b = rollout(base), rollout(bumped)
+        assert len(params_a) == len(params_b) == m
         # Step 1 projects before the intervened draw is consumed.
-        assert np.allclose(params_a[1].mu, params_b[1].mu)
+        assert np.array_equal(params_a[1].mu, params_b[1].mu)
         assert not np.allclose(params_a[2].mu, params_b[2].mu)
         assert not np.allclose(params_a[3].mu, params_b[3].mu)
-
-    def test_quantile_accessor_monotone(self):
-        model, adjusted, panel = self._fitted()
-        dist = model.forecast(adjusted.z, panel.y, num_samples=64, seed=8)
-        q10, q50, q90 = (dist.quantile(q) for q in (0.1, 0.5, 0.9))
-        assert np.all(q10 <= q50) and np.all(q50 <= q90)
-        assert dist.mean().shape == q50.shape
 
     def test_samples_finite_enforced(self):
         with pytest.raises(PropagationError):
@@ -434,7 +441,7 @@ class TestForecast:
     @pytest.mark.parametrize("copies", [1, 3, 100])
     def test_hidden_state_matches_per_copy_encoding(self, copies):
         model, adjusted, panel = self._fitted()
-        zs, ys = model._standardize(adjusted.z, panel.y)
+        zs, ys = _scaled(model, adjusted, panel)
         ref_hidden, ref_z = _encode_every_copy(model, zs, ys, copies)
         hidden, z_last = model._encode_history(zs, ys, copies)
         assert len(hidden) == len(ref_hidden)
@@ -450,15 +457,12 @@ class TestForecast:
         dist = model.forecast(adjusted.z, panel.y, horizon=horizon,
                               num_samples=num_samples, seed=seed)
 
-        zs, ys = model._standardize(adjusted.z, panel.y)
+        zs, ys = _scaled(model, adjusted, panel)
         hidden, z_last = _encode_every_copy(model, zs, ys, num_samples)
-        rng = np.random.default_rng(seed)
-        draws, _ = model._decode(hidden, z_last, horizon,
-                                 lambda params, _k: heads.sample(params, rng))
+        draws = model._decode(hidden, z_last, horizon,
+                              np.random.default_rng(seed))
         cube = draws.reshape(panel.n, num_samples, horizon).transpose(0, 2, 1)
-        expected = cube * model.scaler["y_std"][:, None, None] \
-            + model.scaler["y_mean"][:, None, None]
-        assert np.array_equal(dist.samples, expected)
+        assert np.array_equal(dist.samples, model.y_transform.invert(cube))
 
     def test_gru_rows_per_step(self):
         model, adjusted, panel = self._fitted()
@@ -523,38 +527,13 @@ class TestForecast:
         dist = model.forecast(adjusted.z, panel.y, horizon=horizon,
                               num_samples=num_samples, seed=seed)
 
-        zs, ys = model._standardize(adjusted.z, panel.y)
+        zs, ys = _scaled(model, adjusted, panel)
         hidden, z_last = _encode_every_copy(model, zs, ys, num_samples)
         rng = np.random.default_rng(seed)
         draws, _ = _decode_all_rows(model, hidden, z_last, horizon,
                                     lambda params, _k: heads.sample(params, rng))
         cube = draws.reshape(panel.n, num_samples, horizon).transpose(0, 2, 1)
-        expected = cube * model.scaler["y_std"][:, None, None] \
-            + model.scaler["y_mean"][:, None, None]
-        assert np.array_equal(dist.samples, expected)
-
-    @pytest.mark.parametrize("family", ["gaussian", "laplace", "student_t"])
-    def test_multi_block_rollout_matches_one_step_over_all_rows(self, family):
-        n, t_hist, steps = 3 * DECODE_BLOCK_ROWS + 228, 10, 4
-        model = _identity_scaled(
-            ForecastModel(small_config(distribution=family, seed=5)), n)
-        rng = np.random.default_rng(6)
-        z, y = rng.normal(size=(2, n, t_hist))
-        forced = rng.normal(size=(n, steps))
-        params = model.rollout_params(z, y, forced)
-
-        hidden = model.gru.init_hidden(n)
-        for t in range(t_hist):
-            hidden, _ = model.gru.step(np.column_stack([z[:, t], y[:, t]]),
-                                       hidden)
-        _, expected = _decode_all_rows(model, hidden, z[:, -1], steps,
-                                       lambda _params, k: forced[:, k])
-        assert len(params) == steps
-        for got, ref in zip(params, expected):
-            for field in ("mu", "sigma", "nu"):
-                a, b = getattr(got, field), getattr(ref, field)
-                assert (a is None) == (b is None)
-                assert a is None or np.array_equal(a, b)
+        assert np.array_equal(dist.samples, model.y_transform.invert(cube))
 
     @pytest.mark.parametrize("rows", [
         1, 2, DECODE_BLOCK_ROWS - 1, DECODE_BLOCK_ROWS, DECODE_BLOCK_ROWS + 1,
@@ -722,6 +701,28 @@ class TestCheckpoint:
         a = model.forecast(adjusted.z, panel.y, seed=42)
         b = clone.forecast(adjusted.z, panel.y, seed=42)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_checkpoint_members_and_scaler_bits(self, tmp_path):
+        """model.npz holds the parameters in model.params order, then the
+        y and z standardization statistics, then the metadata; the saved
+        statistics are the ``standardize`` transforms of z and y."""
+        adjusted, panel = random_training_data(13)
+        model = ForecastModel(small_config(epochs=1))
+        model.fit(adjusted, panel)
+        model.save(tmp_path / "model.npz")
+        stats = {"y": fit_target_transform(panel.y, "standardize"),
+                 "z": fit_target_transform(adjusted.z, "standardize")}
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as data:
+            assert data.files == (
+                [f"param.{k}" for k in model.params]
+                + ["scaler.y_mean", "scaler.y_std", "scaler.z_mean",
+                   "scaler.z_std", "meta.config", "meta.region_ids"])
+            for name, tf in stats.items():
+                for kind in ("mean", "std"):
+                    saved = data[f"scaler.{name}_{kind}"]
+                    expected = getattr(tf, kind)
+                    assert saved.dtype == expected.dtype
+                    assert saved.tobytes() == expected.tobytes()
 
     def test_unfitted_save_rejected(self, tmp_path):
         model = ForecastModel(small_config())

@@ -128,14 +128,6 @@ class TestWeightedQuantileLoss:
         with pytest.raises(InputValidationError, match="zero"):
             weighted_quantile_loss(samples, np.zeros((1, 2)), 0.5)
 
-    def test_accepts_quantile_accessor(self):
-        class Accessor:
-            def quantile(self, tau):
-                return np.array([[12.0]])
-
-        assert weighted_quantile_loss(Accessor(), np.array([[10.0]]),
-                                      0.5) == pytest.approx(0.2)
-
 
 class TestCoverage:
     def test_always_covered(self):
