@@ -21,8 +21,8 @@ Configuration flags are generated from the ``RunConfig`` fields;
 ``--config`` points at a key=value file, and flags override it.
 ``simulate`` passes only the flags given to ``GeneratorSpec``.
 
-Exit codes: 0 success; 7 malformed CSV / unreadable file (including any
-``OSError``); otherwise the failing error class's code (see errors module).
+Exit codes: 0 success; 7 malformed CSV or model.npz, or any ``OSError``;
+otherwise the failing error class's code (see errors module).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import dataio, pipeline, synth
 from .config import RunConfig, load_run_config
-from .errors import StcastError
+from .errors import InsufficientDataError, StcastError
 from .forecaster import ForecastModel
 from .pipeline import evaluate_files, model_label, run_pipeline
 from .spatial import build_spatial_matrix
@@ -144,6 +144,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_forecast(args) -> int:
     config, out, _, transform, panel_t = _stage_inputs(args)
+    if panel_t.t < 2:
+        raise InsufficientDataError(f"{config.panel}: forecast dates continue the "
+                                    f"date spacing, which needs at least 2 dates; got 1")
     adjusted = dataio.read_adjusted_csv(args.adjusted, panel_t)
     est = dataio.read_did_estimate(args.estimate)
     model = ForecastModel.load(args.model)

@@ -14,7 +14,9 @@ via ``repr``):
     scores_long.csv       model,horizon,metric,value
 
 Ingestion accepts rows in any order and sorts by (region, date); every
-structural defect is reported with the offending file line.
+structural defect is reported with the offending file line.  In every
+reader a row must have the header's field count, and a repeated key (region
+id, coefficient, (region, date) cell) is rejected citing its first line.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ def _parse_date(parsed: dict[str, dt.date], text: str, line: int) -> dt.date:
 
 
 def _read_rows(path, expected_header: list[str], exact: bool = True):
-    """Yield (line_number, row) pairs after validating the header."""
+    """(header, [(line_number, row)]) after validating the header and the
+    field count of every non-blank row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -75,17 +78,30 @@ def _read_rows(path, expected_header: list[str], exact: bool = True):
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if exact:
-            ok = header == expected_header
-        else:
-            ok = header[: len(expected_header)] == expected_header
-        if not ok:
+        if (header if exact else header[: len(expected_header)]) != expected_header:
             raise IngestionError(
                 f"{path}: header is {header}, expected "
                 f"{expected_header}{'' if exact else ' + covariate columns'}"
             )
         rows = [(i, row) for i, row in enumerate(reader, start=2) if row]
+    for line, row in rows:
+        if len(row) != len(header):
+            raise IngestionError(
+                f"line {line}: expected {len(header)} fields, got {len(row)}"
+                + ("" if exact else " (missing covariate column?)")
+            )
     return header, rows
+
+
+_CELL = "(region, date) = ({0[0]}, {0[1]})"
+
+
+def _record_key(seen: dict, key, line: int, what: str) -> None:
+    """Note ``key``'s first line in ``seen``; a repeat raises IngestionError."""
+    first = seen.setdefault(key, line)
+    if first != line:
+        raise IngestionError(f"line {line}: duplicate {what.format(key)} "
+                             f"(first at line {first})")
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +114,10 @@ def read_regions(path) -> tuple[RegionSet, np.ndarray]:
     regions, treated = [], []
     seen = {}
     for line, row in rows:
-        if len(row) != 4:
-            raise IngestionError(f"line {line}: expected 4 fields, got {len(row)}")
         rid = row[0].strip()
         if not rid:
             raise IngestionError(f"line {line}: empty region_id")
-        if rid in seen:
-            raise IngestionError(
-                f"line {line}: duplicate region_id '{rid}' (first at line {seen[rid]})"
-            )
-        seen[rid] = line
+        _record_key(seen, rid, line, "region_id '{}'")
         lat = _parse_float(row[1], line, "lat")
         lon = _parse_float(row[2], line, "lon")
         flag = row[3].strip()
@@ -137,7 +147,6 @@ def read_panel(path, rs: RegionSet, treated: np.ndarray,
     """Parse and validate panel.csv against a region set."""
     header, rows = _read_rows(path, ["region_id", "date", "y"], exact=False)
     cov_names = header[3:]
-    n_fields = len(header)
     index = {rid: i for i, rid in enumerate(rs.region_ids)}
 
     cells: dict[tuple[str, dt.date], tuple[float, list[float]]] = {}
@@ -145,22 +154,11 @@ def read_panel(path, rs: RegionSet, treated: np.ndarray,
     per_region = dict.fromkeys(index, 0)
     parsed: dict[str, dt.date] = {}
     for line, row in rows:
-        if len(row) != n_fields:
-            raise IngestionError(
-                f"line {line}: expected {n_fields} fields, got {len(row)} "
-                "(missing covariate column?)"
-            )
         rid = row[0].strip()
         if rid not in index:
             raise IngestionError(f"line {line}: unknown region '{rid}'")
-        date = _parse_date(parsed, row[1], line)
-        key = (rid, date)
-        if key in cells:
-            raise IngestionError(
-                f"line {line}: duplicate (region, date) = ({rid}, {date}) "
-                f"(first at line {first_line[key]})"
-            )
-        first_line[key] = line
+        key = (rid, _parse_date(parsed, row[1], line))
+        _record_key(first_line, key, line, _CELL)
         y = _parse_float(row[2], line, "y")
         covs = [_parse_float(row[3 + k], line, cov_names[k])
                 for k in range(len(cov_names))]
@@ -230,19 +228,12 @@ def ingest(regions_path, panel_path, post_onset_date: dt.date) -> tuple[RegionSe
 
 def read_truth_values(path) -> dict[tuple[str, dt.date], float]:
     """(region, date) -> y map from a panel.csv, for forecast evaluation."""
-    header, rows = _read_rows(path, ["region_id", "date", "y"], exact=False)
-    out = {}
+    _, rows = _read_rows(path, ["region_id", "date", "y"], exact=False)
+    out, first_line = {}, {}
     parsed: dict[str, dt.date] = {}
     for line, row in rows:
-        if len(row) != len(header):
-            raise IngestionError(
-                f"line {line}: expected {len(header)} fields, got {len(row)}"
-            )
         key = (row[0].strip(), _parse_date(parsed, row[1], line))
-        if key in out:
-            raise IngestionError(
-                f"line {line}: duplicate (region, date) = {key}"
-            )
+        _record_key(first_line, key, line, _CELL)
         out[key] = _parse_float(row[2], line, "y")
     return out
 
@@ -266,15 +257,8 @@ def read_did_estimate(path) -> DidEstimate:
     ses: dict[str, float] = {}
     first_line: dict[str, int] = {}
     for line, row in rows:
-        if len(row) != 3:
-            raise IngestionError(f"line {line}: expected 3 fields, got {len(row)}")
         name = row[0].strip()
-        if name in first_line:
-            raise IngestionError(
-                f"line {line}: duplicate coefficient '{name}' "
-                f"(first at line {first_line[name]})"
-            )
-        first_line[name] = line
+        _record_key(first_line, name, line, "coefficient '{}'")
         values[name] = _parse_float(row[1], line, "estimate")
         if row[2].strip():
             ses[name] = _parse_float(row[2], line, "std_error")
@@ -325,21 +309,13 @@ def read_adjusted_csv(path, panel: Panel) -> AdjustedPanel:
     parsed: dict[str, dt.date] = {}
     first_line: dict[tuple[str, dt.date], int] = {}
     for line, row in rows:
-        if len(row) != 4:
-            raise IngestionError(f"line {line}: expected 4 fields, got {len(row)}")
         rid = row[0].strip()
         date = _parse_date(parsed, row[1], line)
         if rid not in index or date not in dindex:
             raise AlignmentError(
                 f"line {line}: ({rid}, {date}) not present in the panel"
             )
-        key = (rid, date)
-        if key in first_line:
-            raise IngestionError(
-                f"line {line}: duplicate (region, date) = ({rid}, {date}) "
-                f"(first at line {first_line[key]})"
-            )
-        first_line[key] = line
+        _record_key(first_line, (rid, date), line, _CELL)
         y_tilde[index[rid], dindex[date]] = _parse_float(row[2], line, "y_tilde")
         z[index[rid], dindex[date]] = _parse_float(row[3], line, "z")
     if np.any(np.isnan(y_tilde)) or np.any(np.isnan(z)):
@@ -387,8 +363,6 @@ def read_forecast_samples(path):
     region_order: dict[str, None] = {}     # insertion-ordered set
     parsed: dict[str, dt.date] = {}
     for line, row in rows:
-        if len(row) != 4:
-            raise IngestionError(f"line {line}: expected 4 fields, got {len(row)}")
         rid = row[0].strip()
         date = _parse_date(parsed, row[1], line)
         try:

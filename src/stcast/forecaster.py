@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,6 +35,7 @@ from . import heads
 from .causal import AdjustedPanel, Panel
 from .errors import (
     DivergenceError,
+    IngestionError,
     InputValidationError,
     InsufficientDataError,
     PropagationError,
@@ -381,12 +383,24 @@ class ForecastModel:
 
     @classmethod
     def load(cls, path) -> "ForecastModel":
-        with np.load(path, allow_pickle=False) as data:
-            config = ModelConfig(**json.loads(str(data["meta.config"])))
-            region_ids = tuple(str(r) for r in data["meta.region_ids"])
-            params = {k[len("param."):]: data[k] for k in data.files
-                      if k.startswith("param.")}
-            z_tf, y_tf = (TargetTransform("standardize", data[f"scaler.{v}_mean"],
-                                          data[f"scaler.{v}_std"]) for v in "zy")
-        return cls(config, params=params, z_transform=z_tf, y_transform=y_tf,
-                   region_ids=region_ids)
+        """Read a ``save`` checkpoint; a file that is not an .npz archive, a
+        missing member or a bad ``meta.config`` raises ``IngestionError``."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                arrays = dict(data.items())
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as err:
+            raise IngestionError(f"{path}: not an .npz checkpoint ({err})") from None
+        params = {k[len("param."):]: v for k, v in arrays.items()
+                  if k.startswith("param.")}
+        try:
+            config = ModelConfig(**json.loads(str(arrays["meta.config"])))
+            z_tf, y_tf = (TargetTransform("standardize", arrays[f"scaler.{v}_mean"],
+                                          arrays[f"scaler.{v}_std"]) for v in "zy")
+            return cls(config, params=params, z_transform=z_tf, y_transform=y_tf,
+                       region_ids=tuple(str(r) for r in arrays["meta.region_ids"]))
+        except KeyError as err:     # the constructor looks parameters up unprefixed
+            name = err.args[0]
+            member = name if name.startswith(("meta.", "scaler.")) else f"param.{name}"
+            raise IngestionError(f"{path}: missing member '{member}'") from None
+        except (TypeError, json.JSONDecodeError) as err:
+            raise IngestionError(f"{path}: bad meta.config ({err})") from None

@@ -176,7 +176,7 @@ class ScoreReport:
 
 
 def score_report(samples: np.ndarray, observed: np.ndarray,
-                 region_ids: tuple[str, ...] | None = None) -> ScoreReport:
+                 region_ids: tuple[str, ...]) -> ScoreReport:
     """Score an (N, m, num_samples) ensemble against (N, m) observations."""
     samples = np.asarray(samples, dtype=float)
     observed = np.asarray(observed, dtype=float)
@@ -185,7 +185,10 @@ def score_report(samples: np.ndarray, observed: np.ndarray,
             f"expected samples (N, m, s) aligned with observed (N, m); "
             f"got {samples.shape} vs {observed.shape}"
         )
-    n = observed.shape[0]
+    if len(region_ids) != observed.shape[0]:
+        raise InputValidationError(
+            f"{len(region_ids)} region ids for {observed.shape[0]} regions"
+        )
 
     wql = {t: weighted_quantile_loss(samples, observed, t) for t in QUANTILES}
     cov_int = {a: coverage(samples, observed, a) for a in COVERAGE_LEVELS}
@@ -197,16 +200,8 @@ def score_report(samples: np.ndarray, observed: np.ndarray,
     paths = np.ascontiguousarray(samples).reshape(-1, samples.shape[-1]).T
     energy = energy_score(paths, observed.reshape(-1))
 
-    per_region = {}
-    if region_ids is not None:
-        if len(region_ids) != n:
-            raise InputValidationError(
-                f"{len(region_ids)} region ids for {n} regions"
-            )
-        per_region = {
-            rid: mean_crps(samples[i], observed[i])
-            for i, rid in enumerate(region_ids)
-        }
+    per_region = {rid: mean_crps(samples[i], observed[i])
+                  for i, rid in enumerate(region_ids)}
 
     return ScoreReport(
         crps=mean_crps(samples, observed),

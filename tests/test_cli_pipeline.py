@@ -1,5 +1,7 @@
 import argparse
 import datetime as dt
+import json
+import re
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stcast import dataio
+from stcast import dataio, errors
+from stcast.causal import AdjustedPanel
 from stcast.cli import build_parser, main
 from stcast.config import RunConfig, load_run_config, parse_config_file
 from stcast.errors import ConfigError, InputValidationError
@@ -29,6 +32,22 @@ def synth_files(tmp_path_factory):
     dataio.write_ground_truth_csv(truth, root / "ground_truth.csv")
     onset = panel.times[60].isoformat()
     return {"root": root, "panel": panel, "onset": onset, "spec": spec}
+
+
+@pytest.fixture(scope="module")
+def trained_stages(synth_files, tmp_path_factory):
+    """did_estimate.csv, adjusted_panel.csv and model.npz from the stage
+    subcommands on the shared dataset."""
+    out = tmp_path_factory.mktemp("stages")
+    flags = as_flags(base_overrides(synth_files, out, epochs=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["estimate", *flags]) == 0
+        assert main(["adjust", *flags,
+                     "--estimate", str(out / "did_estimate.csv")]) == 0
+        assert main(["train", *flags,
+                     "--adjusted", str(out / "adjusted_panel.csv")]) == 0
+    return out
 
 
 def as_flags(values: dict) -> list[str]:
@@ -123,6 +142,16 @@ class TestRunConfig:
             else:
                 expected[f.name] = f"`{f.default}`"
         assert rows == expected
+
+    def test_readme_exit_codes_match_errors(self):
+        # The README's exit-code paragraph lists success and every code an
+        # error class declares, and no other.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Exit codes")[1].split("\n## ")[0]
+        documented = {int(code) for code in re.findall(r"`(\d+)`", section)}
+        declared = {cls.exit_code for cls in vars(errors).values()
+                    if isinstance(cls, type) and issubclass(cls, errors.StcastError)}
+        assert documented == {0, *declared}
 
     def test_every_field_has_a_pipeline_flag(self):
         sub = next(a for a in build_parser()._actions
@@ -532,3 +561,69 @@ class TestCli:
                          "--adjusted", str(out / "adjusted_panel.csv"),
                          "--estimate", str(out / "did_estimate.csv")]) == 0
         assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_evaluate_duplicate_truth_row_exit_code(self, tmp_path, capsys):
+        # A repeated truth cell cites its first line, as in every keyed reader.
+        fc = tmp_path / "fc.csv"
+        dataio.write_forecast_samples_csv(np.ones((1, 1, 3)), ("a",),
+                                          (dt.date(2021, 3, 1),), fc)
+        tp = tmp_path / "truth.csv"
+        tp.write_text("region_id,date,y\na,2021-03-01,1.0\na,2021-03-01,2.0\n")
+        rc = main(["evaluate", "--forecast", str(fc), "--truth", str(tp),
+                   "--out", str(tmp_path / "scores")])
+        assert rc == 7
+        assert ("line 3: duplicate (region, date) = (a, 2021-03-01) "
+                "(first at line 2)") in capsys.readouterr().err
+        assert not (tmp_path / "scores" / "scores.csv").exists()
+
+    @pytest.mark.parametrize("defect", ["missing-member", "missing-parameter",
+                                        "not-npz", "unknown-config-key"])
+    def test_malformed_model_exit_code(self, synth_files, trained_stages,
+                                       tmp_path, capsys, defect):
+        with np.load(trained_stages / "model.npz") as data:
+            arrays = dict(data.items())
+        model = tmp_path / "model.npz"
+        if defect == "missing-member":
+            del arrays["scaler.z_std"]
+            np.savez(model, **arrays)
+            expected = "missing member 'scaler.z_std'"
+        elif defect == "missing-parameter":
+            del arrays["param.head.W"]
+            np.savez(model, **arrays)
+            expected = "missing member 'param.head.W'"
+        elif defect == "not-npz":
+            model.write_text("not a checkpoint\n")
+            expected = "not an .npz checkpoint"
+        else:
+            config = json.loads(str(arrays["meta.config"]))
+            arrays["meta.config"] = np.array(json.dumps({**config, "depth": 3}))
+            np.savez(model, **arrays)
+            expected = "bad meta.config"
+        out = tmp_path / "out"
+        rc = main(["forecast", *as_flags(base_overrides(synth_files, out)),
+                   "--model", str(model),
+                   "--adjusted", str(trained_stages / "adjusted_panel.csv"),
+                   "--estimate", str(trained_stages / "did_estimate.csv")])
+        assert rc == 7
+        assert f"{model}: {expected}" in capsys.readouterr().err
+        assert not (out / "forecast_samples.csv").exists()
+
+    def test_single_date_panel_forecast_exit_code(self, synth_files,
+                                                  trained_stages, tmp_path,
+                                                  capsys):
+        # Future dates continue the panel's spacing, which one date lacks.
+        panel = synth_files["panel"].window(1)
+        dataio.write_panel_csv(panel, tmp_path / "panel.csv")
+        dataio.write_adjusted_csv(
+            panel, AdjustedPanel(y_tilde=panel.y, z=panel.y),
+            tmp_path / "adjusted_panel.csv")
+        out = tmp_path / "out"
+        values = base_overrides(synth_files, out,
+                                panel=str(tmp_path / "panel.csv"))
+        rc = main(["forecast", *as_flags(values),
+                   "--model", str(trained_stages / "model.npz"),
+                   "--adjusted", str(tmp_path / "adjusted_panel.csv"),
+                   "--estimate", str(trained_stages / "did_estimate.csv")])
+        assert rc == 3
+        assert "needs at least 2 dates; got 1" in capsys.readouterr().err
+        assert not (out / "forecast_samples.csv").exists()

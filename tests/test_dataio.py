@@ -338,3 +338,71 @@ class TestScoresCsv:
         long_path = tmp_path / "long.csv"
         dataio.write_scores_long_csv(report, "gaussian-full", 5, long_path)
         assert "gaussian-full,5,wql[0.5],0.3\n" in long_path.read_text()
+
+
+def reader_case(name, tmp_path):
+    """(writer of a well-formed file, reader of it) for each CSV reader."""
+    rs, panel = dataio.ingest(write(tmp_path, "regions.csv", GOOD_REGIONS),
+                              write(tmp_path, "panel.csv", GOOD_PANEL), ONSET)
+    est = DidEstimate(rho=0.3, beta0=1.0, beta1=0.2, beta2=-0.4, delta=-1.5,
+                      gamma=np.array([0.9, -0.4]), residual_variance=0.5,
+                      standard_errors={"rho": 0.05})
+    samples = np.zeros((panel.n, panel.t, 2))
+    return {
+        "regions": (lambda p: dataio.write_regions_csv(rs, panel.treated, p),
+                    dataio.read_regions),
+        "panel": (lambda p: dataio.write_panel_csv(panel, p),
+                  lambda p: dataio.read_panel(p, rs, panel.treated, ONSET)),
+        "truth": (lambda p: dataio.write_panel_csv(panel, p),
+                  dataio.read_truth_values),
+        "estimate": (lambda p: dataio.write_did_estimate_csv(est, p),
+                     dataio.read_did_estimate),
+        "adjusted": (lambda p: dataio.write_adjusted_csv(
+                         panel, AdjustedPanel(y_tilde=panel.y, z=panel.y), p),
+                     lambda p: dataio.read_adjusted_csv(p, panel)),
+        "samples": (lambda p: dataio.write_forecast_samples_csv(
+                        samples, panel.region_ids, panel.times, p),
+                    dataio.read_forecast_samples),
+    }[name]
+
+
+def with_extra_row(name, tmp_path, extra):
+    """A well-formed file for reader ``name`` plus the row ``extra`` makes
+    of its first data row; returns (path, reader, lines before)."""
+    writer, reader = reader_case(name, tmp_path)
+    path = tmp_path / f"case-{name}.csv"
+    writer(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines, extra(lines[1])]) + "\n")
+    return path, reader, lines
+
+
+KEYED_READERS = ["regions", "panel", "truth", "estimate", "adjusted"]
+
+
+class TestRowRules:
+    """Every reader applies the same two row rules."""
+
+    @pytest.mark.parametrize("name", [*KEYED_READERS, "samples"])
+    def test_short_row_reports_field_count(self, tmp_path, name):
+        path, reader, lines = with_extra_row(
+            name, tmp_path, lambda row: row.rsplit(",", 1)[0])
+        k = lines[1].count(",") + 1
+        with pytest.raises(IngestionError, match=re.escape(
+                f"line {len(lines) + 1}: expected {k} fields, got {k - 1}")):
+            reader(path)
+
+    @pytest.mark.parametrize("name", KEYED_READERS)
+    def test_repeated_key_cites_first_line(self, tmp_path, name):
+        path, reader, lines = with_extra_row(name, tmp_path, lambda row: row)
+        with pytest.raises(IngestionError, match=(
+                re.escape(f"line {len(lines) + 1}: duplicate ")
+                + ".* " + re.escape("(first at line 2)"))):
+            reader(path)
+
+    def test_truth_short_row_hints_at_covariates(self, tmp_path):
+        path, reader, _ = with_extra_row(
+            "truth", tmp_path, lambda row: row.rsplit(",", 1)[0])
+        with pytest.raises(IngestionError, match=re.escape(
+                "line 8: expected 5 fields, got 4 (missing covariate column?)")):
+            reader(path)

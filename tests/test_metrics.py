@@ -228,11 +228,12 @@ class TestScoreReport:
         # view; scoring it must give the bits that scoring the same
         # values read back from a C-ordered file gives.
         rng = np.random.default_rng(0)
+        ids = ("a", "b", "c", "d")
         for _ in range(20):
             strided = rng.normal(size=(4, 30, 4)).transpose(0, 2, 1)
             obs = rng.normal(size=(4, 4))
-            a = score_report(strided, obs)
-            b = score_report(np.ascontiguousarray(strided), obs)
+            a = score_report(strided, obs, ids)
+            b = score_report(np.ascontiguousarray(strided), obs, ids)
             assert a.rows() == b.rows()
 
     def test_rows_layout(self):
