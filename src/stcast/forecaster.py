@@ -7,10 +7,13 @@ fixed-length windows over each region's history and minimizes the exact
 next-step negative log-likelihood by momentum SGD with hand-derived
 backpropagation (no autodiff).  Each batch projects the top hidden state
 per step, then forms the head NLL and its gradient once per batch over
-all steps.  Forecasting encodes each region's history once, shares the
-final state across its sample paths, then draws each future value from
-the projected distribution and feeds it back as the next input; z is
-held at its last observed value over the horizon.
+all steps.  ``params`` is one name -> array dict, the encoder's
+gate-stacked blocks (see ``gru``) then ``head.W`` and ``head.b``: the GRU
+stack computes with it, SGD updates it in place, and ``model.npz`` saves
+it as ``param.<name>``.  Forecasting encodes each region's history once,
+shares the final state across its sample paths, then draws each future
+value from the projected distribution and feeds it back as the next
+input; z is held at its last observed value over the horizon.
 Per-region standardisation is ``TargetTransform``'s: ``fit`` fits one
 ``standardize`` transform to z and one to y, applies them to the inputs
 and the target, and ``forecast`` inverts the y transform on its samples.
@@ -40,7 +43,7 @@ from .errors import (
     InsufficientDataError,
     PropagationError,
 )
-from .gru import GRUStack, init_gru_params
+from .gru import GRUStack, init_gru_params, param_shapes
 from .transforms import TargetTransform, fit_target_transform
 
 INPUT_SIZE = 2          # features per step: (z, y)
@@ -108,6 +111,13 @@ class ForecastDistribution:
 # Model
 # ---------------------------------------------------------------------------
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every model parameter, in ``params`` order."""
+    arity = heads.PARAM_ARITY[config.distribution]
+    return {**param_shapes(INPUT_SIZE, config.hidden_size, config.num_layers),
+            "head.W": (config.hidden_size, arity), "head.b": (arity,)}
+
+
 class ForecastModel:
     """Shared-parameter recurrent forecaster over a fixed region set."""
 
@@ -117,37 +127,20 @@ class ForecastModel:
                  y_transform: TargetTransform | None = None,
                  region_ids: tuple[str, ...] | None = None):
         self.config = config
-        arity = heads.PARAM_ARITY[config.distribution]
         if params is None:
             rng = np.random.default_rng(config.seed)
             params = init_gru_params(INPUT_SIZE, config.hidden_size,
                                      config.num_layers, rng)
+            shape = _param_shapes(config)["head.W"]
             bound = 1.0 / np.sqrt(config.hidden_size)
-            params["head.W"] = rng.uniform(-bound, bound,
-                                           (config.hidden_size, arity))
-            params["head.b"] = np.zeros(arity)
-        self._validate_params(params, arity)
+            params["head.W"] = rng.uniform(-bound, bound, shape)
+            params["head.b"] = np.zeros(shape[1])
+        self.params = params    # the stack's own dict, which SGD updates in place
         self.gru = GRUStack(INPUT_SIZE, config.hidden_size, config.num_layers,
-                            params=params)
-        # The encoder's entries are views into the stack's blocks, so SGD
-        # updates by name reach the weights the stack computes with.
-        self.params = {**self.gru.params,
-                       "head.W": params["head.W"], "head.b": params["head.b"]}
+                            params)
         self.z_transform = z_transform
         self.y_transform = y_transform
         self.region_ids = region_ids
-
-    def _validate_params(self, params: dict[str, np.ndarray], arity: int):
-        cfg = self.config
-        expected_head = (cfg.hidden_size, arity)
-        if params["head.W"].shape != expected_head:
-            raise InputValidationError(
-                f"head.W has shape {params['head.W'].shape}, "
-                f"expected {expected_head}"
-            )
-        for key, value in params.items():
-            if not np.all(np.isfinite(value)):
-                raise InputValidationError(f"parameter {key} is non-finite")
 
     @property
     def fitted(self) -> bool:
@@ -244,8 +237,7 @@ class ForecastModel:
         d_raw *= 1.0 / (b * t0)
 
         grads = self.gru.zero_grads()
-        grads["head.W"] = g_head_w = np.zeros_like(head_w)
-        grads["head.b"] = g_head_b = np.zeros_like(head_b)
+        g_head_w, g_head_b = grads["head.W"], grads["head.b"]
         head_w_t = head_w.T
         d_hidden = self.gru.init_hidden(b)
         for k in range(t0 - 1, -1, -1):
@@ -256,8 +248,11 @@ class ForecastModel:
         return nll_total, grads
 
     def _sgd_update(self, grads, velocity):
+        """Clip the global gradient norm, summed per gate slab then over the
+        head (its float sum keeps that order); take a momentum step."""
         cfg = self.config
-        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        slabs = [*self.gru.gate_slabs(grads), grads["head.W"], grads["head.b"]]
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in slabs))
         if norm > cfg.grad_clip:
             factor = cfg.grad_clip / norm
             for g in grads.values():
@@ -383,24 +378,44 @@ class ForecastModel:
 
     @classmethod
     def load(cls, path) -> "ForecastModel":
-        """Read a ``save`` checkpoint; a file that is not an .npz archive, a
-        missing member or a bad ``meta.config`` raises ``IngestionError``."""
+        """Read a ``save`` checkpoint.  ``IngestionError`` names the defect: not
+        an .npz archive, a bad ``meta.config``, or a member that is missing,
+        undeclared, not float64 of its shape, non-finite, or a std <= 0."""
         try:
             with np.load(path, allow_pickle=False) as data:
                 arrays = dict(data.items())
         except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as err:
             raise IngestionError(f"{path}: not an .npz checkpoint ({err})") from None
-        params = {k[len("param."):]: v for k, v in arrays.items()
-                  if k.startswith("param.")}
+
+        def member(name):
+            if name not in arrays:
+                raise IngestionError(f"{path}: missing member '{name}'")
+            return arrays[name]
+
         try:
-            config = ModelConfig(**json.loads(str(arrays["meta.config"])))
-            z_tf, y_tf = (TargetTransform("standardize", arrays[f"scaler.{v}_mean"],
-                                          arrays[f"scaler.{v}_std"]) for v in "zy")
-            return cls(config, params=params, z_transform=z_tf, y_transform=y_tf,
-                       region_ids=tuple(str(r) for r in arrays["meta.region_ids"]))
-        except KeyError as err:     # the constructor looks parameters up unprefixed
-            name = err.args[0]
-            member = name if name.startswith(("meta.", "scaler.")) else f"param.{name}"
-            raise IngestionError(f"{path}: missing member '{member}'") from None
-        except (TypeError, json.JSONDecodeError) as err:
+            config = ModelConfig(**json.loads(str(member("meta.config"))))
+        except (TypeError, json.JSONDecodeError, InputValidationError) as err:
             raise IngestionError(f"{path}: bad meta.config ({err})") from None
+        region_ids = tuple(str(r) for r in member("meta.region_ids"))
+        layout = _param_shapes(config)
+        shapes = {f"param.{k}": v for k, v in layout.items()}
+        for name in ("y_mean", "y_std", "z_mean", "z_std"):
+            shapes[f"scaler.{name}"] = (len(region_ids),)
+        for name, shape in shapes.items():
+            value = member(name)
+            if value.dtype != np.float64 or value.shape != shape:
+                raise IngestionError(f"{path}: member '{name}' is {value.dtype} "
+                                     f"{value.shape}, expected float64 {shape}")
+            if not np.all(np.isfinite(value)):
+                raise IngestionError(f"{path}: member '{name}' is non-finite")
+            if name.endswith("_std") and not np.all(value > 0):
+                raise IngestionError(f"{path}: member '{name}' is not positive")
+        for name in arrays:
+            if name.startswith("param.") and name not in shapes:
+                raise IngestionError(f"{path}: member '{name}' is not declared "
+                                     "by meta.config")
+        z_tf, y_tf = (TargetTransform("standardize", arrays[f"scaler.{v}_mean"],
+                                      arrays[f"scaler.{v}_std"]) for v in "zy")
+        params = {k: arrays[f"param.{k}"] for k in layout}
+        return cls(config, params=params, z_transform=z_tf, y_transform=y_tf,
+                   region_ids=region_ids)

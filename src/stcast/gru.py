@@ -1,31 +1,31 @@
 """Stacked gated recurrent encoder with hand-derived backpropagation.
 
-Cell equations (reset gate applied to the hidden state before its
-candidate matmul):
+Cell equations, with gate g's weights written W[g], U[g] and b[g] (the
+reset gate is applied to the hidden state before its candidate matmul):
 
-    r = sigmoid(x W_r + h U_r + b_r)
-    u = sigmoid(x W_u + h U_u + b_u)
-    c = tanh(x W_c + (r * h) U_c + b_c)
+    r = sigmoid(x W[0] + h U[0] + b[0])
+    u = sigmoid(x W[1] + h U[1] + b[1])
+    c = tanh(x W[2] + (r * h) U[2] + b[2])
     h' = u * h + (1 - u) * c
 
 All arrays are float64; a step operates on a (batch, features) slab so
 training can batch arbitrarily many windows.
 
-Parameter layout: each layer keeps its weights in three gate-stacked
-blocks, W (3, in, H), U (3, H, H) and b (3, H), gates in (r, u, c)
-order.  The named entries ``l{l}.W_r`` ... ``l{l}.b_c`` are views into
-the blocks, so an in-place update by name updates the block; assigning
-``GRUStack.params`` copies the given arrays into fresh blocks.  Gates
-sit on the leading axis, so every gate's slab stays contiguous.
+Parameter layout: one name -> array dict holds each layer's weights in
+three gate-stacked blocks, ``l{l}.W`` (3, in, H), ``l{l}.U`` (3, H, H)
+and ``l{l}.b`` (3, H), gates in (r, u, c) order; gate g of a block is
+``block[g]``.  Gates sit on the leading axis, so every gate's slab stays
+contiguous.  ``GRUStack`` computes with the dict it is given, so an
+in-place update of a block is what the next step uses.
 
 The forward step keeps one 2-D product per gate and operand.  The
 backward step writes the three gate gradients into one (3, B, H) buffer
 and forms its products as broadcasting matmuls over the gate axis;
 numpy runs one gemm per gate slice with the per-gate product's shape and
 transpose flags, so every gradient is bit-identical to the per-gate
-form.  Parameter gradients accumulate only into blocks of the same
-layout (``zero_grads``), one allocation per training batch; the step
-returns the previous hidden state's gradient alone.
+form.  Parameter gradients accumulate into a dict of the same layout
+(``zero_grads``), one allocation per training batch; the step returns
+the previous hidden state's gradient alone.
 """
 
 from __future__ import annotations
@@ -34,44 +34,36 @@ import numpy as np
 
 from scipy.special import expit as _sigmoid
 
-GATES = ("r", "u", "c")
 
-
-class GateBlocks(dict):
-    """Name -> array dict over gate-stacked blocks.
-
-    ``blocks[l]`` is layer l's (W, U, b); the entries ``l{l}.W_r`` ...
-    ``l{l}.b_c`` are views into it, in the order W, U, b per gate.
-    """
-
-    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]):
-        super().__init__()
-        self.blocks = blocks
-        for layer, layer_blocks in enumerate(blocks):
-            for g, gate in enumerate(GATES):
-                for kind, block in zip("WUb", layer_blocks):
-                    self[f"l{layer}.{kind}_{gate}"] = block[g]
+def param_shapes(input_size: int, hidden_size: int,
+                 num_layers: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder block, in layout order."""
+    shapes = {}
+    for layer in range(num_layers):
+        in_dim = input_size if layer == 0 else hidden_size
+        shapes[f"l{layer}.W"] = (3, in_dim, hidden_size)
+        shapes[f"l{layer}.U"] = (3, hidden_size, hidden_size)
+        shapes[f"l{layer}.b"] = (3, hidden_size)
+    return shapes
 
 
 def init_gru_params(input_size: int, hidden_size: int, num_layers: int,
                     rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform +-1/sqrt(fan_in) weight matrices, zero biases."""
-    params: dict[str, np.ndarray] = {}
+    """Uniform +-1/sqrt(fan_in) weight blocks, zero biases.  Each layer
+    draws gate by gate, W then U."""
+    params = {name: np.zeros(shape) for name, shape
+              in param_shapes(input_size, hidden_size, num_layers).items()}
     for layer in range(num_layers):
-        in_dim = input_size if layer == 0 else hidden_size
-        for gate in GATES:
-            w_bound = 1.0 / np.sqrt(in_dim)
-            u_bound = 1.0 / np.sqrt(hidden_size)
-            params[f"l{layer}.W_{gate}"] = rng.uniform(
-                -w_bound, w_bound, (in_dim, hidden_size))
-            params[f"l{layer}.U_{gate}"] = rng.uniform(
-                -u_bound, u_bound, (hidden_size, hidden_size))
-            params[f"l{layer}.b_{gate}"] = np.zeros(hidden_size)
+        for g in range(3):
+            for block in (params[f"l{layer}.W"], params[f"l{layer}.U"]):
+                bound = 1.0 / np.sqrt(block.shape[1])
+                block[g] = rng.uniform(-bound, bound, block.shape[1:])
     return params
 
 
 class GRUStack:
-    """Thin stateful wrapper over the gate-stacked parameter blocks.
+    """Thin stateful wrapper over a gate-stacked parameter dict, which it
+    holds by reference (other keys, such as a head's, are carried along).
 
     Hidden state is a list of (batch, hidden) arrays, one per layer.
     """
@@ -83,28 +75,19 @@ class GRUStack:
         self.num_layers = num_layers
         self.params = params
 
-    @property
-    def params(self) -> GateBlocks:
-        return self._params
-
-    @params.setter
-    def params(self, params: dict[str, np.ndarray]):
-        """Copy the named per-gate arrays (other keys are ignored) into
-        fresh blocks."""
-        self._params = GateBlocks([
-            tuple(np.array([params[f"l{layer}.{kind}_{gate}"] for gate in GATES],
-                           dtype=float)
-                  for kind in "WUb")
-            for layer in range(self.num_layers)
-        ])
-
     def init_hidden(self, batch: int) -> list[np.ndarray]:
         return [np.zeros((batch, self.hidden_size)) for _ in range(self.num_layers)]
 
-    def zero_grads(self) -> GateBlocks:
-        """Zero gradient blocks in the parameters' layout and names."""
-        return GateBlocks([tuple(np.zeros_like(block) for block in blocks)
-                           for blocks in self.params.blocks])
+    def zero_grads(self) -> dict[str, np.ndarray]:
+        """Zero gradients with the parameters' names and shapes."""
+        return {name: np.zeros_like(value) for name, value in self.params.items()}
+
+    def gate_slabs(self, arrays: dict[str, np.ndarray]):
+        """The encoder's per-gate slabs of a parameter or gradient dict:
+        layer by layer, gate by gate, W then U then b."""
+        for layer in range(self.num_layers):
+            for slabs in zip(*(arrays[f"l{layer}.{kind}"] for kind in "WUb")):
+                yield from slabs
 
     def step(self, x: np.ndarray, hidden: list[np.ndarray]):
         """One time step for the whole stack.
@@ -112,16 +95,15 @@ class GRUStack:
         Returns (new_hidden, cache); the cache carries everything the
         backward pass needs.
         """
-        p = self.params
         new_hidden = []
         cache = []
         inp = x
         for layer in range(self.num_layers):
             h = hidden[layer]
-            pre = f"l{layer}."
-            r = _sigmoid(inp @ p[pre + "W_r"] + h @ p[pre + "U_r"] + p[pre + "b_r"])
-            u = _sigmoid(inp @ p[pre + "W_u"] + h @ p[pre + "U_u"] + p[pre + "b_u"])
-            c = np.tanh(inp @ p[pre + "W_c"] + (r * h) @ p[pre + "U_c"] + p[pre + "b_c"])
+            w, u_block, b = (self.params[f"l{layer}.{kind}"] for kind in "WUb")
+            r = _sigmoid(inp @ w[0] + h @ u_block[0] + b[0])
+            u = _sigmoid(inp @ w[1] + h @ u_block[1] + b[1])
+            c = np.tanh(inp @ w[2] + (r * h) @ u_block[2] + b[2])
             h_new = u * h + (1.0 - u) * c
             cache.append((inp, h, r, u, c))
             new_hidden.append(h_new)
@@ -129,7 +111,7 @@ class GRUStack:
         return new_hidden, cache
 
     def step_backward(self, cache, d_new_hidden: list[np.ndarray],
-                      grads: GateBlocks) -> list[np.ndarray]:
+                      grads: dict[str, np.ndarray]) -> list[np.ndarray]:
         """Backprop one step.
 
         ``d_new_hidden[l]`` is the loss gradient w.r.t. layer l's output
@@ -144,9 +126,9 @@ class GRUStack:
         d_h_new = d_new_hidden[-1]
         for layer in range(self.num_layers - 1, -1, -1):
             inp, h, r, u, c = cache[layer]
-            w, u_block, _ = self.params.blocks[layer]
+            w, u_block = self.params[f"l{layer}.W"], self.params[f"l{layer}.U"]
             u_t = u_block.transpose(0, 2, 1)
-            g_w, g_u, g_b = grads.blocks[layer]
+            g_w, g_u, g_b = (grads[f"l{layer}.{kind}"] for kind in "WUb")
 
             # In-place chains keep each per-gate expression's left-to-right
             # order, e.g. da_u = d_h_new * (h - c) * u * (1 - u).

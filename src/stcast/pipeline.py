@@ -85,12 +85,9 @@ def _stage(name: str):
 
 
 def model_label(config: RunConfig) -> str:
-    suffix = "full"
-    if config.no_spatial:
-        suffix = "nospatial"
-    elif config.no_factors:
-        suffix = "nofactors"
-    return f"{config.distribution}-{suffix}"
+    """``<family>-full``, or the family and each ablation the run sets."""
+    suffix = "-nospatial" * config.no_spatial + "-nofactors" * config.no_factors
+    return config.distribution + (suffix or "-full")
 
 
 def output_dir(path) -> Path:
@@ -143,8 +140,13 @@ def forecast(model, adjusted, panel_t: Panel, transform, est, post, dates,
 
     ``post`` and ``dates`` describe the forecast steps.  Samples predict
     the adjusted series; the estimated treatment effect is restored on
-    treated post-period cells, then the target transform is undone.
+    treated post-period cells, then the target transform is undone.  The
+    panel's regions must be the model's, in its order.
     """
+    for i, (fitted, given) in enumerate(zip(model.region_ids, panel_t.region_ids)):
+        if fitted != given:
+            raise InputValidationError(f"panel region {i} is {given!r}, but the "
+                                       f"model was fitted with {fitted!r} there")
     dist = model.forecast(
         adjusted.z, panel_t.y,
         horizon=config.horizon,

@@ -87,7 +87,7 @@ class TestAcceptance:
             keys = list(model.params)
             flat_sizes = {k: model.params[k].size for k in keys}
             # 50 coordinates spanning the encoder and the head.
-            coords = [("head.W", 0), ("l0.W_r", 0)]
+            coords = [("head.W", 0), ("l0.W", 0)]
             while len(coords) < 50:
                 key = keys[rng.integers(len(keys))]
                 coords.append((key, int(rng.integers(flat_sizes[key]))))

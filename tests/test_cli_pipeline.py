@@ -226,6 +226,40 @@ class TestPipeline:
         est = dataio.read_did_estimate(artifacts["did_estimate.csv"])
         assert est.gamma.size == 0
 
+    def test_model_label_names_each_ablation(self):
+        labels = {(ns, nf): model_label(RunConfig(distribution="laplace",
+                                                  no_spatial=ns, no_factors=nf))
+                  for ns in (False, True) for nf in (False, True)}
+        assert labels == {(False, False): "laplace-full",
+                          (True, False): "laplace-nospatial",
+                          (False, True): "laplace-nofactors",
+                          (True, True): "laplace-nospatial-nofactors"}
+
+    def test_default_log1p_transform_end_to_end(self, tmp_path, capsys):
+        # The default target transform on a positive panel, through the CLI.
+        spec = GeneratorSpec(n_regions=4, t_steps=120, true_beta0=10.0,
+                             post_onset_index=60, seed=14)
+        regions, panel, _ = generate(spec)
+        assert panel.y.min() > 0
+        dataio.write_regions_csv(regions, panel.treated, tmp_path / "regions.csv")
+        dataio.write_panel_csv(panel, tmp_path / "panel.csv")
+        values = base_overrides({"root": tmp_path,
+                                 "onset": panel.times[60].isoformat()},
+                                tmp_path / "run", epochs=2)
+        del values["target_transform"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["pipeline", *as_flags(values)]) == 0
+        capsys.readouterr()
+        manifest = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
+        assert "status=ok" in manifest
+        assert "config.target_transform=log1p-standardize" in manifest
+        rows = [line.split(",") for line in
+                (tmp_path / "run" / "scores.csv").read_text().splitlines()[1:]]
+        crps = [float(value) for metric, level, value in rows
+                if (metric, level) == ("crps", "")]
+        assert len(crps) == 1 and np.isfinite(crps[0])
+
     def test_full_size_smoke(self, tmp_path):
         # N=6, T=300, horizon 10: the canonical run size completes and
         # scores.csv carries every reported metric row.
@@ -576,29 +610,60 @@ class TestCli:
                 "(first at line 2)") in capsys.readouterr().err
         assert not (tmp_path / "scores" / "scores.csv").exists()
 
-    @pytest.mark.parametrize("defect", ["missing-member", "missing-parameter",
-                                        "not-npz", "unknown-config-key"])
+    @pytest.mark.parametrize("defect", [
+        "missing-member", "missing-parameter", "not-npz", "unknown-config-key",
+        "misshaped-parameter", "config-hidden-size", "non-finite-parameter",
+        "undeclared-layer", "misshaped-scaler", "nonpositive-scaler-std",
+        "invalid-config-value"])
     def test_malformed_model_exit_code(self, synth_files, trained_stages,
                                        tmp_path, capsys, defect):
+        # The trained model has one layer of 8 hidden units on 4 regions.
         with np.load(trained_stages / "model.npz") as data:
             arrays = dict(data.items())
+        config = json.loads(str(arrays["meta.config"]))
         model = tmp_path / "model.npz"
         if defect == "missing-member":
             del arrays["scaler.z_std"]
-            np.savez(model, **arrays)
             expected = "missing member 'scaler.z_std'"
         elif defect == "missing-parameter":
             del arrays["param.head.W"]
-            np.savez(model, **arrays)
             expected = "missing member 'param.head.W'"
         elif defect == "not-npz":
-            model.write_text("not a checkpoint\n")
             expected = "not an .npz checkpoint"
-        else:
-            config = json.loads(str(arrays["meta.config"]))
+        elif defect == "unknown-config-key":
             arrays["meta.config"] = np.array(json.dumps({**config, "depth": 3}))
-            np.savez(model, **arrays)
             expected = "bad meta.config"
+        elif defect == "misshaped-parameter":
+            arrays["param.l0.U"] = arrays["param.l0.U"][:, :, :7]
+            expected = ("member 'param.l0.U' is float64 (3, 8, 7), "
+                        "expected float64 (3, 8, 8)")
+        elif defect == "config-hidden-size":
+            arrays["meta.config"] = np.array(json.dumps({**config,
+                                                         "hidden_size": 16}))
+            expected = ("member 'param.l0.W' is float64 (3, 2, 8), "
+                        "expected float64 (3, 2, 16)")
+        elif defect == "non-finite-parameter":
+            arrays["param.head.b"][1] = np.nan
+            expected = "member 'param.head.b' is non-finite"
+        elif defect == "nonpositive-scaler-std":
+            arrays["scaler.y_std"] = -arrays["scaler.y_std"]
+            expected = "member 'scaler.y_std' is not positive"
+        elif defect == "invalid-config-value":
+            arrays["meta.config"] = np.array(json.dumps({**config, "epochs": 0}))
+            expected = "bad meta.config (epochs must be a positive integer)"
+        elif defect == "undeclared-layer":
+            # A second layer's blocks under a one-layer meta.config.
+            for kind, shape in (("W", (3, 8, 8)), ("U", (3, 8, 8)), ("b", (3, 8))):
+                arrays[f"param.l1.{kind}"] = np.zeros(shape)
+            expected = "member 'param.l1.W' is not declared by meta.config"
+        else:
+            arrays["scaler.y_mean"] = arrays["scaler.y_mean"][:3]
+            expected = ("member 'scaler.y_mean' is float64 (3,), "
+                        "expected float64 (4,)")
+        if defect == "not-npz":
+            model.write_text("not a checkpoint\n")
+        else:
+            np.savez(model, **arrays)
         out = tmp_path / "out"
         rc = main(["forecast", *as_flags(base_overrides(synth_files, out)),
                    "--model", str(model),
@@ -606,6 +671,28 @@ class TestCli:
                    "--estimate", str(trained_stages / "did_estimate.csv")])
         assert rc == 7
         assert f"{model}: {expected}" in capsys.readouterr().err
+        assert not (out / "forecast_samples.csv").exists()
+
+    def test_forecast_rejects_reordered_regions(self, synth_files,
+                                                trained_stages, tmp_path,
+                                                capsys):
+        # The same regions in reverse order would apply each region's
+        # saved scaler to another region.
+        lines = (synth_files["root"] / "regions.csv").read_text().splitlines()
+        (tmp_path / "regions.csv").write_text(
+            "\n".join([lines[0], *reversed(lines[1:])]) + "\n")
+        out = tmp_path / "out"
+        values = base_overrides(synth_files, out,
+                                regions=str(tmp_path / "regions.csv"))
+        first_fitted = synth_files["panel"].region_ids[0]
+        first_given = synth_files["panel"].region_ids[-1]
+        rc = main(["forecast", *as_flags(values),
+                   "--model", str(trained_stages / "model.npz"),
+                   "--adjusted", str(trained_stages / "adjusted_panel.csv"),
+                   "--estimate", str(trained_stages / "did_estimate.csv")])
+        assert rc == 2
+        assert (f"panel region 0 is '{first_given}', but the model was fitted "
+                f"with '{first_fitted}' there") in capsys.readouterr().err
         assert not (out / "forecast_samples.csv").exists()
 
     def test_single_date_panel_forecast_exit_code(self, synth_files,

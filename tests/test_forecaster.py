@@ -1,6 +1,7 @@
 import copy
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,7 +87,6 @@ class TestEncodeProject:
         model = ForecastModel(small_config())
         for key, value in model.params.items():
             model.params[key] = np.zeros_like(value)
-        model.gru.params = model.params
         hidden = model.gru.init_hidden(1)
         out, _ = model.gru.step(np.zeros((1, 2)), hidden)
         for h in out:
@@ -215,9 +215,14 @@ class TestTraining:
             value, _ = model._batch_forward_backward(batch_in, batch_tgt)
             return value / batch_tgt.size
 
+        def slabs(arrays):
+            """Every gate's W, U and b slab, then the head."""
+            return [*model.gru.gate_slabs(arrays), arrays["head.W"],
+                    arrays["head.b"]]
+
         worst = 0.0
-        for key in model.params:
-            flat = model.params[key].reshape(-1)
+        for slab, grad in zip(slabs(model.params), slabs(grads)):
+            flat = slab.reshape(-1)
             for idx in rng.choice(flat.size, size=min(3, flat.size),
                                   replace=False):
                 orig = flat[idx]
@@ -227,7 +232,7 @@ class TestTraining:
                 dn = loss()
                 flat[idx] = orig
                 fd = (up - dn) / 2e-5
-                an = grads[key].reshape(-1)[idx]
+                an = grad.reshape(-1)[idx]
                 worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-6))
         assert worst < 1e-4
 
@@ -258,8 +263,9 @@ def _decode_all_rows(model, hidden, z_last, steps, draw_fn):
 
 
 def _reference_step_backward(model, cache, d_new_hidden, grads):
-    """Reference backward step: the per-gate form, reading each gate's
-    weights by name; it also forms the layer-0 input gradient."""
+    """Reference backward step: the per-gate form, reading gate g's
+    weights as slab g of each block; it also forms the layer-0 input
+    gradient."""
     p = model.params
     num_layers = model.config.num_layers
     d_out = [d.copy() for d in d_new_hidden]
@@ -267,30 +273,31 @@ def _reference_step_backward(model, cache, d_new_hidden, grads):
     dx = None
     for layer in range(num_layers - 1, -1, -1):
         inp, h, r, u, c = cache[layer]
-        pre = f"l{layer}."
+        w, u_w, _ = (p[f"l{layer}.{kind}"] for kind in "WUb")
+        g_w, g_u, g_b = (grads[f"l{layer}.{kind}"] for kind in "WUb")
         d_h_new = d_out[layer]
 
         da_u = d_h_new * (h - c) * u * (1.0 - u)
         da_c = d_h_new * (1.0 - u) * (1.0 - c * c)
-        dhr = da_c @ p[pre + "U_c"].T
+        dhr = da_c @ u_w[2].T
         da_r = dhr * h * r * (1.0 - r)
 
         d_prev[layer] = (d_h_new * u + dhr * r
-                         + da_r @ p[pre + "U_r"].T
-                         + da_u @ p[pre + "U_u"].T)
-        d_inp = (da_r @ p[pre + "W_r"].T
-                 + da_u @ p[pre + "W_u"].T
-                 + da_c @ p[pre + "W_c"].T)
+                         + da_r @ u_w[0].T
+                         + da_u @ u_w[1].T)
+        d_inp = (da_r @ w[0].T
+                 + da_u @ w[1].T
+                 + da_c @ w[2].T)
 
-        grads[pre + "W_r"] += inp.T @ da_r
-        grads[pre + "U_r"] += h.T @ da_r
-        grads[pre + "b_r"] += da_r.sum(axis=0)
-        grads[pre + "W_u"] += inp.T @ da_u
-        grads[pre + "U_u"] += h.T @ da_u
-        grads[pre + "b_u"] += da_u.sum(axis=0)
-        grads[pre + "W_c"] += inp.T @ da_c
-        grads[pre + "U_c"] += (r * h).T @ da_c
-        grads[pre + "b_c"] += da_c.sum(axis=0)
+        g_w[0] += inp.T @ da_r
+        g_u[0] += h.T @ da_r
+        g_b[0] += da_r.sum(axis=0)
+        g_w[1] += inp.T @ da_u
+        g_u[1] += h.T @ da_u
+        g_b[1] += da_u.sum(axis=0)
+        g_w[2] += inp.T @ da_c
+        g_u[2] += (r * h).T @ da_c
+        g_b[2] += da_c.sum(axis=0)
 
         if layer > 0:
             d_out[layer - 1] = d_out[layer - 1] + d_inp
@@ -301,7 +308,7 @@ def _reference_step_backward(model, cache, d_new_hidden, grads):
 
 def _reference_batch_forward_backward(model, batch_in, batch_tgt):
     """Reference training step: head projection, NLL and raw gradient per
-    step, per-gate backward, gradients in separate arrays by name."""
+    step, per-gate backward, gradients added gate slab by gate slab."""
     cfg = model.config
     b, t0, _ = batch_in.shape
     scale = 1.0 / (b * t0)
@@ -328,6 +335,30 @@ def _reference_batch_forward_backward(model, batch_in, batch_tgt):
         d_out[-1] = d_out[-1] + d_top
         _, d_hidden = _reference_step_backward(model, caches[k], d_out, grads)
     return nll_total, grads
+
+
+def _reference_sgd_update(model, grads, velocity):
+    """Reference update: the clip norm sums squares per gate slab, W_r,
+    U_r, b_r, W_u, ... layer by layer, then head.W and head.b; the
+    momentum step runs per slab."""
+    cfg = model.config
+    keys = [(f"l{layer}.{kind}", g) for layer in range(cfg.num_layers)
+            for g in range(3) for kind in "WUb"]
+    keys += [("head.W", None), ("head.b", None)]
+
+    def slab(arrays, key, g):
+        return arrays[key] if g is None else arrays[key][g]
+
+    norm = np.sqrt(sum(float(np.sum(slab(grads, *k) * slab(grads, *k)))
+                       for k in keys))
+    factor = min(1.0, cfg.grad_clip / norm)
+    for key, g in keys:
+        grad, v = slab(grads, key, g), slab(velocity, key, g)
+        if factor < 1.0:
+            grad *= factor
+        v *= 0.9
+        v -= cfg.learning_rate * grad
+        slab(model.params, key, g)[...] += v
 
 
 def _identity_scaled(model, n):
@@ -619,6 +650,19 @@ class TestStackedTrainingStep:
         for key, value in ref.params.items():
             assert np.array_equal(model.params[key], value), key
 
+    @pytest.mark.parametrize("grad_clip", [0.05, float("inf")])
+    def test_update_matches_per_gate_reference(self, grad_clip):
+        # grad_clip=0.05 clips every batch, so the norm's float sum order
+        # reaches the weights.
+        adjusted, panel, cfg = _windowed_panel()
+        cfg = replace(cfg, grad_clip=grad_clip)
+        model, ref = ForecastModel(cfg), ForecastModel(cfg)
+        ref._sgd_update = lambda grads, velocity: _reference_sgd_update(
+            ref, grads, velocity)
+        assert model.fit(adjusted, panel) == ref.fit(adjusted, panel)
+        for key, value in ref.params.items():
+            assert np.array_equal(model.params[key], value), key
+
     def test_head_nll_once_per_batch(self, monkeypatch):
         adjusted, panel, cfg = _windowed_panel()
         calls = []
@@ -650,27 +694,11 @@ class TestStackedTrainingStep:
 
 
 class TestParameterBlocks:
-    def test_named_params_are_views_of_the_stack_blocks(self):
+    def test_one_dict_from_init_to_stack(self):
         model = ForecastModel(small_config())
-        blocks = model.gru.params.blocks
-        for layer, (w, u, b) in enumerate(blocks):
-            for g, gate in enumerate("ruc"):
-                pre = f"l{layer}."
-                for kind, block in (("W", w), ("U", u), ("b", b)):
-                    entry = model.params[f"{pre}{kind}_{gate}"]
-                    assert entry.base is block
-                    assert np.shares_memory(entry, block[g])
-                    assert entry.flags.c_contiguous
-
-    def test_assigning_params_copies_into_fresh_blocks(self):
-        model = ForecastModel(small_config())
-        given = {k: v.copy() for k, v in model.params.items()}
-        model.gru.params = given
-        given["l0.W_r"] += 1.0
-        assert not np.shares_memory(model.gru.params["l0.W_r"],
-                                    given["l0.W_r"])
-        assert not np.array_equal(model.gru.params["l0.W_r"],
-                                  given["l0.W_r"])
+        assert model.gru.params is model.params
+        assert list(model.params) == ["l0.W", "l0.U", "l0.b", "l1.W", "l1.U",
+                                      "l1.b", "head.W", "head.b"]
 
     def test_loaded_model_trains_its_own_blocks(self, tmp_path):
         adjusted, panel = random_training_data(12)
@@ -679,8 +707,7 @@ class TestParameterBlocks:
         model.save(tmp_path / "model.npz")
         clone = ForecastModel.load(tmp_path / "model.npz")
         assert list(clone.params) == list(model.params)
-        for key, value in clone.gru.params.items():
-            assert clone.params[key] is value
+        assert clone.gru.params is clone.params
         clone.fit(adjusted, panel)
         model.fit(adjusted, panel)
         for key in model.params:

@@ -5,36 +5,47 @@ from stcast.gru import GRUStack, init_gru_params
 
 
 def scalar_cell_oracle(params, layer, x, h):
-    """Hand-coded scalar-loop evaluation of the cell equations."""
-    pre = f"l{layer}."
+    """Hand-coded scalar-loop evaluation of the cell equations; gate g's
+    weights are slab g of the layer's W, U and b blocks."""
+    w, u_w, b = (params[f"l{layer}.{kind}"] for kind in "WUb")
     hid = h.shape[0]
     # The candidate needs the full reset vector first.
     r = np.empty(hid)
     u = np.empty(hid)
     for j in range(hid):
-        a_r = params[pre + "b_r"][j]
-        a_u = params[pre + "b_u"][j]
+        a_r = b[0][j]
+        a_u = b[1][j]
         for k in range(x.shape[0]):
-            a_r += x[k] * params[pre + "W_r"][k, j]
-            a_u += x[k] * params[pre + "W_u"][k, j]
+            a_r += x[k] * w[0][k, j]
+            a_u += x[k] * w[1][k, j]
         for k in range(hid):
-            a_r += h[k] * params[pre + "U_r"][k, j]
-            a_u += h[k] * params[pre + "U_u"][k, j]
+            a_r += h[k] * u_w[0][k, j]
+            a_u += h[k] * u_w[1][k, j]
         r[j] = 1.0 / (1.0 + np.exp(-a_r))
         u[j] = 1.0 / (1.0 + np.exp(-a_u))
     new_h = np.empty(hid)
     for j in range(hid):
-        a_c = params[pre + "b_c"][j]
+        a_c = b[2][j]
         for k in range(x.shape[0]):
-            a_c += x[k] * params[pre + "W_c"][k, j]
+            a_c += x[k] * w[2][k, j]
         for k in range(hid):
-            a_c += r[k] * h[k] * params[pre + "U_c"][k, j]
+            a_c += r[k] * h[k] * u_w[2][k, j]
         c_j = np.tanh(a_c)
         new_h[j] = u[j] * h[j] + (1.0 - u[j]) * c_j
     return new_h
 
 
 class TestForward:
+    def test_params_held_by_reference(self):
+        params = init_gru_params(2, 3, 1, np.random.default_rng(0))
+        stack = GRUStack(2, 3, 1, params=params)
+        assert stack.params is params
+        x = np.ones((1, 2))
+        before, _ = stack.step(x, stack.init_hidden(1))
+        params["l0.b"] += 1.0      # an in-place update is the next step's weights
+        after, _ = stack.step(x, stack.init_hidden(1))
+        assert not np.array_equal(before[0], after[0])
+
     def test_zero_params_zero_input_fixed_point(self):
         stack = GRUStack(2, 5, 2, params={
             k: np.zeros_like(v)
@@ -101,8 +112,10 @@ class TestBackward:
         for k in range(steps - 1, -1, -1):
             d_hidden = stack.step_backward(caches[k], d_hidden, grads)
 
-        for key in stack.params:
-            flat = stack.params[key].reshape(-1)
+        # Four coordinates of every gate's W, U and b slab.
+        for n, (slab, grad) in enumerate(zip(stack.gate_slabs(stack.params),
+                                             stack.gate_slabs(grads))):
+            flat = slab.reshape(-1)
             for idx in rng.choice(flat.size, size=min(4, flat.size),
                                   replace=False):
                 orig = flat[idx]
@@ -112,8 +125,19 @@ class TestBackward:
                 dn = forward()[0]
                 flat[idx] = orig
                 fd = (up - dn) / 2e-6
-                an = grads[key].reshape(-1)[idx]
-                assert an == pytest.approx(fd, rel=1e-4, abs=1e-7), key
+                an = grad.reshape(-1)[idx]
+                assert an == pytest.approx(fd, rel=1e-4, abs=1e-7), n
+
+    def test_gate_slabs_order(self):
+        stack = GRUStack(2, 3, 2,
+                         params=init_gru_params(2, 3, 2, np.random.default_rng(0)))
+        expected = [(layer, kind, g) for layer in range(2) for g in range(3)
+                    for kind in "WUb"]
+        slabs = list(stack.gate_slabs(stack.params))
+        assert len(slabs) == len(expected)
+        for slab, (layer, kind, g) in zip(slabs, expected):
+            assert slab.base is stack.params[f"l{layer}.{kind}"]
+            assert np.shares_memory(slab, stack.params[f"l{layer}.{kind}"][g])
 
     def test_input_gradient_flows(self):
         """The gradient reaches the previous hidden state (the layer-0
@@ -138,10 +162,29 @@ class TestBackward:
 class TestInit:
     def test_fan_in_bounds(self):
         params = init_gru_params(2, 16, 3, np.random.default_rng(7))
-        assert np.max(np.abs(params["l0.W_r"])) <= 1.0 / np.sqrt(2)
-        assert np.max(np.abs(params["l1.W_r"])) <= 1.0 / np.sqrt(16)
-        assert np.max(np.abs(params["l0.U_c"])) <= 1.0 / np.sqrt(16)
-        assert np.array_equal(params["l2.b_u"], np.zeros(16))
+        assert np.max(np.abs(params["l0.W"][0])) <= 1.0 / np.sqrt(2)
+        assert np.max(np.abs(params["l1.W"][0])) <= 1.0 / np.sqrt(16)
+        assert np.max(np.abs(params["l0.U"][2])) <= 1.0 / np.sqrt(16)
+        assert np.array_equal(params["l2.b"], np.zeros((3, 16)))
+
+    def test_gate_stacked_layout(self):
+        params = init_gru_params(2, 5, 2, np.random.default_rng(8))
+        assert {k: v.shape for k, v in params.items()} == {
+            "l0.W": (3, 2, 5), "l0.U": (3, 5, 5), "l0.b": (3, 5),
+            "l1.W": (3, 5, 5), "l1.U": (3, 5, 5), "l1.b": (3, 5)}
+        assert all(v.flags.c_contiguous for v in params.values())
+
+    def test_draws_gate_by_gate_w_then_u(self):
+        # Layer by layer, gate by gate, W then U: the draw order fixes the
+        # initial weights, and with them every trained model's bits.
+        params = init_gru_params(2, 4, 2, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for layer, in_dim in enumerate((2, 4)):
+            for g in range(3):
+                w = rng.uniform(-1 / np.sqrt(in_dim), 1 / np.sqrt(in_dim), (in_dim, 4))
+                u = rng.uniform(-0.5, 0.5, (4, 4))
+                assert np.array_equal(params[f"l{layer}.W"][g], w)
+                assert np.array_equal(params[f"l{layer}.U"][g], u)
 
     def test_seeded_reproducible(self):
         a = init_gru_params(2, 8, 2, np.random.default_rng(11))
