@@ -13,6 +13,10 @@ moved to the left-hand side.  ``causal_adjust`` removes the estimated
 treatment effect from treated post-period cells and
 ``build_adjusted_input`` folds the spatial spillover back in to produce
 the forecaster's conditioning series.
+
+Each ablation is a property of the inputs, not a flag: a spatial matrix
+of ``None`` drops the lag term (no IV stage, rho = 0, z = y_tilde), and a
+panel with D = 0 covariate columns drops the gamma term.
 """
 
 from __future__ import annotations
@@ -51,9 +55,10 @@ EFFECTIVE_TREATMENT = -0.1
 class Panel:
     """Aligned per-region series: targets, covariates, treatment design.
 
-    y is (N, T), c is (N, T, D), treated is a binary (N,) vector and post
-    a binary (T,) step vector (zeros then ones).  Times must be strictly
-    increasing and evenly spaced; missing values are rejected.
+    y is (N, T), c is (N, T, D) with D possibly 0, treated is a binary
+    (N,) vector and post a binary (T,) step vector (zeros then ones).
+    Times must be strictly increasing and evenly spaced; missing values
+    are rejected.
     """
 
     region_ids: tuple[str, ...]
@@ -126,7 +131,7 @@ class DidEstimate:
 
     ``standard_errors`` maps coefficient names (rho, beta0, beta1, beta2,
     delta, gamma1..gammaD) to their standard errors; rho is absent when
-    the spatial term was bypassed.
+    the fit had no spatial matrix.
     """
 
     rho: float
@@ -195,47 +200,39 @@ _COEFFICIENT_NAMES = {"const": "beta0", "treated": "beta1", "post": "beta2",
                       "treated_post": "delta"}
 
 
-def design_column_labels(d: int, include_spatial: bool = True,
-                         include_factors: bool = True) -> list[str]:
-    labels = ["spatial_lag"] if include_spatial else []
-    labels += ["const", "treated", "post", "treated_post"]
-    if include_factors:
-        labels += [f"c{k + 1}" for k in range(d)]
-    return labels
+def design_column_labels(d: int) -> list[str]:
+    """Labels of the full design's columns; without a spatial matrix the
+    design lacks the first."""
+    return (["spatial_lag", "const", "treated", "post", "treated_post"]
+            + [f"c{k + 1}" for k in range(d)])
 
 
-def build_design_matrix(p: Panel, S: SpatialMatrix | None,
-                        include_spatial: bool = True,
-                        include_factors: bool = True):
+def build_design_matrix(p: Panel, S: SpatialMatrix | None):
     """Stack one regression row per (region, time) cell with t >= 1.
 
     Columns: [spatial_lag(t-1), 1, treated, post, treated*post,
-    covariates(t)].  Returns (X, targets); row order is region-major
-    (all of region 0's usable periods, then region 1's, ...).
+    covariates(t)], without the lag when ``S`` is None.  Returns
+    (X, targets); row order is region-major (all of region 0's usable
+    periods, then region 1's, ...).
     """
     if p.t < 2:
         raise InsufficientDataError(f"need T >= 2 time steps, got {p.t}")
-    if include_spatial:
-        if S is None:
-            raise InputValidationError("spatial matrix required unless bypassed")
-        if S.n != p.n:
-            raise InputValidationError(
-                f"matrix is {S.n}x{S.n} but panel has {p.n} regions"
-            )
+    if S is not None and S.n != p.n:
+        raise InputValidationError(
+            f"matrix is {S.n}x{S.n} but panel has {p.n} regions"
+        )
 
     n, t, d = p.n, p.t, p.d
     rows = n * (t - 1)
     cols = []
-    if include_spatial:
+    if S is not None:
         lag = spatial_lag(S, p.y)           # lag[:, s] = S @ y[:, s]
         cols.append(lag[:, : t - 1].reshape(rows))
     cols.append(np.ones(rows))
     cols.append(np.repeat(p.treated, t - 1))
     cols.append(np.tile(p.post[1:], n))
     cols.append(np.repeat(p.treated, t - 1) * np.tile(p.post[1:], n))
-    if include_factors:
-        for k in range(d):
-            cols.append(p.c[:, 1:, k].reshape(rows))
+    cols += [p.c[:, 1:, k].reshape(rows) for k in range(d)]
     X = np.column_stack(cols)
     targets = p.y[:, 1:].reshape(rows)
     return X, targets
@@ -287,12 +284,13 @@ def _least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
 # ---------------------------------------------------------------------------
 
 def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
-                    p: Panel, include_factors: bool = True) -> tuple[float, float]:
+                    p: Panel) -> tuple[float, float]:
     """Two-stage least-squares estimate of the spatial-lag coefficient.
 
-    Instruments are the spatially lagged covariates S c[:, t-1] and the
-    second-order spatial lag S^2 y[:, t-2]; both need two periods of
-    history, so the IV stages run on the t >= 2 sub-rows of the design.
+    Instruments are the spatially lagged covariates S c[:, t-1] (none
+    when D = 0) and the second-order spatial lag S^2 y[:, t-2]; both need
+    two periods of history, so the IV stages run on the t >= 2 sub-rows
+    of the design.
 
     Returns (rho_hat, rho_std_error).
     """
@@ -301,7 +299,7 @@ def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
             f"IV estimation needs T >= 3 time steps, got {p.t}"
         )
     n, t = p.n, p.t
-    labels = design_column_labels(p.d, True, include_factors)
+    labels = design_column_labels(p.d)
     if X.shape[1] != len(labels):
         raise InputValidationError(
             f"design matrix has {X.shape[1]} columns, expected {len(labels)}"
@@ -315,13 +313,9 @@ def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
     exog = X[keep, 1:]
     y_sub = targets[keep]
 
-    iv_cols, iv_labels = [], []
-    if include_factors:
-        lag_cov = np.stack(
-            [spatial_lag(S, p.c[:, :, k]) for k in range(p.d)], axis=2
-        )                               # (N, T, D)
-        iv_cols = [lag_cov[:, 1 : t - 1, k].reshape(-1) for k in range(p.d)]
-        iv_labels = [f"S.c{k + 1}(t-1)" for k in range(p.d)]
+    iv_cols = [spatial_lag(S, p.c[:, :, k])[:, 1 : t - 1].reshape(-1)
+               for k in range(p.d)]
+    iv_labels = [f"S.c{k + 1}(t-1)" for k in range(p.d)]
     lag2_y = spatial_lag(S, spatial_lag(S, p.y))
     iv_cols.append(lag2_y[:, : t - 2].reshape(-1))
     iv_labels.append("S^2.y(t-2)")
@@ -382,14 +376,13 @@ def _ols_estimate(X: np.ndarray, targets: np.ndarray, labels: list[str],
 
 
 def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
-                           d: int, include_factors: bool = True,
-                           rho_se: float | None = None) -> DidEstimate:
+                           d: int, rho_se: float | None = None) -> DidEstimate:
     """OLS for the remaining coefficients after fixing the lag coefficient.
 
     The spatial-lag contribution is moved to the left-hand side and the
     offset target regressed on [1, treated, post, treated*post, c].
     """
-    labels = design_column_labels(d, True, include_factors)
+    labels = design_column_labels(d)
     if X.shape[1] != len(labels):
         raise InputValidationError(
             f"design matrix has {X.shape[1]} columns, expected {len(labels)}"
@@ -398,27 +391,17 @@ def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
     return _ols_estimate(X[:, 1:], offset_targets, labels[1:], rho_hat, rho_se)
 
 
-def fit_did(p: Panel, S: SpatialMatrix | None, no_spatial: bool = False,
-            no_factors: bool = False) -> DidEstimate:
+def fit_did(p: Panel, S: SpatialMatrix | None) -> DidEstimate:
     """Full estimation: design matrix, IV stage for the lag, then OLS.
 
-    ``no_spatial`` drops the lag column and the IV stage entirely (rho is
-    fixed at 0); ``no_factors`` drops the covariate columns.
+    With ``S`` None there is no lag column and no IV stage (rho is fixed
+    at 0); a panel with D = 0 has no covariate columns or instruments.
     """
-    include_factors = not no_factors
-    if no_spatial:
-        X, targets = build_design_matrix(p, None, include_spatial=False,
-                                         include_factors=include_factors)
-        labels = design_column_labels(p.d, False, include_factors)
-        return _ols_estimate(X, targets, labels, 0.0)
-
-    X, targets = build_design_matrix(p, S, include_spatial=True,
-                                     include_factors=include_factors)
-    rho_hat, rho_se = estimate_rho_iv(X, targets, S, p,
-                                      include_factors=include_factors)
-    return estimate_ols_given_rho(X, targets, rho_hat, p.d,
-                                  include_factors=include_factors,
-                                  rho_se=rho_se)
+    X, targets = build_design_matrix(p, S)
+    if S is None:
+        return _ols_estimate(X, targets, design_column_labels(p.d)[1:], 0.0)
+    rho_hat, rho_se = estimate_rho_iv(X, targets, S, p)
+    return estimate_ols_given_rho(X, targets, rho_hat, p.d, rho_se=rho_se)
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +422,12 @@ def build_adjusted_input(y_tilde: np.ndarray, S: SpatialMatrix,
     return y_tilde + rho_hat * spatial_lag(S, y_tilde)
 
 
-def adjust_panel(p: Panel, est: DidEstimate, S: SpatialMatrix | None,
-                 no_spatial: bool = False) -> AdjustedPanel:
-    """Both adjustment steps; with ``no_spatial`` the input equals the
+def adjust_panel(p: Panel, est: DidEstimate,
+                 S: SpatialMatrix | None) -> AdjustedPanel:
+    """Both adjustment steps; with ``S`` None the input equals the
     adjusted target (rho treated as 0)."""
     y_tilde = causal_adjust(p, est)
-    if no_spatial:
-        z = y_tilde.copy()
-    else:
-        if S is None:
-            raise InputValidationError("spatial matrix required unless bypassed")
-        z = build_adjusted_input(y_tilde, S, est.rho)
+    z = y_tilde.copy() if S is None else build_adjusted_input(y_tilde, S, est.rho)
     return AdjustedPanel(y_tilde=y_tilde, z=z)
 
 

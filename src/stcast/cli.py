@@ -80,12 +80,6 @@ def _stage_inputs(args):
     return config, out, regions, transform, panel_t
 
 
-def _spatial_matrix(regions, config):
-    if config.no_spatial:
-        return None
-    return build_spatial_matrix(regions, config.alpha)
-
-
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
@@ -119,8 +113,8 @@ def _cmd_build_spatial(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config, out, regions, _, panel_t = _stage_inputs(args)
-    _, report = pipeline.estimate(panel_t, _spatial_matrix(regions, config),
-                                  config, out)
+    S = build_spatial_matrix(regions, config.alpha)
+    _, report = pipeline.estimate(panel_t, S, config, out)
     print(report.text(), end="")
     return 0
 
@@ -128,7 +122,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_adjust(args) -> int:
     config, out, regions, _, panel_t = _stage_inputs(args)
     est = dataio.read_did_estimate(args.estimate)
-    pipeline.adjust(panel_t, est, _spatial_matrix(regions, config), config, out)
+    S = build_spatial_matrix(regions, config.alpha)
+    pipeline.adjust(panel_t, est, S, config, out)
     print(f"wrote {out / 'adjusted_panel.csv'}")
     return 0
 

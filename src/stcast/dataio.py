@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import re
 
 import numpy as np
 
@@ -251,23 +252,36 @@ def write_did_estimate_csv(est: DidEstimate, path) -> None:
         fh.write(f"residual_variance,{_fmt(est.residual_variance)},\n")
 
 
+_DID_REQUIRED = ("rho", "beta0", "beta1", "beta2", "delta", "residual_variance")
+_GAMMA = re.compile(r"gamma[1-9][0-9]*")
+
+
 def read_did_estimate(path) -> DidEstimate:
+    """Parse did_estimate.csv.  Its rows, in any order, are exactly the
+    required coefficients plus gamma1..gammaD for some D >= 0; any other
+    name, or a gamma beyond the first missing one, is an IngestionError
+    citing its line."""
     _, rows = _read_rows(path, ["coefficient", "estimate", "std_error"])
     values: dict[str, float] = {}
     ses: dict[str, float] = {}
     first_line: dict[str, int] = {}
     for line, row in rows:
         name = row[0].strip()
+        if name not in _DID_REQUIRED and not _GAMMA.fullmatch(name):
+            raise IngestionError(f"line {line}: unknown coefficient '{name}'")
         _record_key(first_line, name, line, "coefficient '{}'")
         values[name] = _parse_float(row[1], line, "estimate")
         if row[2].strip():
             ses[name] = _parse_float(row[2], line, "std_error")
-    required = ("rho", "beta0", "beta1", "beta2", "delta", "residual_variance")
-    missing = [k for k in required if k not in values]
+    missing = [k for k in _DID_REQUIRED if k not in values]
     if missing:
         raise IngestionError(f"{path}: missing coefficients {missing}")
-    gamma = [values[k] for k in sorted(values, key=_gamma_order)
-             if k.startswith("gamma")]
+    indices = sorted(int(k[5:]) for k in values if k.startswith("gamma"))
+    for k, index in enumerate(indices, start=1):
+        if index != k:
+            raise IngestionError(f"line {first_line[f'gamma{index}']}: "
+                                 f"coefficient 'gamma{index}' without 'gamma{k}'")
+    gamma = [values[f"gamma{k}"] for k in indices]
     return DidEstimate(
         rho=values["rho"],
         beta0=values["beta0"],
@@ -278,11 +292,6 @@ def read_did_estimate(path) -> DidEstimate:
         residual_variance=values["residual_variance"],
         standard_errors=ses,
     )
-
-
-def _gamma_order(name: str) -> tuple:
-    return (int(name[5:]) if name.startswith("gamma") and name[5:].isdigit()
-            else 0,)
 
 
 def write_parameter_report(report: ParameterReport, path) -> None:

@@ -110,10 +110,17 @@ def build_spatial(regions, alpha: float, out: Path):
     return S
 
 
+def _ablate(panel_t: Panel, S, config: RunConfig):
+    """The regression's inputs under the run's ablations: ``no_spatial``
+    drops the spatial matrix, ``no_factors`` the covariate columns."""
+    if config.no_factors:
+        panel_t = replace(panel_t, c=panel_t.c[:, :, :0])
+    return panel_t, None if config.no_spatial else S
+
+
 def estimate(panel_t: Panel, S, config: RunConfig, out: Path):
     """Fit the regression; returns the estimate and its parameter report."""
-    est = fit_did(panel_t, S, no_spatial=config.no_spatial,
-                  no_factors=config.no_factors)
+    est = fit_did(*_ablate(panel_t, S, config))
     report = report_parameters(est)
     dataio.write_did_estimate_csv(est, out / "did_estimate.csv")
     dataio.write_parameter_report(report, out / "parameter_report.txt")
@@ -121,7 +128,8 @@ def estimate(panel_t: Panel, S, config: RunConfig, out: Path):
 
 
 def adjust(panel_t: Panel, est, S, config: RunConfig, out: Path):
-    adjusted = adjust_panel(panel_t, est, S, no_spatial=config.no_spatial)
+    ablated, S = _ablate(panel_t, S, config)
+    adjusted = adjust_panel(ablated, est, S)
     dataio.write_adjusted_csv(panel_t, adjusted, out / "adjusted_panel.csv")
     return adjusted
 

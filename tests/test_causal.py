@@ -2,6 +2,7 @@ import datetime as dt
 import itertools
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,16 +22,23 @@ from stcast.causal import (
     fit_did,
     report_parameters,
 )
+from stcast.config import RunConfig
 from stcast.errors import (
     EstimationError,
     InputValidationError,
     InsufficientDataError,
     NonstationarityError,
 )
+from stcast.pipeline import estimate
 from stcast.spatial import build_spatial_matrix, spatial_lag
 from stcast.synth import GeneratorSpec, generate
 
 from conftest import make_panel
+
+
+def _without_factors(panel):
+    """The panel with its covariate columns dropped (D = 0)."""
+    return replace(panel, c=panel.c[:, :, :0])
 
 
 def _estimate(gamma=(1.0, -0.5), rho=0.3, delta=-2.0, se=0.1):
@@ -112,18 +120,20 @@ class TestBuildDesignMatrix:
     def test_single_period_insufficient(self):
         panel = make_panel(np.zeros((2, 1)), post=np.array([1.0]))
         with pytest.raises(InsufficientDataError):
-            build_design_matrix(panel, None, include_spatial=False)
+            build_design_matrix(panel, None)
 
     def test_ablation_column_widths(self, small_panel):
+        # No matrix drops the lag column, a D = 0 panel the covariates;
+        # the other columns are the full design's, bit for bit.
         S = _matrix_for(small_panel)
         X_full, _ = build_design_matrix(small_panel, S)
-        X_nospatial, _ = build_design_matrix(small_panel, None,
-                                             include_spatial=False)
-        X_nofactors, _ = build_design_matrix(small_panel, S,
-                                             include_factors=False)
+        X_nospatial, _ = build_design_matrix(small_panel, None)
+        X_nofactors, _ = build_design_matrix(_without_factors(small_panel), S)
         assert X_full.shape[1] == 9
         assert X_nospatial.shape[1] == 8
         assert X_nofactors.shape[1] == 5
+        assert np.array_equal(X_nospatial, X_full[:, 1:])
+        assert np.array_equal(X_nofactors, X_full[:, :5])
         assert len(design_column_labels(4)) == 9
 
 
@@ -341,23 +351,31 @@ def _inv_gram_estimate(X, targets, labels, rho, rho_se=None):
 
 
 def _inv_gram_fit_did(p, S, no_spatial=False, no_factors=False):
-    """``fit_did`` with the reference OLS tail after the library's IV
-    stage (which ``test_two_stage_matches_independent_2sls`` checks)."""
-    include_factors = not no_factors
-    include_spatial = not no_spatial
-    X, targets = build_design_matrix(p, S if include_spatial else None,
-                                     include_spatial=include_spatial,
-                                     include_factors=include_factors)
-    labels = design_column_labels(p.d, include_spatial, include_factors)
+    """``fit_did`` under the ablations, with the reference OLS tail after
+    the library's IV stage (which ``test_two_stage_matches_independent_2sls``
+    checks).  The design is always the full one, with the lag and the
+    covariate columns deleted here."""
+    X, targets = build_design_matrix(p, S)
+    labels = design_column_labels(p.d)
+    keep = slice(int(no_spatial), 5 if no_factors else 5 + p.d)
+    # C order, as the library lays out every design it builds.
+    X, labels = np.ascontiguousarray(X[:, keep]), labels[keep]
     if no_spatial:
         return _inv_gram_estimate(X, targets, labels, 0.0)
-    rho_hat, rho_se = estimate_rho_iv(X, targets, S, p,
-                                      include_factors=include_factors)
+    rho_hat, rho_se = estimate_rho_iv(
+        X, targets, S, _without_factors(p) if no_factors else p)
     return _inv_gram_estimate(X[:, 1:], targets - rho_hat * X[:, 0],
                               labels[1:], rho_hat, rho_se)
 
 
-# Every combination of fit_did's two flags.
+def _ablated_fit_did(p, S, no_spatial=False, no_factors=False):
+    """``fit_did`` on the inputs the ablations leave: no matrix under
+    ``no_spatial``, a D = 0 panel under ``no_factors``."""
+    return fit_did(_without_factors(p) if no_factors else p,
+                   None if no_spatial else S)
+
+
+# Every combination of the two ablations.
 FLAG_SETS = [
     dict(no_spatial=a, no_factors=b)
     for a, b in itertools.product([False, True], repeat=2)
@@ -411,7 +429,7 @@ class TestOlsTail:
             fitted = 0
             for i, (panel, S) in enumerate(_tail_panels()):
                 ref, ref_ses = _outcome(_inv_gram_fit_did, panel, S, flags)
-                got, ses = _outcome(fit_did, panel, S, flags)
+                got, ses = _outcome(_ablated_fit_did, panel, S, flags)
                 assert got == ref, i
                 assert ses == pytest.approx(ref_ses, rel=1e-12, abs=0), i
                 fitted += not isinstance(ref[0], type)
@@ -423,8 +441,8 @@ class TestOlsTail:
         spec = GeneratorSpec(seed=31, t_steps=80, post_onset_index=40,
                              true_gamma=(0.3, -0.2))
         regions, panel, _ = generate(spec)
-        est = fit_did(panel, build_spatial_matrix(regions, spec.alpha),
-                      **flags)
+        est = _ablated_fit_did(panel, build_spatial_matrix(regions, spec.alpha),
+                               **flags)
         names = est.coefficient_names()     # rho first, then beta0 ...
         with_se = names[1:] + ([] if flags["no_spatial"] else ["rho"])
         assert list(est.standard_errors) == with_se
@@ -434,6 +452,28 @@ class TestOlsTail:
         assert [row[0] for row in rows] == names + ["residual_variance"]
         for name, _, se in rows[:-1]:
             assert (se != "") == (name in with_se), name
+
+    @pytest.mark.parametrize("no_spatial", [False, True],
+                             ids=["spatial", "no_spatial"])
+    def test_covariate_free_panel_is_the_no_factors_fit(self, no_spatial,
+                                                        tmp_path):
+        # A panel built with D = 0 fits exactly as the run's no_factors
+        # ablation of the same panel with covariates.
+        spec = GeneratorSpec(seed=31, t_steps=80, post_onset_index=40,
+                             true_gamma=(0.3, -0.2))
+        regions, panel, _ = generate(spec)
+        S = build_spatial_matrix(regions, spec.alpha)
+        bare = Panel(region_ids=panel.region_ids, times=panel.times,
+                     y=panel.y, c=np.empty((panel.n, panel.t, 0)),
+                     treated=panel.treated, post=panel.post)
+        config = RunConfig(no_spatial=no_spatial, no_factors=True)
+        ablated, _ = estimate(panel, S, config, tmp_path)
+        got = fit_did(bare, None if no_spatial else S)
+        assert got.coefficient_values() == ablated.coefficient_values()
+        assert got.gamma.size == 0
+        assert got.residual_variance == ablated.residual_variance
+        assert list(got.standard_errors.items()) == \
+            list(ablated.standard_errors.items())
 
 
 class TestLeastSquares:
@@ -566,7 +606,7 @@ class TestAdjustment:
 
     def test_adjust_panel_no_spatial(self, small_panel):
         est = _estimate(gamma=(1.0, -0.5, 0.0, 0.0))
-        adjusted = adjust_panel(small_panel, est, None, no_spatial=True)
+        adjusted = adjust_panel(small_panel, est, None)
         assert np.array_equal(adjusted.z, adjusted.y_tilde)
 
     def test_cross_module_lag_consistency(self):

@@ -391,7 +391,11 @@ class TestCli:
         {"target_transform": "standardize"},
         {"target_transform": "none"},
         {"target_transform": "standardize", "no_spatial": True},
-    ], ids=["standardize", "none", "no-spatial"])
+        {"target_transform": "standardize", "no_factors": True},
+        {"target_transform": "standardize", "no_spatial": True,
+         "no_factors": True},
+    ], ids=["standardize", "none", "no-spatial", "no-factors",
+            "no-spatial-no-factors"])
     def test_stages_match_pipeline_bytes(self, synth_files, tmp_path, capsys,
                                          extra):
         # Stage subcommands run on the conditioning range, then evaluate
@@ -425,6 +429,37 @@ class TestCli:
         for name in ARTIFACTS:
             assert (stages / name).read_bytes() == \
                 (tmp_path / "pipe" / name).read_bytes(), name
+
+    def test_covariate_free_panel_is_the_no_factors_run(self, tmp_path,
+                                                        capsys):
+        # A panel.csv without covariate columns runs end to end, exactly as
+        # --no-factors on the full panel; only the model label differs.
+        assert main(["simulate", "--out", str(tmp_path), "--seed", "31",
+                     "--n-regions", "4", "--t-steps", "80",
+                     "--post-onset-index", "40", "--gamma", "0.3,-0.2"]) == 0
+        onset = re.search(r"post onset (\S+)\)", capsys.readouterr().out)[1]
+        full = tmp_path / "panel.csv"
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(",".join(line.split(",")[:3]) + "\n"
+                                for line in full.read_text().splitlines()))
+        common = ["--regions", str(tmp_path / "regions.csv"),
+                  "--post-onset-date", onset,
+                  "--target-transform", "standardize", "--epochs", "1",
+                  "--num-samples", "10", "--context-len", "10",
+                  "--horizon", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["pipeline", *common, "--panel", str(bare),
+                         "--out", str(tmp_path / "bare")]) == 0
+            assert main(["pipeline", *common, "--panel", str(full),
+                         "--no-factors", "--out", str(tmp_path / "nf")]) == 0
+        capsys.readouterr()
+        for name in ARTIFACTS:
+            got = (tmp_path / "bare" / name).read_bytes()
+            want = (tmp_path / "nf" / name).read_bytes()
+            if name == "scores_long.csv":
+                got = got.replace(b"gaussian-full", b"gaussian-nofactors")
+            assert got == want, name
 
     def test_evaluate_perfect_forecast(self, tmp_path, capsys):
         # Samples equal to the truth everywhere give zero scores.
@@ -514,6 +549,31 @@ class TestCli:
         assert main(["adjust", *flags, "--estimate", str(est_path)]) == 7
         assert (f"line {len(lines) + 1}: duplicate coefficient 'delta' "
                 f"(first at line {first})") in capsys.readouterr().err
+        assert not (out / "adjusted_panel.csv").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("gamma2,", None, "coefficient 'gamma3' without 'gamma2'"),
+        ("gamma1,", "gamma0,", "unknown coefficient 'gamma0'"),
+        ("delta,", "deltaa,", "unknown coefficient 'deltaa'"),
+    ], ids=["gamma-gap", "gamma0", "unknown-name"])
+    def test_misnamed_coefficient_exit_code(self, synth_files, tmp_path,
+                                            capsys, old, new, message):
+        # A misnamed or missing row never renumbers another coefficient;
+        # the error cites the line now holding the first offending row.
+        out = tmp_path / "stages"
+        flags = as_flags(base_overrides(synth_files, out))
+        assert main(["estimate", *flags]) == 0
+        est_path = out / "did_estimate.csv"
+        lines = est_path.read_text().splitlines()
+        k = next(k for k, text in enumerate(lines) if text.startswith(old))
+        if new is None:
+            del lines[k]
+        else:
+            lines[k] = new + lines[k][len(old):]
+        est_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["adjust", *flags, "--estimate", str(est_path)]) == 7
+        assert f"line {k + 1}: {message}" in capsys.readouterr().err
         assert not (out / "adjusted_panel.csv").exists()
 
     def test_unreadable_file_exit_code(self, tmp_path, capsys):

@@ -248,6 +248,39 @@ class TestEstimateRoundTrip:
         loaded = dataio.read_did_estimate(path)
         assert "rho" not in loaded.standard_errors
 
+    _ESTIMATE_HEAD = ("coefficient,estimate,std_error\n"
+                      "rho,0.3,0.05\nbeta0,1.0,0.1\nbeta1,0.2,0.1\n"
+                      "beta2,-0.4,0.1\ndelta,-1.5,0.2\n")
+
+    def test_gamma_rows_in_any_order(self, tmp_path):
+        path = write(tmp_path, "est.csv", self._ESTIMATE_HEAD
+                     + "gamma2,-0.4,0.02\nresidual_variance,0.5,\n"
+                     "gamma1,0.9,0.01\n")
+        loaded = dataio.read_did_estimate(path)
+        assert loaded.gamma.tolist() == [0.9, -0.4]
+        assert loaded.standard_errors["gamma1"] == 0.01
+        assert loaded.standard_errors["gamma2"] == 0.02
+
+    def test_gamma_gap_rejected(self, tmp_path):
+        # gamma3 with no gamma2 would otherwise be read as gamma2.
+        path = write(tmp_path, "est.csv", self._ESTIMATE_HEAD
+                     + "gamma1,0.9,0.01\ngamma3,-0.4,0.03\n"
+                     "residual_variance,0.5,\n")
+        with pytest.raises(IngestionError,
+                           match="line 8: coefficient 'gamma3' without 'gamma2'"):
+            dataio.read_did_estimate(path)
+
+    @pytest.mark.parametrize("name", ["gamma0", "gammaX", "gamma01", "deltaa",
+                                      "Gamma1", "gamma"])
+    def test_unknown_coefficient_rejected(self, tmp_path, name):
+        # None of these may be renamed to a gamma or silently dropped.
+        path = write(tmp_path, "est.csv", self._ESTIMATE_HEAD
+                     + f"gamma1,0.9,0.01\n{name},-0.4,0.03\n"
+                     "residual_variance,0.5,\n")
+        with pytest.raises(IngestionError,
+                           match=f"line 8: unknown coefficient '{name}'"):
+            dataio.read_did_estimate(path)
+
 
 class TestForecastSamplesRoundTrip:
     def test_round_trip_exact(self, tmp_path):
