@@ -19,7 +19,8 @@ for scoring.
 
 Configuration flags are generated from the ``RunConfig`` fields;
 ``--config`` points at a key=value file, and flags override it.
-``simulate`` passes only the flags given to ``GeneratorSpec``.
+``simulate`` (which passes only the flags given to ``GeneratorSpec``)
+and ``evaluate`` take no ``--config``, nor ``evaluate`` a ``--seed``.
 
 Exit codes: 0 success; 7 malformed CSV or model.npz, or any ``OSError``;
 otherwise the failing error class's code (see errors module).
@@ -41,8 +42,9 @@ from .pipeline import evaluate_files, model_label, run_pipeline
 from .spatial import build_spatial_matrix
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value configuration file")
+def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
+    if config:
+        parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="run seed")
 
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic panel")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--n-regions", type=int)
     p.add_argument("--t-steps", type=int)
     p.add_argument("--alpha", type=float)
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forecast)
 
     p = sub.add_parser("evaluate", help="score forecasts against truth")
-    _add_common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--forecast", required=True, help="forecast_samples.csv path")
     p.add_argument("--truth", required=True, help="panel.csv with observed values")
     p.add_argument("--model-name", default="external",

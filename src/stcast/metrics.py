@@ -9,6 +9,10 @@ its multivariate generalization with Euclidean norms, normalized pinball
 loss at the ``QUANTILES`` levels, and empirical interval/quantile coverage.
 Quantiles use linear interpolation between order statistics (the type-7
 convention).
+
+Every per-cell score takes samples (..., n) and observations of shape
+exactly ``samples.shape[:-1]``, never broadcast.  ``crps_from_samples``
+scores all cells at once, bit for bit as each cell alone would score.
 """
 
 from __future__ import annotations
@@ -33,38 +37,42 @@ def quantile(samples: np.ndarray, q: float) -> float | np.ndarray:
     return np.quantile(samples, q, axis=-1, method="linear")
 
 
-def crps_from_samples(samples: np.ndarray, observed: float) -> float:
-    """Sample-based ranked probability score for a scalar observation.
+def _aligned(samples, observed) -> tuple[np.ndarray, np.ndarray]:
+    """Float samples (..., n) and observations of shape samples.shape[:-1]."""
+    samples = np.asarray(samples, dtype=float)
+    observed = np.asarray(observed, dtype=float)
+    if samples.ndim == 0 or samples.shape[:-1] != observed.shape:
+        raise InputValidationError(f"samples {samples.shape} do not align "
+                                   f"with observed {observed.shape}")
+    return samples, observed
+
+
+def crps_from_samples(samples: np.ndarray, observed: np.ndarray) -> float | np.ndarray:
+    """Per-cell sample CRPS of an ensemble (..., n) against observations
+    (...); a single cell (1-D samples, scalar observation) gives a float.
 
     Uses the O(n log n) sorted form of the pairwise term:
     sum_{k,l} |x_k - x_l| = 2 * sum_i (2i - n + 1) x_(i).
     """
-    samples = np.asarray(samples, dtype=float).ravel()
-    n = samples.size
+    samples, observed = _aligned(samples, observed)
+    n = samples.shape[-1]
     if n < 2:
         raise InputValidationError(f"need >= 2 samples, got {n}")
-    if not (np.all(np.isfinite(samples)) and np.isfinite(observed)):
+    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(observed))):
         raise InputValidationError("samples and observation must be finite")
-    term1 = np.mean(np.abs(samples - observed))
-    s = np.sort(samples)
+    # C order makes each cell's samples one run, whatever the caller's strides:
+    # the mean then sums as in 1-D, and (1, n) @ (n, 1) is 1-D np.dot's BLAS dot.
+    s = np.ascontiguousarray(samples)
+    term1 = np.mean(np.abs(s - observed[..., None]), axis=-1)
     coeff = 2.0 * np.arange(n) - n + 1.0
-    pairwise = 2.0 * np.dot(coeff, s)        # sum_{k,l} |x_k - x_l|
-    return float(term1 - pairwise / (2.0 * n * n))
+    pairwise = 2.0 * (np.sort(s, axis=-1)[..., None, :] @ coeff[:, None])[..., 0, 0]
+    crps = term1 - pairwise / (2.0 * n * n)
+    return float(crps) if crps.ndim == 0 else crps
 
 
 def mean_crps(samples: np.ndarray, observed: np.ndarray) -> float:
     """Mean CRPS over all cells; samples has shape (..., num_samples)."""
-    samples = np.asarray(samples, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    if samples.shape[:-1] != observed.shape:
-        raise InputValidationError(
-            f"samples {samples.shape} do not align with observed {observed.shape}"
-        )
-    flat_s = samples.reshape(-1, samples.shape[-1])
-    flat_o = observed.reshape(-1)
-    return float(np.mean([
-        crps_from_samples(flat_s[k], flat_o[k]) for k in range(flat_o.size)
-    ]))
+    return float(np.mean(crps_from_samples(samples, observed)))
 
 
 def pinball_loss(q: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
@@ -78,12 +86,8 @@ def weighted_quantile_loss(forecasts, observed: np.ndarray, tau: float) -> float
     """Pinball loss at level tau, doubled and normalized by sum |observed|."""
     if not 0.0 < tau < 1.0:
         raise InputValidationError(f"tau must be in (0, 1), got {tau}")
-    observed = np.asarray(observed, dtype=float)
+    forecasts, observed = _aligned(forecasts, observed)
     q = quantile(forecasts, tau)
-    if q.shape != observed.shape:
-        raise InputValidationError(
-            f"quantile matrix {q.shape} does not align with observed {observed.shape}"
-        )
     denom = float(np.sum(np.abs(observed)))
     if denom == 0.0:
         raise InputValidationError(
@@ -97,7 +101,7 @@ def coverage(forecasts, observed: np.ndarray, alpha: float) -> float:
     [q_{alpha/2}, q_{1-alpha/2}]."""
     if not 0.0 < alpha < 1.0:
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
-    observed = np.asarray(observed, dtype=float)
+    forecasts, observed = _aligned(forecasts, observed)
     lo = quantile(forecasts, alpha / 2.0)
     hi = quantile(forecasts, 1.0 - alpha / 2.0)
     return float(np.mean((lo <= observed) & (observed <= hi)))
@@ -108,7 +112,7 @@ def quantile_exceedance(forecasts, observed: np.ndarray, tau: float) -> float:
     calibrated forecasts give tau."""
     if not 0.0 < tau < 1.0:
         raise InputValidationError(f"tau must be in (0, 1), got {tau}")
-    observed = np.asarray(observed, dtype=float)
+    forecasts, observed = _aligned(forecasts, observed)
     q = quantile(forecasts, tau)
     return float(np.mean(observed <= q))
 
@@ -178,17 +182,11 @@ class ScoreReport:
 def score_report(samples: np.ndarray, observed: np.ndarray,
                  region_ids: tuple[str, ...]) -> ScoreReport:
     """Score an (N, m, num_samples) ensemble against (N, m) observations."""
-    samples = np.asarray(samples, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    if samples.ndim != 3 or samples.shape[:2] != observed.shape:
-        raise InputValidationError(
-            f"expected samples (N, m, s) aligned with observed (N, m); "
-            f"got {samples.shape} vs {observed.shape}"
-        )
+    samples, observed = _aligned(samples, observed)
+    if samples.ndim != 3:
+        raise InputValidationError(f"expected samples (N, m, s), got {samples.shape}")
     if len(region_ids) != observed.shape[0]:
-        raise InputValidationError(
-            f"{len(region_ids)} region ids for {observed.shape[0]} regions"
-        )
+        raise InputValidationError(f"{len(region_ids)} region ids for {observed.shape[0]} regions")
 
     wql = {t: weighted_quantile_loss(samples, observed, t) for t in QUANTILES}
     cov_int = {a: coverage(samples, observed, a) for a in COVERAGE_LEVELS}

@@ -595,6 +595,25 @@ class TestCli:
             assert (tmp_path / "cli" / name).read_bytes() == \
                 (ref / name).read_bytes(), name
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{cfg}"],
+        ["evaluate", "--config", "{cfg}"],
+        ["evaluate", "--seed", "3"],
+    ], ids=["simulate-config", "evaluate-config", "evaluate-seed"])
+    def test_unread_common_flag_rejected(self, tmp_path, capsys, argv):
+        # simulate and evaluate read no config file and evaluate draws no
+        # random numbers, so argparse refuses these flags before any write.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("bogus_key=1\n")
+        out = tmp_path / "out"
+        files = ["--forecast", str(tmp_path / "f.csv"),
+                 "--truth", str(tmp_path / "t.csv")] if argv[0] == "evaluate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([*(a.format(cfg=cfg) for a in argv), "--out", str(out), *files])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [
         ["--distribution", "cauchy"], ["--epochs", "0"],
         ["--grad-clip", "nan"], ["--learning-rate", "nan"],

@@ -22,6 +22,23 @@ from stcast.metrics import (
 GAUSSIAN_CRPS_AT_MODE = 0.233694977255109
 
 
+def per_cell_crps(samples, observed):
+    """Reference: the per-cell loop the kernel replaced, np.dot over each
+    cell's sorted 1-D copy."""
+    samples = np.asarray(samples, dtype=float)
+    observed = np.asarray(observed, dtype=float)
+    n = samples.shape[-1]
+    coeff = 2.0 * np.arange(n) - n + 1.0
+    flat_s = samples.reshape(-1, n)
+    out = []
+    for k, obs in enumerate(observed.reshape(-1)):
+        cell = flat_s[k].ravel()
+        term1 = np.mean(np.abs(cell - obs))
+        pairwise = 2.0 * np.dot(coeff, np.sort(cell))
+        out.append(float(term1 - pairwise / (2.0 * n * n)))
+    return out
+
+
 def gaussian_crps(mu, sigma, x):
     """Closed-form oracle for a Gaussian predictive distribution."""
     z = (x - mu) / sigma
@@ -90,6 +107,32 @@ class TestCrps:
     def test_fewer_than_two_samples_rejected(self):
         with pytest.raises(InputValidationError):
             crps_from_samples(np.array([1.0]), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 37, 100])
+    @pytest.mark.parametrize("layout", ["c-order", "forecaster", "sample-major"])
+    def test_kernel_matches_per_cell_loop_bit_for_bit(self, n, layout):
+        rng = np.random.default_rng(n)
+        obs = rng.normal(size=(5, 4))
+        if layout == "c-order":
+            samples = rng.normal(size=(5, 4, n))
+        elif layout == "forecaster":
+            # (N, s, m) buffer handed back as an (N, m, s) view.
+            samples = rng.normal(size=(5, n, 4)).transpose(0, 2, 1)
+        else:
+            samples = rng.normal(size=(n, 5, 4)).transpose(1, 2, 0)
+        ref = per_cell_crps(samples, obs)
+        got = crps_from_samples(samples, obs)
+        assert got.shape == obs.shape
+        assert got.ravel().tolist() == ref
+        assert mean_crps(samples, obs) == float(np.mean(ref))
+        one = crps_from_samples(samples[2, 1], obs[2, 1])
+        assert type(one) is float
+        assert one == per_cell_crps(samples[2, 1], obs[2, 1])[0]
+
+    def test_nd_samples_need_per_cell_observations(self):
+        # A scalar observation no longer pools an N-D ensemble into one cell.
+        with pytest.raises(InputValidationError, match="align"):
+            crps_from_samples(np.ones((3, 4)), 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(shift=st.floats(-50, 50), scale=st.floats(0.01, 50))
@@ -250,3 +293,21 @@ class TestScoreReport:
     def test_mean_crps_alignment_check(self):
         with pytest.raises(InputValidationError):
             mean_crps(np.zeros((2, 3, 4)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("score", [
+    mean_crps,
+    lambda s, o: weighted_quantile_loss(s, o, 0.5),
+    lambda s, o: coverage(s, o, 0.1),
+    lambda s, o: quantile_exceedance(s, o, 0.5),
+], ids=["crps", "wql", "coverage", "quantile_exceedance"])
+@pytest.mark.parametrize("cut", [lambda o: o[0], lambda o: o[:, :1]],
+                         ids=["first-row", "first-column"])
+def test_misaligned_observations_rejected(score, cut):
+    # Every score pairs samples[..., :] with observed[...] cell by cell;
+    # observations that would broadcast against the quantiles are refused.
+    rng = np.random.default_rng(4)
+    samples = rng.normal(size=(4, 3, 50))
+    observed = rng.normal(size=(4, 3)) + 1.0
+    with pytest.raises(InputValidationError, match="align"):
+        score(samples, cut(observed))
