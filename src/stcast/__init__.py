@@ -12,7 +12,7 @@ from .causal import (
     estimate_ols_given_rho,
     estimate_rho_iv,
     fit_did,
-    report_parameters,
+    parameter_report,
 )
 from .config import RunConfig, load_run_config
 from .forecaster import ForecastDistribution, ForecastModel, ModelConfig
@@ -68,8 +68,8 @@ __all__ = [
     "generate",
     "geodesic_distance",
     "load_run_config",
+    "parameter_report",
     "quantile",
-    "report_parameters",
     "run_pipeline",
     "score_report",
     "spatial_lag",

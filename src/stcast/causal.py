@@ -14,6 +14,11 @@ treatment effect from treated post-period cells and
 ``build_adjusted_input`` folds the spatial spillover back in to produce
 the forecaster's conditioning series.
 
+The fit is a ``DidEstimate``: one ordered table of (estimate, standard
+error) rows named by ``coefficient_names(D)``, plus the residual
+variance.  The CSV writers and reader and ``parameter_report`` all
+iterate that table; no other code lists the coefficient names.
+
 Each ablation is a property of the inputs, not a flag: a spatial matrix
 of ``None`` drops the lag term (no IV stage, rho = 0, z = y_tilde), and a
 panel with D = 0 covariate columns drops the gamma term.
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 import datetime as dt
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -125,49 +132,68 @@ class Panel:
         )
 
 
+def invalid_rows(table: Mapping[str, tuple[float, float | None]],
+                 residual_variance: float):
+    """(name, error) for each row an estimate cannot hold: a negative
+    residual variance, a rho with |rho| >= 1, or a non-positive standard
+    error when the residual variance is positive."""
+    if not residual_variance >= 0:
+        yield "residual_variance", InputValidationError(
+            f"residual variance must be non-negative, got {residual_variance!r}")
+    rho = abs(table["rho"][0])
+    if rho >= 1.0:
+        yield "rho", NonstationarityError(
+            f"|rho| = {rho:.4f} >= 1: spatial autoregression is nonstationary")
+    for name, (_, se) in table.items():
+        if residual_variance > 0 and se is not None and not se > 0:
+            yield name, InputValidationError(
+                f"standard error of '{name}' must be positive, got {se!r}")
+
+
 @dataclass(frozen=True)
 class DidEstimate:
-    """Fitted regression coefficients with classical standard errors.
-
-    ``standard_errors`` maps coefficient names (rho, beta0, beta1, beta2,
-    delta, gamma1..gammaD) to their standard errors; rho is absent when
-    the fit had no spatial matrix.
+    """The fitted regression: a read-only table mapping each name of
+    ``coefficient_names(D)``, in that order, to (estimate, std_error or
+    None), plus the residual variance.  A fit without a spatial matrix has
+    rho = 0.0 with no standard error; a ground truth has none at all.
     """
 
-    rho: float
-    beta0: float
-    beta1: float
-    beta2: float
-    delta: float
-    gamma: np.ndarray
+    table: Mapping[str, tuple[float, float | None]]
     residual_variance: float
-    standard_errors: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
-        object.__setattr__(self, "gamma", g)
-        g.setflags(write=False)
-        if abs(self.rho) >= 1.0:
-            raise NonstationarityError(
-                f"|rho| = {abs(self.rho):.4f} >= 1: spatial autoregression "
-                "is nonstationary"
-            )
-        if self.residual_variance > 0:
-            bad = [k for k, v in self.standard_errors.items() if not v > 0]
-            if bad:
-                raise InputValidationError(
-                    f"standard errors must be positive, offending: {bad}"
-                )
+        table = {name: (float(value), None if se is None else float(se))
+                 for name, (value, se) in self.table.items()}
+        object.__setattr__(self, "table", MappingProxyType(table))
+        expected = coefficient_names(max(len(table) - 5, 0))
+        if list(table) != expected:
+            raise InputValidationError(
+                f"coefficients are {list(table)}, expected {expected}")
+        for _, err in invalid_rows(table, self.residual_variance):
+            raise err
+
+    def __reduce__(self):               # a mappingproxy does not pickle
+        return DidEstimate, (dict(self.table), self.residual_variance)
+
+    @property
+    def rho(self) -> float:
+        return self.table["rho"][0]
+
+    @property
+    def delta(self) -> float:
+        return self.table["delta"][0]
+
+    @property
+    def standard_errors(self) -> dict[str, float]:
+        """A new name -> standard error dict of the rows that have one."""
+        return {name: se for name, (_, se) in self.table.items()
+                if se is not None}
 
     def coefficient_names(self) -> list[str]:
-        return ["rho", "beta0", "beta1", "beta2", "delta"] + [
-            f"gamma{k + 1}" for k in range(len(self.gamma))
-        ]
+        return list(self.table)
 
     def coefficient_values(self) -> list[float]:
-        return [self.rho, self.beta0, self.beta1, self.beta2, self.delta] + [
-            float(g) for g in self.gamma
-        ]
+        return [value for value, _ in self.table.values()]
 
 
 @dataclass(frozen=True)
@@ -194,10 +220,11 @@ class AdjustedPanel:
 # Design matrix
 # ---------------------------------------------------------------------------
 
-# Design column label -> DidEstimate coefficient name; the covariate
-# columns c1..cD map to gamma1..gammaD.
-_COEFFICIENT_NAMES = {"const": "beta0", "treated": "beta1", "post": "beta2",
-                      "treated_post": "delta"}
+def coefficient_names(d: int) -> list[str]:
+    """A ``DidEstimate``'s row names in order: rho for the spatial lag,
+    then one per exogenous design column."""
+    return (["rho", "beta0", "beta1", "beta2", "delta"]
+            + [f"gamma{k + 1}" for k in range(d)])
 
 
 def design_column_labels(d: int) -> list[str]:
@@ -348,31 +375,17 @@ def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
     return rho_hat, rho_se
 
 
-def _ols_estimate(X: np.ndarray, targets: np.ndarray, labels: list[str],
-                  rho: float, rho_se: float | None = None) -> DidEstimate:
-    """OLS of ``targets`` on the exogenous columns ``X`` (``labels``, from
-    const on) with classical standard errors, packed with the given lag
+def _ols_estimate(X: np.ndarray, targets: np.ndarray, d: int, rho: float,
+                  rho_se: float | None = None) -> DidEstimate:
+    """OLS of ``targets`` on the exogenous design columns ``X`` (const on)
+    with classical standard errors, tabled after the given lag
     coefficient and, when known, its standard error."""
-    beta, xtx_inv = _least_squares(X, targets, labels)
+    beta, xtx_inv = _least_squares(X, targets, design_column_labels(d)[1:])
     residuals = targets - X @ beta
     sigma2 = float(residuals @ residuals) / max(len(targets) - X.shape[1], 1)
     ses = np.sqrt(sigma2 * np.diag(xtx_inv))
-    standard_errors = {
-        _COEFFICIENT_NAMES.get(label, "gamma" + label[1:]): float(se)
-        for label, se in zip(labels, ses)
-    }
-    if rho_se is not None:
-        standard_errors["rho"] = float(rho_se)
-    return DidEstimate(
-        rho=float(rho),
-        beta0=float(beta[0]),
-        beta1=float(beta[1]),
-        beta2=float(beta[2]),
-        delta=float(beta[3]),
-        gamma=beta[4:],
-        residual_variance=sigma2,
-        standard_errors=standard_errors,
-    )
+    rows = [(rho, rho_se), *zip(beta, ses)]
+    return DidEstimate(dict(zip(coefficient_names(d), rows)), sigma2)
 
 
 def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
@@ -388,7 +401,7 @@ def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
             f"design matrix has {X.shape[1]} columns, expected {len(labels)}"
         )
     offset_targets = targets - rho_hat * X[:, 0]
-    return _ols_estimate(X[:, 1:], offset_targets, labels[1:], rho_hat, rho_se)
+    return _ols_estimate(X[:, 1:], offset_targets, d, rho_hat, rho_se)
 
 
 def fit_did(p: Panel, S: SpatialMatrix | None) -> DidEstimate:
@@ -399,7 +412,7 @@ def fit_did(p: Panel, S: SpatialMatrix | None) -> DidEstimate:
     """
     X, targets = build_design_matrix(p, S)
     if S is None:
-        return _ols_estimate(X, targets, design_column_labels(p.d)[1:], 0.0)
+        return _ols_estimate(X, targets, p.d, 0.0)
     rho_hat, rho_se = estimate_rho_iv(X, targets, S, p)
     return estimate_ols_given_rho(X, targets, rho_hat, p.d, rho_se=rho_se)
 
@@ -453,39 +466,14 @@ def _intervention_flag(delta: float) -> str:
     return "adverse (positive effect estimate)"
 
 
-@dataclass(frozen=True)
-class ParameterReport:
-    """Interpretable summary of a fitted estimate."""
-
-    estimate: DidEstimate
-    spillover_flag: str
-    intervention_flag: str
-
-    def rows(self) -> list[tuple[str, float, float | None]]:
-        """(coefficient, estimate, std_error|None) rows for CSV export."""
-        out = []
-        for name, value in zip(self.estimate.coefficient_names(),
-                               self.estimate.coefficient_values()):
-            out.append((name, value, self.estimate.standard_errors.get(name)))
-        return out
-
-    def text(self) -> str:
-        lines = ["fitted causal parameters", "-" * 38]
-        for name, value, se in self.rows():
-            se_txt = f" (se {se:.6g})" if se is not None else ""
-            lines.append(f"{name:>12s}: {value: .6g}{se_txt}")
-        lines.append(f"{'spillover':>12s}: {self.spillover_flag}")
-        lines.append(f"{'intervention':>12s}: {self.intervention_flag}")
-        lines.append(
-            f"{'residual var':>12s}: {self.estimate.residual_variance:.6g}"
-        )
-        return "\n".join(lines) + "\n"
-
-
-def report_parameters(est: DidEstimate) -> ParameterReport:
-    """Qualitative flags plus per-coefficient estimates/standard errors."""
-    return ParameterReport(
-        estimate=est,
-        spillover_flag=_spillover_flag(est.rho),
-        intervention_flag=_intervention_flag(est.delta),
-    )
+def parameter_report(est: DidEstimate) -> str:
+    """The text of parameter_report.txt: one line per table row with its
+    standard error, the two qualitative flags and the residual variance."""
+    lines = ["fitted causal parameters", "-" * 38]
+    for name, (value, se) in est.table.items():
+        se_txt = "" if se is None else f" (se {se:.6g})"
+        lines.append(f"{name:>12s}: {value: .6g}{se_txt}")
+    lines.append(f"{'spillover':>12s}: {_spillover_flag(est.rho)}")
+    lines.append(f"{'intervention':>12s}: {_intervention_flag(est.delta)}")
+    lines.append(f"{'residual var':>12s}: {est.residual_variance:.6g}")
+    return "\n".join(lines) + "\n"

@@ -117,7 +117,7 @@ def _cmd_estimate(args) -> int:
     config, out, regions, _, panel_t = _stage_inputs(args)
     S = build_spatial_matrix(regions, config.alpha)
     _, report = pipeline.estimate(panel_t, S, config, out)
-    print(report.text(), end="")
+    print(report, end="")
     return 0
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-import re
 
 import numpy as np
 
-from .causal import AdjustedPanel, DidEstimate, Panel, ParameterReport
+from .causal import (AdjustedPanel, DidEstimate, Panel, coefficient_names,
+                     invalid_rows)
 from .errors import AlignmentError, IngestionError
 from .metrics import ScoreReport
 from .spatial import Region, RegionSet
@@ -246,57 +246,50 @@ def read_truth_values(path) -> dict[tuple[str, dt.date], float]:
 def write_did_estimate_csv(est: DidEstimate, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("coefficient,estimate,std_error\n")
-        for name, value in zip(est.coefficient_names(), est.coefficient_values()):
-            se = est.standard_errors.get(name)
+        for name, (value, se) in est.table.items():
             fh.write(f"{name},{_fmt(value)},{'' if se is None else _fmt(se)}\n")
         fh.write(f"residual_variance,{_fmt(est.residual_variance)},\n")
 
 
-_DID_REQUIRED = ("rho", "beta0", "beta1", "beta2", "delta", "residual_variance")
-_GAMMA = re.compile(r"gamma[1-9][0-9]*")
-
-
 def read_did_estimate(path) -> DidEstimate:
-    """Parse did_estimate.csv.  Its rows, in any order, are exactly the
-    required coefficients plus gamma1..gammaD for some D >= 0; any other
-    name, or a gamma beyond the first missing one, is an IngestionError
-    citing its line."""
+    """Parse did_estimate.csv.  Its rows, in any order, are exactly
+    ``coefficient_names(D)`` for some D >= 0 plus ``residual_variance``;
+    the estimate's table keeps the canonical order.  Any other name, a
+    gamma beyond the first missing one, or a value the estimate rejects
+    (a negative residual_variance, |rho| >= 1, a non-positive std_error
+    when residual_variance > 0) is an IngestionError citing its line."""
     _, rows = _read_rows(path, ["coefficient", "estimate", "std_error"])
-    values: dict[str, float] = {}
-    ses: dict[str, float] = {}
+    # No well-formed file has more gammas than rows.
+    known = {*coefficient_names(len(rows)), "residual_variance"}
+    parsed: dict[str, tuple[float, float | None]] = {}
     first_line: dict[str, int] = {}
     for line, row in rows:
         name = row[0].strip()
-        if name not in _DID_REQUIRED and not _GAMMA.fullmatch(name):
+        if name not in known:
             raise IngestionError(f"line {line}: unknown coefficient '{name}'")
         _record_key(first_line, name, line, "coefficient '{}'")
-        values[name] = _parse_float(row[1], line, "estimate")
-        if row[2].strip():
-            ses[name] = _parse_float(row[2], line, "std_error")
-    missing = [k for k in _DID_REQUIRED if k not in values]
+        se = row[2].strip()
+        parsed[name] = (_parse_float(row[1], line, "estimate"),
+                        _parse_float(se, line, "std_error") if se else None)
+    missing = [name for name in [*coefficient_names(0), "residual_variance"]
+               if name not in parsed]
     if missing:
         raise IngestionError(f"{path}: missing coefficients {missing}")
-    indices = sorted(int(k[5:]) for k in values if k.startswith("gamma"))
+    indices = sorted(int(name[5:]) for name in parsed if name.startswith("gamma"))
     for k, index in enumerate(indices, start=1):
         if index != k:
             raise IngestionError(f"line {first_line[f'gamma{index}']}: "
                                  f"coefficient 'gamma{index}' without 'gamma{k}'")
-    gamma = [values[f"gamma{k}"] for k in indices]
-    return DidEstimate(
-        rho=values["rho"],
-        beta0=values["beta0"],
-        beta1=values["beta1"],
-        beta2=values["beta2"],
-        delta=values["delta"],
-        gamma=np.array(gamma),
-        residual_variance=values["residual_variance"],
-        standard_errors=ses,
-    )
+    table = {name: parsed[name] for name in coefficient_names(len(indices))}
+    residual_variance = parsed["residual_variance"][0]
+    for name, err in invalid_rows(table, residual_variance):
+        raise IngestionError(f"line {first_line[name]}: {err}")
+    return DidEstimate(table, residual_variance)
 
 
-def write_parameter_report(report: ParameterReport, path) -> None:
+def write_parameter_report(report: str, path) -> None:
     with open(path, "w") as fh:
-        fh.write(report.text())
+        fh.write(report)
 
 
 def write_adjusted_csv(panel: Panel, adjusted: AdjustedPanel, path) -> None:
@@ -335,8 +328,7 @@ def read_adjusted_csv(path, panel: Panel) -> AdjustedPanel:
 def write_ground_truth_csv(truth: DidEstimate, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("coefficient,value\n")
-        for name, value in zip(truth.coefficient_names(),
-                               truth.coefficient_values()):
+        for name, (value, _) in truth.table.items():
             fh.write(f"{name},{_fmt(value)}\n")
         fh.write(f"residual_variance,{_fmt(truth.residual_variance)}\n")
 

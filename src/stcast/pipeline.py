@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .causal import Panel, adjust_panel, fit_did, report_parameters
+from .causal import Panel, adjust_panel, fit_did, parameter_report
 from .config import RunConfig
 from .errors import (AlignmentError, InputValidationError,
                      InsufficientDataError, StcastError)
@@ -121,7 +121,7 @@ def _ablate(panel_t: Panel, S, config: RunConfig):
 def estimate(panel_t: Panel, S, config: RunConfig, out: Path):
     """Fit the regression; returns the estimate and its parameter report."""
     est = fit_did(*_ablate(panel_t, S, config))
-    report = report_parameters(est)
+    report = parameter_report(est)
     dataio.write_did_estimate_csv(est, out / "did_estimate.csv")
     dataio.write_parameter_report(report, out / "parameter_report.txt")
     return est, report

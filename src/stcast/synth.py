@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .causal import DidEstimate, Panel
+from .causal import DidEstimate, Panel, coefficient_names
 from .errors import GeneratorInstabilityError, InputValidationError
 from .spatial import Region, RegionSet, build_spatial_matrix
 
@@ -150,14 +150,9 @@ def generate(spec: GeneratorSpec) -> tuple[RegionSet, Panel, DidEstimate]:
         treated=treated,
         post=post[BURN_IN:],
     )
-    truth = DidEstimate(
-        rho=spec.true_rho,
-        beta0=spec.true_beta0,
-        beta1=spec.true_beta1,
-        beta2=spec.true_beta2,
-        delta=spec.true_delta,
-        gamma=gamma,
-        residual_variance=spec.noise_sigma**2,
-        standard_errors={},
-    )
+    values = (spec.true_rho, spec.true_beta0, spec.true_beta1, spec.true_beta2,
+              spec.true_delta, *spec.true_gamma)
+    truth = DidEstimate({name: (value, None) for name, value
+                         in zip(coefficient_names(d), values)},
+                        spec.noise_sigma**2)
     return regions, panel, truth

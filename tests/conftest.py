@@ -42,3 +42,14 @@ def make_panel(y, c=None, treated=None, post=None, start=dt.date(2021, 1, 1)):
 def small_panel():
     rng = np.random.default_rng(123)
     return make_panel(rng.normal(size=(4, 12)), c=rng.normal(size=(4, 12, 4)))
+
+
+def coefficients(est):
+    """Coefficient name -> estimate, over the estimate's table rows."""
+    return {name: value for name, (value, _) in est.table.items()}
+
+
+def gammas(est):
+    """The covariate coefficients gamma1..gammaD as an array."""
+    return np.array([value for name, (value, _) in est.table.items()
+                     if name.startswith("gamma")])

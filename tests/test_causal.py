@@ -1,5 +1,7 @@
+import copy
 import datetime as dt
 import itertools
+import pickle
 import re
 import warnings
 from dataclasses import replace
@@ -16,11 +18,12 @@ from stcast.causal import (
     build_adjusted_input,
     build_design_matrix,
     causal_adjust,
+    coefficient_names,
     design_column_labels,
     estimate_ols_given_rho,
     estimate_rho_iv,
     fit_did,
-    report_parameters,
+    parameter_report,
 )
 from stcast.config import RunConfig
 from stcast.errors import (
@@ -33,7 +36,7 @@ from stcast.pipeline import estimate
 from stcast.spatial import build_spatial_matrix, spatial_lag
 from stcast.synth import GeneratorSpec, generate
 
-from conftest import make_panel
+from conftest import coefficients, gammas, make_panel
 
 
 def _without_factors(panel):
@@ -42,14 +45,9 @@ def _without_factors(panel):
 
 
 def _estimate(gamma=(1.0, -0.5), rho=0.3, delta=-2.0, se=0.1):
-    names = ["rho", "beta0", "beta1", "beta2", "delta"] + [
-        f"gamma{k + 1}" for k in range(len(gamma))
-    ]
-    return DidEstimate(
-        rho=rho, beta0=1.0, beta1=0.5, beta2=-0.2, delta=delta,
-        gamma=np.array(gamma), residual_variance=0.01,
-        standard_errors={n: se for n in names},
-    )
+    values = (rho, 1.0, 0.5, -0.2, delta, *gamma)
+    return DidEstimate({name: (value, se) for name, value
+                        in zip(coefficient_names(len(gamma)), values)}, 0.01)
 
 
 class TestPanelValidation:
@@ -77,10 +75,57 @@ class TestDidEstimateType:
             _estimate(rho=1.0)
 
     def test_nonpositive_se_rejected(self):
-        with pytest.raises(InputValidationError):
-            DidEstimate(rho=0.1, beta0=0, beta1=0, beta2=0, delta=0,
-                        gamma=np.zeros(1), residual_variance=0.5,
-                        standard_errors={"delta": 0.0})
+        table = {**_estimate(gamma=(0.0,)).table, "delta": (0.0, 0.0)}
+        with pytest.raises(InputValidationError, match=re.escape(
+                "standard error of 'delta' must be positive, got 0.0")):
+            DidEstimate(table, 0.5)
+
+    @pytest.mark.parametrize("names", [
+        ["beta0", "beta1", "beta2", "delta"],
+        ["rho", "beta0", "beta1", "beta2", "delta", "gamma2", "gamma1"],
+        ["rho", "beta1", "beta0", "beta2", "delta"],
+        ["rho", "beta0", "beta1", "beta2", "delta", "gamma0"],
+        ["rho", "beta0", "beta1", "beta2", "delta", "residual_variance"],
+    ], ids=["no-rho", "gamma-order", "beta-order", "gamma0", "extra-row"])
+    def test_other_name_lists_rejected(self, names):
+        with pytest.raises(InputValidationError, match="coefficients are"):
+            DidEstimate({name: (0.0, None) for name in names}, 0.5)
+
+    def test_table_is_read_only(self, tmp_path):
+        # Neither the table nor the SE view can change an estimate after
+        # its checks ran, so the writer never emits a file the reader refuses.
+        given = dict(_estimate().table)
+        est = DidEstimate(given, 0.01)
+        before = list(est.table.items())
+        with pytest.raises(TypeError):
+            est.table["delta"] = (0.0, -5.0)
+        ses = est.standard_errors
+        ses["delta"] = -5.0
+        given["delta"] = (0.0, -5.0)
+        assert list(est.table.items()) == before
+        assert est.standard_errors["delta"] == 0.1
+        path = tmp_path / "did_estimate.csv"
+        dataio.write_did_estimate_csv(est, path)
+        assert dataio.read_did_estimate(path) == est
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda est: pickle.loads(pickle.dumps(est)), copy.deepcopy, copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_are_equal(self, round_trip):
+        est = _estimate(gamma=(1.0, -0.5, 0.25))
+        copied = round_trip(est)
+        assert copied == est
+        assert list(copied.table.items()) == list(est.table.items())
+        with pytest.raises(TypeError):
+            copied.table["rho"] = (0.0, None)
+
+    def test_views_follow_the_table(self):
+        est = _estimate(gamma=(1.0, -0.5), rho=0.3, delta=-2.0)
+        names = coefficient_names(2)
+        assert est.coefficient_names() == names == list(est.table)
+        assert est.coefficient_values() == [0.3, 1.0, 0.5, -0.2, -2.0, 1.0, -0.5]
+        assert list(est.standard_errors) == names
+        assert (est.rho, est.delta) == (0.3, -2.0)
 
 
 class TestBuildDesignMatrix:
@@ -153,12 +198,9 @@ class TestEstimation:
         regions, panel, truth = generate(spec)
         S = build_spatial_matrix(regions, spec.alpha)
         est = fit_did(panel, S)
-        assert est.rho == pytest.approx(truth.rho, abs=1e-8)
-        assert est.delta == pytest.approx(truth.delta, abs=1e-8)
-        assert est.beta0 == pytest.approx(truth.beta0, abs=1e-8)
-        assert est.beta1 == pytest.approx(truth.beta1, abs=1e-8)
-        assert est.beta2 == pytest.approx(truth.beta2, abs=1e-8)
-        assert np.allclose(est.gamma, truth.gamma, atol=1e-8)
+        assert list(est.table) == list(truth.table)
+        for name, (value, _) in truth.table.items():
+            assert est.table[name][0] == pytest.approx(value, abs=1e-8), name
 
     def test_zero_spillover_recovered(self):
         spec = GeneratorSpec(noise_sigma=0.1, true_rho=0.0, seed=3, t_steps=400)
@@ -252,8 +294,7 @@ class TestEstimation:
         X, targets = build_design_matrix(panel, S)
         est = fit_did(panel, S)
         offset = targets - est.rho * X[:, 0]
-        beta = np.array([est.beta0, est.beta1, est.beta2, est.delta,
-                         *est.gamma])
+        beta = np.array(est.coefficient_values()[1:])
         residuals = offset - X[:, 1:] @ beta
         assert np.max(np.abs(X[:, 1:].T @ residuals)) < 1e-8
 
@@ -328,26 +369,20 @@ def _inv_gram_ols(X, targets, labels):
     return beta, sigma2, np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
+# Design column label -> coefficient name, written out independently of
+# the library's one name list.
+_LABEL_NAMES = {"const": "beta0", "treated": "beta1", "post": "beta2",
+                "treated_post": "delta"}
+
+
 def _inv_gram_estimate(X, targets, labels, rho, rho_se=None):
-    """The reference OLS packed as a DidEstimate, with the SE map built
-    key by key in the order the estimate is expected to keep."""
+    """The reference OLS as a DidEstimate: rho's row first, then one row
+    per design column, each named from its label."""
     beta, sigma2, ses = _inv_gram_ols(X, targets, labels)
-    se_map = dict(zip(labels, ses))
-    standard_errors = {
-        "beta0": float(se_map["const"]),
-        "beta1": float(se_map["treated"]),
-        "beta2": float(se_map["post"]),
-        "delta": float(se_map["treated_post"]),
-    }
-    for k in range(len(beta) - 4):
-        standard_errors[f"gamma{k + 1}"] = float(se_map[f"c{k + 1}"])
-    if rho_se is not None:
-        standard_errors["rho"] = float(rho_se)
-    return DidEstimate(
-        rho=float(rho), beta0=float(beta[0]), beta1=float(beta[1]),
-        beta2=float(beta[2]), delta=float(beta[3]), gamma=beta[4:],
-        residual_variance=sigma2, standard_errors=standard_errors,
-    )
+    table = {"rho": (rho, rho_se)}
+    for label, value, se in zip(labels, beta, ses):
+        table[_LABEL_NAMES.get(label, "gamma" + label[1:])] = (value, se)
+    return DidEstimate(table, sigma2)
 
 
 def _inv_gram_fit_did(p, S, no_spatial=False, no_factors=False):
@@ -408,13 +443,13 @@ def _tail_panels():
 
 
 def _outcome(fit, panel, S, flags):
-    """Every field of the estimate but the SE values, with the SE-dict
-    order, or the error; then the SE values."""
+    """The estimate's row names and values, residual variance and which
+    rows have an SE, or the error; then the SE values."""
     try:
         est = fit(panel, S, **flags)
     except Exception as err:            # noqa: BLE001 - compared, not hidden
         return (type(err), str(err)), []
-    return ((est.coefficient_values(), est.gamma.tobytes(),
+    return ((list(est.table), est.coefficient_values(),
              est.residual_variance, list(est.standard_errors)),
             list(est.standard_errors.values()))
 
@@ -443,9 +478,13 @@ class TestOlsTail:
         regions, panel, _ = generate(spec)
         est = _ablated_fit_did(panel, build_spatial_matrix(regions, spec.alpha),
                                **flags)
-        names = est.coefficient_names()     # rho first, then beta0 ...
-        with_se = names[1:] + ([] if flags["no_spatial"] else ["rho"])
+        names = coefficient_names(0 if flags["no_factors"] else panel.d)
+        assert list(est.table) == names     # rho first, then beta0 ...
+        # The SE view follows table order; rho has none without a matrix.
+        with_se = names[1:] if flags["no_spatial"] else names
         assert list(est.standard_errors) == with_se
+        if flags["no_spatial"]:
+            assert est.table["rho"] == (0.0, None)
         path = tmp_path / "did_estimate.csv"
         dataio.write_did_estimate_csv(est, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -469,11 +508,9 @@ class TestOlsTail:
         config = RunConfig(no_spatial=no_spatial, no_factors=True)
         ablated, _ = estimate(panel, S, config, tmp_path)
         got = fit_did(bare, None if no_spatial else S)
-        assert got.coefficient_values() == ablated.coefficient_values()
-        assert got.gamma.size == 0
+        assert list(got.table.items()) == list(ablated.table.items())
+        assert list(got.table) == coefficient_names(0)
         assert got.residual_variance == ablated.residual_variance
-        assert list(got.standard_errors.items()) == \
-            list(ablated.standard_errors.items())
 
 
 class TestLeastSquares:
@@ -616,39 +653,51 @@ class TestAdjustment:
         regions, panel, truth = generate(spec)
         S = build_spatial_matrix(regions, spec.alpha)
         lag = spatial_lag(S, panel.y)
+        b = coefficients(truth)
         resid = (panel.y[:, 1:]
                  - truth.rho * lag[:, :-1]
-                 - truth.beta0
-                 - truth.beta1 * panel.treated[:, None]
-                 - truth.beta2 * panel.post[None, 1:]
+                 - b["beta0"]
+                 - b["beta1"] * panel.treated[:, None]
+                 - b["beta2"] * panel.post[None, 1:]
                  - truth.delta * np.outer(panel.treated, panel.post[1:])
-                 - np.einsum("itd,d->it", panel.c[:, 1:, :], truth.gamma))
+                 - np.einsum("itd,d->it", panel.c[:, 1:, :], gammas(truth)))
         # What remains is exactly the generator's noise draw.
         assert np.std(resid) < 3.0 * spec.noise_sigma
 
 
+def _report_fields(est):
+    """The report's lines after its title, as label -> text."""
+    lines = parameter_report(est).splitlines()[2:]
+    return dict(line.strip().split(": ", 1) for line in lines)
+
+
 class TestReport:
     def test_strong_spillover_flag(self):
-        report = report_parameters(_estimate(rho=0.35))
-        assert report.spillover_flag == "strong positive spatial correlation"
+        fields = _report_fields(_estimate(rho=0.35))
+        assert fields["spillover"] == "strong positive spatial correlation"
 
     def test_effective_intervention_flag(self):
-        report = report_parameters(_estimate(delta=-0.15))
-        assert report.intervention_flag == "effective"
+        assert _report_fields(_estimate(delta=-0.15))["intervention"] == \
+            "effective"
 
     def test_limited_effectiveness_flag(self):
-        report = report_parameters(_estimate(delta=0.0))
-        assert report.intervention_flag == "limited effectiveness"
+        assert _report_fields(_estimate(delta=0.0))["intervention"] == \
+            "limited effectiveness"
 
     def test_rows_cover_all_coefficients(self):
-        est = _estimate()
-        rows = report_parameters(est).rows()
-        names = [r[0] for r in rows]
-        assert names == ["rho", "beta0", "beta1", "beta2", "delta",
-                         "gamma1", "gamma2"]
-        assert all(r[2] == 0.1 for r in rows)
+        fields = _report_fields(_estimate())
+        assert list(fields) == ["rho", "beta0", "beta1", "beta2", "delta",
+                                "gamma1", "gamma2", "spillover",
+                                "intervention", "residual var"]
+        assert all(fields[name].endswith(" (se 0.1)")
+                   for name in coefficient_names(2))
+
+    def test_rows_without_standard_error(self):
+        fields = _report_fields(_estimate(se=None))
+        assert fields["rho"] == " 0.3"
+        assert fields["residual var"] == "0.01"
 
     def test_text_mentions_flags(self):
-        text = report_parameters(_estimate(rho=0.5, delta=-0.5)).text()
+        text = parameter_report(_estimate(rho=0.5, delta=-0.5))
         assert "strong positive spatial correlation" in text
         assert "effective" in text

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stcast import dataio, errors
-from stcast.causal import AdjustedPanel
+from stcast.causal import AdjustedPanel, coefficient_names
 from stcast.cli import build_parser, main
 from stcast.config import RunConfig, load_run_config, parse_config_file
 from stcast.errors import ConfigError, InputValidationError
@@ -211,7 +211,7 @@ class TestPipeline:
             warnings.simplefilter("ignore")
             artifacts = run_pipeline(cfg)
         est = dataio.read_did_estimate(artifacts["did_estimate.csv"])
-        assert est.rho == 0.0
+        assert est.table["rho"] == (0.0, None)
         text = artifacts["adjusted_panel.csv"].read_text().splitlines()[1:]
         for line in text:
             _, _, y_tilde, z = line.split(",")
@@ -224,7 +224,7 @@ class TestPipeline:
             warnings.simplefilter("ignore")
             artifacts = run_pipeline(cfg)
         est = dataio.read_did_estimate(artifacts["did_estimate.csv"])
-        assert est.gamma.size == 0
+        assert list(est.table) == coefficient_names(0)
 
     def test_model_label_names_each_ablation(self):
         labels = {(ns, nf): model_label(RunConfig(distribution="laplace",
@@ -570,6 +570,29 @@ class TestCli:
             del lines[k]
         else:
             lines[k] = new + lines[k][len(old):]
+        est_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["adjust", *flags, "--estimate", str(est_path)]) == 7
+        assert f"line {k + 1}: {message}" in capsys.readouterr().err
+        assert not (out / "adjusted_panel.csv").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("rho,1.0,0.05", "|rho| = 1.0000 >= 1"),
+        ("delta,-2.0,0.0", "standard error of 'delta' must be positive"),
+    ], ids=["rho-one", "delta-se-zero"])
+    def test_rejected_value_exit_code(self, synth_files, tmp_path, capsys,
+                                      row, message):
+        # A value the estimate refuses is a defect of the file (exit 7),
+        # not invalid input (2) or a failed estimation (4).
+        out = tmp_path / "stages"
+        flags = as_flags(base_overrides(synth_files, out))
+        assert main(["estimate", *flags]) == 0
+        est_path = out / "did_estimate.csv"
+        lines = est_path.read_text().splitlines()
+        name = row.split(",")[0]
+        k = next(k for k, text in enumerate(lines)
+                 if text.startswith(name + ","))
+        lines[k] = row
         est_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["adjust", *flags, "--estimate", str(est_path)]) == 7

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stcast import dataio
-from stcast.causal import AdjustedPanel, DidEstimate
+from stcast.causal import AdjustedPanel, DidEstimate, coefficient_names
 from stcast.errors import IngestionError
 from stcast.metrics import ScoreReport
 from stcast.synth import GeneratorSpec, generate
@@ -218,34 +218,31 @@ class TestAdjustedCsv:
 class TestEstimateRoundTrip:
     def test_did_estimate_csv(self, tmp_path):
         est = DidEstimate(
-            rho=0.31, beta0=1.0, beta1=0.2, beta2=-0.4, delta=-1.5,
-            gamma=np.array([0.9, -0.4, -1.1, 0.25]),
+            {"rho": (0.31, 0.05), "beta0": (1.0, 0.1), "beta1": (0.2, 0.1),
+             "beta2": (-0.4, 0.1), "delta": (-1.5, 0.2),
+             "gamma1": (0.9, 0.01), "gamma2": (-0.4, 0.02),
+             "gamma3": (-1.1, 0.03), "gamma4": (0.25, 0.04)},
             residual_variance=0.0123,
-            standard_errors={"rho": 0.05, "beta0": 0.1, "beta1": 0.1,
-                             "beta2": 0.1, "delta": 0.2, "gamma1": 0.01,
-                             "gamma2": 0.02, "gamma3": 0.03, "gamma4": 0.04},
         )
         path = tmp_path / "est.csv"
         dataio.write_did_estimate_csv(est, path)
         loaded = dataio.read_did_estimate(path)
-        assert loaded.rho == est.rho
-        assert loaded.delta == est.delta
-        assert np.array_equal(loaded.gamma, est.gamma)
+        assert list(loaded.table.items()) == list(est.table.items())
         assert loaded.residual_variance == est.residual_variance
-        assert loaded.standard_errors == est.standard_errors
+        assert loaded == est
 
     def test_no_spatial_estimate_blank_rho_se(self, tmp_path):
         est = DidEstimate(
-            rho=0.0, beta0=1.0, beta1=0.2, beta2=-0.4, delta=-1.5,
-            gamma=np.zeros(0), residual_variance=0.5,
-            standard_errors={"beta0": 0.1, "beta1": 0.1, "beta2": 0.1,
-                             "delta": 0.2},
+            {"rho": (0.0, None), "beta0": (1.0, 0.1), "beta1": (0.2, 0.1),
+             "beta2": (-0.4, 0.1), "delta": (-1.5, 0.2)},
+            residual_variance=0.5,
         )
         path = tmp_path / "est.csv"
         dataio.write_did_estimate_csv(est, path)
         text = path.read_text()
         assert "rho,0.0,\n" in text
         loaded = dataio.read_did_estimate(path)
+        assert loaded.table["rho"] == (0.0, None)
         assert "rho" not in loaded.standard_errors
 
     _ESTIMATE_HEAD = ("coefficient,estimate,std_error\n"
@@ -257,9 +254,53 @@ class TestEstimateRoundTrip:
                      + "gamma2,-0.4,0.02\nresidual_variance,0.5,\n"
                      "gamma1,0.9,0.01\n")
         loaded = dataio.read_did_estimate(path)
-        assert loaded.gamma.tolist() == [0.9, -0.4]
-        assert loaded.standard_errors["gamma1"] == 0.01
-        assert loaded.standard_errors["gamma2"] == 0.02
+        assert loaded.table["gamma1"] == (0.9, 0.01)
+        assert loaded.table["gamma2"] == (-0.4, 0.02)
+
+    def test_shuffled_rows_read_in_canonical_order(self, tmp_path):
+        # Gammas and residual_variance interleaved with the fixed rows read
+        # into the table's order and re-write to the canonical bytes.
+        canonical = (self._ESTIMATE_HEAD + "gamma1,0.9,0.01\n"
+                     "gamma2,-0.4,0.02\nresidual_variance,0.5,\n")
+        header, *rows = canonical.splitlines()
+        order = [6, 3, 0, 7, 5, 1, 4, 2]
+        path = write(tmp_path, "est.csv",
+                     "\n".join([header, *(rows[k] for k in order)]) + "\n")
+        loaded = dataio.read_did_estimate(path)
+        assert list(loaded.table) == coefficient_names(2)
+        dataio.write_did_estimate_csv(loaded, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_text() == canonical
+
+    @pytest.mark.parametrize("row, line, message", [
+        ("rho,1.0,0.05", 2, "|rho| = 1.0000 >= 1"),
+        ("rho,-1.5,", 2, "|rho| = 1.5000 >= 1"),
+        ("delta,-1.5,0.0", 6, "standard error of 'delta' must be positive"),
+        ("beta1,0.2,-0.1", 4, "standard error of 'beta1' must be positive"),
+        ("gamma1,0.9,0.0", 7, "standard error of 'gamma1' must be positive"),
+        ("residual_variance,-0.5,", 8,
+         "residual variance must be non-negative, got -0.5"),
+    ], ids=["rho-one", "rho-below-minus-one", "delta-se-zero",
+            "beta1-se-negative", "gamma1-se-zero", "negative-variance"])
+    def test_rejected_value_cites_its_line(self, tmp_path, row, line, message):
+        # Values the estimate itself refuses are ingestion errors of the
+        # file (exit 7), reported at the offending row.
+        name = row.split(",")[0]
+        text = self._ESTIMATE_HEAD + "gamma1,0.9,0.01\nresidual_variance,0.5,\n"
+        lines = [row if k.startswith(name + ",") else k
+                 for k in text.splitlines()]
+        path = write(tmp_path, "est.csv", "\n".join(lines) + "\n")
+        with pytest.raises(IngestionError,
+                           match=re.escape(f"line {line}: {message}")):
+            dataio.read_did_estimate(path)
+
+    def test_zero_standard_error_allowed_without_residual_variance(
+            self, tmp_path):
+        # A perfect fit has zero residual variance and zero SEs.
+        path = write(tmp_path, "est.csv",
+                     self._ESTIMATE_HEAD.replace("delta,-1.5,0.2",
+                                                 "delta,-1.5,0.0")
+                     + "residual_variance,0.0,\n")
+        assert dataio.read_did_estimate(path).table["delta"] == (-1.5, 0.0)
 
     def test_gamma_gap_rejected(self, tmp_path):
         # gamma3 with no gamma2 would otherwise be read as gamma2.
@@ -377,9 +418,10 @@ def reader_case(name, tmp_path):
     """(writer of a well-formed file, reader of it) for each CSV reader."""
     rs, panel = dataio.ingest(write(tmp_path, "regions.csv", GOOD_REGIONS),
                               write(tmp_path, "panel.csv", GOOD_PANEL), ONSET)
-    est = DidEstimate(rho=0.3, beta0=1.0, beta1=0.2, beta2=-0.4, delta=-1.5,
-                      gamma=np.array([0.9, -0.4]), residual_variance=0.5,
-                      standard_errors={"rho": 0.05})
+    est = DidEstimate({"rho": (0.3, 0.05), "beta0": (1.0, None),
+                       "beta1": (0.2, None), "beta2": (-0.4, None),
+                       "delta": (-1.5, None), "gamma1": (0.9, None),
+                       "gamma2": (-0.4, None)}, residual_variance=0.5)
     samples = np.zeros((panel.n, panel.t, 2))
     return {
         "regions": (lambda p: dataio.write_regions_csv(rs, panel.treated, p),

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from stcast import dataio
+from stcast.causal import coefficient_names
 from stcast.errors import GeneratorInstabilityError, InputValidationError
 from stcast.spatial import build_spatial_matrix, spatial_lag
 from stcast.synth import GeneratorSpec, generate
+
+from conftest import coefficients, gammas
 
 
 class TestGeneratorSpec:
@@ -59,12 +63,13 @@ class TestGenerate:
         regions, panel, truth = generate(spec)
         S = build_spatial_matrix(regions, spec.alpha)
         lag = spatial_lag(S, panel.y)
+        b = coefficients(truth)
         rhs = (truth.rho * lag[:, :-1]
-               + truth.beta0
-               + truth.beta1 * panel.treated[:, None]
-               + truth.beta2 * panel.post[None, 1:]
+               + b["beta0"]
+               + b["beta1"] * panel.treated[:, None]
+               + b["beta2"] * panel.post[None, 1:]
                + truth.delta * np.outer(panel.treated, panel.post[1:])
-               + np.einsum("itd,d->it", panel.c[:, 1:, :], truth.gamma))
+               + np.einsum("itd,d->it", panel.c[:, 1:, :], gammas(truth)))
         assert np.allclose(panel.y[:, 1:], rhs, atol=1e-12)
 
     def test_ground_truth_echoes_spec(self):
@@ -72,10 +77,23 @@ class TestGenerate:
                              true_gamma=(0.1, 0.2), seed=4,
                              t_steps=50, post_onset_index=25)
         _, _, truth = generate(spec)
-        assert truth.rho == 0.25
-        assert truth.delta == -0.7
-        assert np.array_equal(truth.gamma, [0.1, 0.2])
+        assert truth.coefficient_values() == [0.25, 1.0, 0.5, -0.3, -0.7,
+                                              0.1, 0.2]
+        assert truth.standard_errors == {}
         assert truth.residual_variance == spec.noise_sigma**2
+
+    @pytest.mark.parametrize("true_gamma", [(0.1, 0.2, -0.3, 0.4), ()],
+                             ids=["D=4", "D=0"])
+    def test_ground_truth_csv_rows(self, true_gamma, tmp_path):
+        spec = GeneratorSpec(true_gamma=true_gamma, seed=4,
+                             t_steps=50, post_onset_index=25)
+        _, _, truth = generate(spec)
+        names = coefficient_names(len(true_gamma))
+        assert list(truth.table) == names
+        path = tmp_path / "ground_truth.csv"
+        dataio.write_ground_truth_csv(truth, path)
+        rows = [line.split(",")[0] for line in path.read_text().splitlines()]
+        assert rows == ["coefficient", *names, "residual_variance"]
 
     def test_treated_and_control_both_present(self):
         for seed in range(5):
