@@ -3,7 +3,7 @@
 Every key has a default; unknown keys are rejected, and every value is
 checked when the ``RunConfig`` is built, before any stage runs.
 Booleans accept true/false/1/0/yes/no.  Lines starting with '#' and
-blank lines are ignored.
+blank lines are ignored; a key may appear once per file.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    values = {}
+    values, first_line = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -95,6 +95,10 @@ def parse_config_file(path) -> dict:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}' "
+                                  f"(first at line {first_line[key]})")
+            first_line[key] = lineno
             values[key] = _coerce(key, raw)
     return values
 

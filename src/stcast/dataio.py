@@ -13,10 +13,12 @@ via ``repr``):
     scores.csv            metric,level,value
     scores_long.csv       model,horizon,metric,value
 
-Ingestion accepts rows in any order and sorts by (region, date); every
-structural defect is reported with the offending file line.  In every
-reader a row must have the header's field count, and a repeated key (region
-id, coefficient, (region, date) cell) is rejected citing its first line.
+In every reader a row must have the header's field count, and a repeated
+key is rejected citing its first line.  The panel, adjusted, sample and
+truth files are one (region, date[, sample]) grid, read by ``_read_grid``
+and written by ``_write_grid``: a file that is not one full grid on its
+own is an IngestionError (exit 7), one whose regions or dates differ from
+the artifact it is read against an AlignmentError (exit 8).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -38,21 +41,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_float(text: str, line: int, column: str) -> float:
-    text = text.strip()
-    if not text:
-        raise IngestionError(f"line {line}: missing value in column '{column}'")
-    try:
-        value = float(text)
-    except ValueError:
-        raise IngestionError(
-            f"line {line}: cannot parse '{text}' in column '{column}'"
-        ) from None
-    if not math.isfinite(value):
-        raise IngestionError(
-            f"line {line}: non-finite value in column '{column}'"
-        )
-    return value
+def _parse_floats(texts, line: int, columns) -> list[float]:
+    """``texts`` as finite floats; the first defect raises citing ``line``."""
+    values = []
+    for text, column in zip(texts, columns):
+        try:
+            values.append(float(text))
+        except ValueError:
+            problem = (f"cannot parse '{text.strip()}'" if text.strip()
+                       else "missing value")
+            raise IngestionError(
+                f"line {line}: {problem} in column '{column}'") from None
+        if not math.isfinite(values[-1]):
+            raise IngestionError(
+                f"line {line}: non-finite value in column '{column}'")
+    return values
 
 
 def _parse_date(parsed: dict[str, dt.date], text: str, line: int) -> dt.date:
@@ -94,15 +97,120 @@ def _read_rows(path, expected_header: list[str], exact: bool = True):
     return header, rows
 
 
-_CELL = "(region, date) = ({0[0]}, {0[1]})"
-
-
 def _record_key(seen: dict, key, line: int, what: str) -> None:
     """Note ``key``'s first line in ``seen``; a repeat raises IngestionError."""
     first = seen.setdefault(key, line)
     if first != line:
         raise IngestionError(f"line {line}: duplicate {what.format(key)} "
                              f"(first at line {first})")
+
+
+# ---------------------------------------------------------------------------
+# The (region, date) grid
+# ---------------------------------------------------------------------------
+
+_GRID_KEY = {2: "(region, date) = ({0[0]}, {0[1]})",
+             3: "(region, date, sample) = ({0[0]}, {0[1]}, {0[2]})"}
+
+
+def _parse_sample(text: str, line: int) -> int:
+    if not text.strip().isdecimal():
+        raise IngestionError(
+            f"line {line}: sample index '{text}' is not an integer >= 0")
+    return int(text)
+
+
+def _read_grid(path, header: list[str], region_ids=None, exact: bool = True):
+    """(region_ids, dates, values) of a grid file whose header starts with
+    ``header``: the key (region_id, date), or (region_id, date, sample)
+    when ``header[2]`` is ``sample``, then the value columns.
+
+    ``values`` is (N, T, S, K): for each region and date, samples
+    0..S-1 (S = 1 without a sample column) of the K value columns, each
+    a finite float.  Each key has exactly one row.  ``region_ids`` fix
+    the region axis, and a row for another region is an error; without
+    them regions keep the order of their first row.  Dates are sorted.
+    Every defect, including a key without a row, is an IngestionError.
+    """
+    header, rows = _read_rows(path, header, exact)
+    width = 3 if header[2] == "sample" else 2
+    names = header[width:]
+    index = {rid: i for i, rid in enumerate(region_ids or ())}
+    parsed: dict[str, dt.date] = {}
+    first: dict[tuple[str, dt.date, int], int] = {}
+    values = []
+    for line, row in rows:
+        rid = row[0].strip()
+        if rid not in index:
+            if region_ids is not None:
+                raise IngestionError(f"line {line}: unknown region '{rid}'")
+            index[rid] = len(index)
+        key = (rid, _parse_date(parsed, row[1], line),
+               _parse_sample(row[2], line) if width == 3 else 0)
+        _record_key(first, key, line, _GRID_KEY[width])
+        values += _parse_floats(row[width:], line, names)
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+
+    ks = [k for _, _, k in first]
+    dates = sorted(set(parsed.values()))
+    n, t, s = len(index), len(dates), 1 + max(ks)
+    if len(rows) != n * t * s:
+        unit = "dates" if width == 2 else "(date, sample) keys"
+        for rid in index:
+            gaps = list(islice(((d, k) for d in dates for k in range(s)
+                                if (rid, d, k) not in first), 3))
+            if gaps:
+                have = sum(key[0] == rid for key in first)
+                shown = [d for d, _ in gaps] if width == 2 else gaps
+                raise IngestionError(
+                    f"{path}: region '{rid}' covers {have} of {t * s} "
+                    f"{unit}; first missing: {shown}"
+                )
+    grid = np.empty((n, t, s, len(names)))
+    at = {date: j for j, date in enumerate(dates)}
+    grid[[index[r] for r, _, _ in first], [at[d] for _, d, _ in first], ks] = \
+        np.reshape(values, (len(rows), len(names)))
+    return tuple(index), tuple(dates), grid
+
+
+def _write_grid(path, header: list[str], region_ids, dates,
+                values: np.ndarray) -> None:
+    """Write (N, T, S, K) ``values`` as ``_read_grid`` reads them, one row
+    per key in (region, date, sample) order; the sample column is written
+    when ``header[2]`` is ``sample``."""
+    n, t, s, k = values.shape
+    if (n, t) != (len(region_ids), len(dates)):
+        raise AlignmentError(f"values {values.shape[:2]} vs {len(region_ids)} "
+                             f"regions, {len(dates)} dates")
+    keys = [date.isoformat() for date in dates]
+    if header[2] == "sample":
+        keys = [f"{key},{j}" for key in keys for j in range(s)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for rid, block in zip(region_ids, values):
+            columns = [map(repr, col) for col in block.reshape(t * s, k).T.tolist()]
+            fh.write("\n".join(map(",".join, zip(repeat(rid), keys, *columns)))
+                     + "\n")
+
+
+def _on_axes(path, grid, region_ids, dates, against: str, exact: bool):
+    """``grid``'s (N, T, K) values at ``region_ids`` x ``dates``.  A region
+    or date the grid lacks is an AlignmentError, and so, when ``exact``,
+    is one it has beyond them."""
+    positions = []
+    for kind, have, want in (("region", grid[0], region_ids),
+                             ("date", grid[1], dates)):
+        at = {v: i for i, v in enumerate(have)}
+        for v in want:
+            if v not in at:
+                raise AlignmentError(f"{path} has no {kind} '{v}' of the {against}")
+        if exact and len(have) != len(want):
+            extra = next(v for v in have if v not in set(want))
+            raise AlignmentError(f"{path} has {kind} '{extra}', which the "
+                                 f"{against} lacks")
+        positions.append([at[v] for v in want])
+    return grid[2][np.ix_(*positions)][:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +227,7 @@ def read_regions(path) -> tuple[RegionSet, np.ndarray]:
         if not rid:
             raise IngestionError(f"line {line}: empty region_id")
         _record_key(seen, rid, line, "region_id '{}'")
-        lat = _parse_float(row[1], line, "lat")
-        lon = _parse_float(row[2], line, "lon")
+        lat, lon = _parse_floats(row[1:3], line, ("lat", "lon"))
         flag = row[3].strip()
         if flag not in ("0", "1"):
             raise IngestionError(
@@ -145,80 +252,34 @@ def write_regions_csv(rs: RegionSet, treated: np.ndarray, path) -> None:
 
 def read_panel(path, rs: RegionSet, treated: np.ndarray,
                post_onset_date: dt.date) -> Panel:
-    """Parse and validate panel.csv against a region set."""
-    header, rows = _read_rows(path, ["region_id", "date", "y"], exact=False)
-    cov_names = header[3:]
-    index = {rid: i for i, rid in enumerate(rs.region_ids)}
-
-    cells: dict[tuple[str, dt.date], tuple[float, list[float]]] = {}
-    first_line: dict[tuple[str, dt.date], int] = {}
-    per_region = dict.fromkeys(index, 0)
-    parsed: dict[str, dt.date] = {}
-    for line, row in rows:
-        rid = row[0].strip()
-        if rid not in index:
-            raise IngestionError(f"line {line}: unknown region '{rid}'")
-        key = (rid, _parse_date(parsed, row[1], line))
-        _record_key(first_line, key, line, _CELL)
-        y = _parse_float(row[2], line, "y")
-        covs = [_parse_float(row[3 + k], line, cov_names[k])
-                for k in range(len(cov_names))]
-        cells[key] = (y, covs)
-        per_region[rid] += 1
-
-    dates = sorted(set(parsed.values()))
-    if not dates:
-        raise IngestionError(f"{path}: no data rows")
-    for rid, count in per_region.items():
-        if count != len(dates):
-            have = {d for (r, d) in cells if r == rid}
-            missing = sorted(set(dates) - have)[:3]
-            raise IngestionError(
-                f"region '{rid}' covers {count} of {len(dates)} dates; "
-                f"first missing: {missing}"
-            )
-    if len(dates) > 1:
-        steps = {(b - a).days for a, b in zip(dates, dates[1:])}
-        if len(steps) > 1:
-            first_gap = next(
-                b for a, b in zip(dates, dates[1:])
-                if (b - a).days != min(steps)
-            )
-            raise IngestionError(
-                f"dates unevenly spaced (gaps of {sorted(steps)} days; "
-                f"first irregularity before {first_gap})"
-            )
-
-    n, t, d = rs.n, len(dates), len(cov_names)
-    date_index = {date: j for j, date in enumerate(dates)}
-    y = np.empty((n, t))
-    c = np.empty((n, t, d))
-    for (rid, date), (val, covs) in cells.items():
-        i, j = index[rid], date_index[date]
-        y[i, j] = val
-        c[i, j, :] = covs
+    """Parse panel.csv, a grid on the region set's regions, in its order,
+    whose dates must be evenly spaced."""
+    region_ids, dates, values = _read_grid(path, ["region_id", "date", "y"],
+                                           rs.region_ids, exact=False)
+    steps = sorted({(b - a).days for a, b in zip(dates, dates[1:])})
+    if len(steps) > 1:
+        first_gap = next(b for a, b in zip(dates, dates[1:])
+                         if (b - a).days != steps[0])
+        raise IngestionError(
+            f"dates unevenly spaced (gaps of {steps} days; "
+            f"first irregularity before {first_gap})"
+        )
     post = np.array([1.0 if date >= post_onset_date else 0.0 for date in dates])
     return Panel(
-        region_ids=tuple(rs.region_ids),
-        times=tuple(dates),
-        y=y,
-        c=c,
+        region_ids=region_ids,
+        times=dates,
+        y=values[:, :, 0, 0],
+        c=values[:, :, 0, 1:],
         treated=np.asarray(treated, dtype=float),
         post=post,
     )
 
 
 def write_panel_csv(panel: Panel, path) -> None:
-    d = panel.d
-    names = tuple(f"c{k + 1}" for k in range(d))
-    with open(path, "w", newline="") as fh:
-        fh.write("region_id,date," + ",".join(["y", *names]) + "\n")
-        for i, rid in enumerate(panel.region_ids):
-            for j, date in enumerate(panel.times):
-                vals = [_fmt(panel.y[i, j])] + [
-                    _fmt(panel.c[i, j, k]) for k in range(d)
-                ]
-                fh.write(f"{rid},{date.isoformat()}," + ",".join(vals) + "\n")
+    _write_grid(path, ["region_id", "date", "y",
+                       *(f"c{k + 1}" for k in range(panel.d))],
+                panel.region_ids, panel.times,
+                np.concatenate([panel.y[:, :, None], panel.c], axis=2)[:, :, None])
 
 
 def ingest(regions_path, panel_path, post_onset_date: dt.date) -> tuple[RegionSet, Panel]:
@@ -227,16 +288,11 @@ def ingest(regions_path, panel_path, post_onset_date: dt.date) -> tuple[RegionSe
     return rs, read_panel(panel_path, rs, treated, post_onset_date)
 
 
-def read_truth_values(path) -> dict[tuple[str, dt.date], float]:
-    """(region, date) -> y map from a panel.csv, for forecast evaluation."""
-    _, rows = _read_rows(path, ["region_id", "date", "y"], exact=False)
-    out, first_line = {}, {}
-    parsed: dict[str, dt.date] = {}
-    for line, row in rows:
-        key = (row[0].strip(), _parse_date(parsed, row[1], line))
-        _record_key(first_line, key, line, _CELL)
-        out[key] = _parse_float(row[2], line, "y")
-    return out
+def read_truth_values(path, region_ids, dates) -> np.ndarray:
+    """The (N, m) ``y`` of a truth panel.csv at a forecast's regions and
+    dates; the file may hold more of either."""
+    grid = _read_grid(path, ["region_id", "date", "y"], exact=False)
+    return _on_axes(path, grid, region_ids, dates, "forecast", exact=False)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +311,8 @@ def read_did_estimate(path) -> DidEstimate:
     """Parse did_estimate.csv.  Its rows, in any order, are exactly
     ``coefficient_names(D)`` for some D >= 0 plus ``residual_variance``;
     the estimate's table keeps the canonical order.  Any other name, a
-    gamma beyond the first missing one, or a value the estimate rejects
+    gamma beyond the first missing one, a std_error on residual_variance,
+    or a value the estimate rejects
     (a negative residual_variance, |rho| >= 1, a non-positive std_error
     when residual_variance > 0) is an IngestionError citing its line."""
     _, rows = _read_rows(path, ["coefficient", "estimate", "std_error"])
@@ -269,8 +326,11 @@ def read_did_estimate(path) -> DidEstimate:
             raise IngestionError(f"line {line}: unknown coefficient '{name}'")
         _record_key(first_line, name, line, "coefficient '{}'")
         se = row[2].strip()
-        parsed[name] = (_parse_float(row[1], line, "estimate"),
-                        _parse_float(se, line, "std_error") if se else None)
+        if se and name == "residual_variance":
+            raise IngestionError(f"line {line}: residual_variance takes no "
+                                 f"std_error, got '{se}'")
+        parsed[name] = (_parse_floats(row[1:2], line, ("estimate",))[0],
+                        _parse_floats([se], line, ("std_error",))[0] if se else None)
     missing = [name for name in [*coefficient_names(0), "residual_variance"]
                if name not in parsed]
     if missing:
@@ -293,36 +353,17 @@ def write_parameter_report(report: str, path) -> None:
 
 
 def write_adjusted_csv(panel: Panel, adjusted: AdjustedPanel, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("region_id,date,y_tilde,z\n")
-        for i, rid in enumerate(panel.region_ids):
-            for j, date in enumerate(panel.times):
-                fh.write(f"{rid},{date.isoformat()},"
-                         f"{_fmt(adjusted.y_tilde[i, j])},"
-                         f"{_fmt(adjusted.z[i, j])}\n")
+    _write_grid(path, ["region_id", "date", "y_tilde", "z"],
+                panel.region_ids, panel.times,
+                np.stack([adjusted.y_tilde, adjusted.z], axis=2)[:, :, None])
 
 
 def read_adjusted_csv(path, panel: Panel) -> AdjustedPanel:
-    _, rows = _read_rows(path, ["region_id", "date", "y_tilde", "z"])
-    index = {rid: i for i, rid in enumerate(panel.region_ids)}
-    dindex = {d: j for j, d in enumerate(panel.times)}
-    y_tilde = np.full((panel.n, panel.t), np.nan)
-    z = np.full((panel.n, panel.t), np.nan)
-    parsed: dict[str, dt.date] = {}
-    first_line: dict[tuple[str, dt.date], int] = {}
-    for line, row in rows:
-        rid = row[0].strip()
-        date = _parse_date(parsed, row[1], line)
-        if rid not in index or date not in dindex:
-            raise AlignmentError(
-                f"line {line}: ({rid}, {date}) not present in the panel"
-            )
-        _record_key(first_line, (rid, date), line, _CELL)
-        y_tilde[index[rid], dindex[date]] = _parse_float(row[2], line, "y_tilde")
-        z[index[rid], dindex[date]] = _parse_float(row[3], line, "z")
-    if np.any(np.isnan(y_tilde)) or np.any(np.isnan(z)):
-        raise AlignmentError(f"{path}: does not cover every panel cell")
-    return AdjustedPanel(y_tilde=y_tilde, z=z)
+    """adjusted_panel.csv on exactly the panel's regions and dates."""
+    grid = _read_grid(path, ["region_id", "date", "y_tilde", "z"])
+    values = _on_axes(path, grid, panel.region_ids, panel.times, "panel",
+                      exact=True)
+    return AdjustedPanel(y_tilde=values[..., 0], z=values[..., 1])
 
 
 def write_ground_truth_csv(truth: DidEstimate, path) -> None:
@@ -339,71 +380,16 @@ def write_ground_truth_csv(truth: DidEstimate, path) -> None:
 
 def write_forecast_samples_csv(samples: np.ndarray, region_ids, dates, path) -> None:
     """samples is (N, m, num_samples); rows ordered by region, date, sample."""
-    samples = np.asarray(samples, dtype=float)
-    n, m, _ = samples.shape
-    if len(region_ids) != n or len(dates) != m:
-        raise AlignmentError(
-            f"samples {samples.shape} vs {len(region_ids)} regions, "
-            f"{len(dates)} dates"
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("region_id,date,sample,value\n")
-        for i, rid in enumerate(region_ids):
-            for j, date in enumerate(dates):
-                prefix = f"{rid},{date.isoformat()},"
-                fh.write("".join(
-                    f"{prefix}{k},{value!r}\n"
-                    for k, value in enumerate(samples[i, j].tolist())
-                ))
+    _write_grid(path, ["region_id", "date", "sample", "value"], region_ids,
+                dates, np.asarray(samples, dtype=float)[..., None])
 
 
 def read_forecast_samples(path):
-    """Returns (region_ids, dates, samples (N, m, num_samples))."""
-    _, rows = _read_rows(path, ["region_id", "date", "sample", "value"])
-    data: dict[tuple[str, dt.date], dict[int, float]] = {}
-    region_order: dict[str, None] = {}     # insertion-ordered set
-    parsed: dict[str, dt.date] = {}
-    for line, row in rows:
-        rid = row[0].strip()
-        date = _parse_date(parsed, row[1], line)
-        try:
-            k = int(row[2])
-        except ValueError:
-            raise IngestionError(
-                f"line {line}: sample index '{row[2]}' is not an integer"
-            ) from None
-        value = _parse_float(row[3], line, "value")
-        region_order[rid] = None
-        cell = data.setdefault((rid, date), {})
-        if k in cell:
-            raise IngestionError(
-                f"line {line}: duplicate sample {k} for ({rid}, {date})"
-            )
-        cell[k] = value
-    if not data:
-        raise IngestionError(f"{path}: no data rows")
-    dates = sorted(set(parsed.values()))
-    counts = {len(v) for v in data.values()}
-    if len(counts) != 1:
-        raise IngestionError(
-            f"{path}: ragged sample counts per cell: {sorted(counts)}"
-        )
-    s = counts.pop()
-    n, m = len(region_order), len(dates)
-    cube = np.empty((n, m, s))
-    for i, rid in enumerate(region_order):
-        for j, date in enumerate(dates):
-            cell = data.get((rid, date))
-            if cell is None:
-                raise IngestionError(
-                    f"{path}: missing cell ({rid}, {date})"
-                )
-            if sorted(cell) != list(range(s)):
-                raise IngestionError(
-                    f"{path}: sample indices for ({rid}, {date}) are not 0..{s - 1}"
-                )
-            cube[i, j, :] = [cell[k] for k in range(s)]
-    return tuple(region_order), tuple(dates), cube
+    """Returns (region_ids, dates, samples (N, m, num_samples)); regions
+    keep the order of their first row."""
+    region_ids, dates, values = _read_grid(
+        path, ["region_id", "date", "sample", "value"])
+    return region_ids, dates, values[..., 0]
 
 
 def write_scores_csv(report: ScoreReport, path) -> None:

@@ -2,9 +2,9 @@
 
 Raw head outputs map to valid parameters through smooth links (softplus
 keeps the scale positive with a small floor; degrees of freedom sit at
-2 + softplus so the variance always exists).  Each family provides the
-exact negative log-density and its gradient w.r.t. the raw outputs, used
-by the trainer's backward pass.
+2 + softplus, floored at the next float above 2, so the variance always
+exists).  Each family provides the exact negative log-density and its
+gradient w.r.t. the raw outputs, used by the trainer's backward pass.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ FAMILIES = ("gaussian", "laplace", "student_t")
 PARAM_ARITY = {"gaussian": 2, "laplace": 2, "student_t": 3}
 
 SIGMA_FLOOR = 1e-6
+# 2 + softplus(raw) rounds to exactly 2.0 for raw below about -36.7.
+NU_FLOOR = np.nextafter(2.0, 3.0)
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -49,7 +51,8 @@ class DistributionParams:
 
 def project_raw(raw: np.ndarray, family: str) -> DistributionParams:
     """Map raw affine outputs (..., arity) to distribution parameters:
-    mu = raw0, sigma = softplus(raw1) + floor, nu = 2 + softplus(raw2)."""
+    mu = raw0, sigma = softplus(raw1) + floor,
+    nu = max(2 + softplus(raw2), NU_FLOOR)."""
     raw = np.asarray(raw, dtype=float)
     if raw.shape[-1] != PARAM_ARITY[family]:
         raise InputValidationError(
@@ -58,7 +61,8 @@ def project_raw(raw: np.ndarray, family: str) -> DistributionParams:
         )
     mu = raw[..., 0]
     sigma = softplus(raw[..., 1]) + SIGMA_FLOOR
-    nu = 2.0 + softplus(raw[..., 2]) if family == "student_t" else None
+    nu = (np.maximum(2.0 + softplus(raw[..., 2]), NU_FLOOR)
+          if family == "student_t" else None)
     return DistributionParams(family=family, mu=mu, sigma=sigma, nu=nu)
 
 

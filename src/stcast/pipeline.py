@@ -25,8 +25,8 @@ import numpy as np
 from . import dataio
 from .causal import Panel, adjust_panel, fit_did, parameter_report
 from .config import RunConfig
-from .errors import (AlignmentError, InputValidationError,
-                     InsufficientDataError, StcastError)
+from .errors import (InputValidationError, InsufficientDataError,
+                     StcastError)
 from .forecaster import ForecastModel
 from .metrics import score_report
 from .spatial import build_spatial_matrix, spatial_matrix_to_csv
@@ -248,20 +248,11 @@ def evaluate_files(forecast_path, truth_panel_path, out_dir,
                    model: str = "external"):
     """Score a forecast_samples.csv against a truth panel.csv.
 
-    Cells are aligned on (region_id, date); any forecast cell missing
-    from the truth file is an alignment error.
+    The truth file is a full (region, date) grid that must hold every
+    forecast region and date; it may hold more.
     """
     out = output_dir(out_dir)
     region_ids, dates, samples = dataio.read_forecast_samples(forecast_path)
-    truth_map = dataio.read_truth_values(truth_panel_path)
-    observed = np.empty((len(region_ids), len(dates)))
-    for i, rid in enumerate(region_ids):
-        for j, date in enumerate(dates):
-            key = (rid, date)
-            if key not in truth_map:
-                raise AlignmentError(
-                    f"truth panel has no value for ({rid}, {date.isoformat()})"
-                )
-            observed[i, j] = truth_map[key]
+    observed = dataio.read_truth_values(truth_panel_path, region_ids, dates)
     report = evaluate(samples, observed, region_ids, model, out)
     return report, {name: out / name for name in ("scores.csv", "scores_long.csv")}

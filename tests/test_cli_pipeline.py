@@ -98,6 +98,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_file(cfg_file)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        # A repeated key would otherwise silently win, where every CSV
+        # reader rejects a repeated key.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("epochs=3\n# comment\nalpha=2.0\n epochs = 5\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{cfg_file}:4: duplicate key 'epochs' (first at line 1)")):
+            parse_config_file(cfg_file)
+
     def test_bad_boolean_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("no_spatial=maybe\n")
@@ -525,6 +534,91 @@ class TestCli:
                    "--out", str(tmp_path / "scores")])
         assert rc == 8
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, defect, code, message", [
+        ("adjust", "unknown-region", 7, "unknown region 'RX'"),
+        ("train", "gap", 7, "covers 119 of 120 dates; first missing"),
+        ("train", "duplicate", 7, "duplicate (region, date) = "),
+        ("train", "missing-date", 8, "has no date '2020-09-28' of the panel"),
+        ("forecast", "extra-region", 8, "has region 'RX', which the panel lacks"),
+        ("forecast", "non-finite", 7, "non-finite value in column 'z'"),
+        ("evaluate", "gap", 7, "covers 119 of 120 dates; first missing"),
+        ("evaluate", "missing-date", 8,
+         "has no date '2020-09-28' of the forecast"),
+    ], ids=["adjust-panel-unknown-region", "train-adjusted-gap",
+            "train-adjusted-duplicate", "train-adjusted-missing-date",
+            "forecast-adjusted-extra-region", "forecast-adjusted-non-finite",
+            "evaluate-truth-gap", "evaluate-truth-missing-date"])
+    def test_grid_exit_codes(self, synth_files, trained_stages, tmp_path,
+                             capsys, command, defect, code, message):
+        # A file that is not one full grid on its own exits 7; a full grid
+        # whose regions or dates differ from its counterpart exits 8.
+        panel = synth_files["panel"]
+        assert panel.times[-1] == dt.date(2020, 9, 28)
+        source = {"adjust": synth_files["root"] / "panel.csv",
+                  "evaluate": synth_files["root"] / "panel.csv"}.get(
+                      command, trained_stages / "adjusted_panel.csv")
+        header, *rows = source.read_text().splitlines()
+        first = panel.region_ids[0] + ","
+        if defect == "unknown-region":
+            rows.append("RX," + rows[0].split(",", 1)[1])
+        elif defect == "gap":
+            del rows[5]
+        elif defect == "duplicate":
+            rows.append(rows[5])
+        elif defect == "missing-date":
+            rows = [row for row in rows if ",2020-09-28," not in row]
+        elif defect == "extra-region":
+            rows += ["RX," + row[len(first):] for row in rows
+                     if row.startswith(first)]
+        else:
+            rows[5] = rows[5].rsplit(",", 1)[0] + ",inf"
+        bad = tmp_path / source.name
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        values = base_overrides(synth_files, out)
+        if command == "adjust":
+            values["panel"] = str(bad)
+        argv = {
+            "adjust": ["--estimate", str(trained_stages / "did_estimate.csv")],
+            "train": ["--adjusted", str(bad)],
+            "forecast": ["--model", str(trained_stages / "model.npz"),
+                         "--adjusted", str(bad),
+                         "--estimate", str(trained_stages / "did_estimate.csv")],
+        }
+        if command == "evaluate":
+            fc = tmp_path / "fc.csv"
+            dataio.write_forecast_samples_csv(
+                np.zeros((panel.n, 2, 3)), panel.region_ids, panel.times[-2:], fc)
+            argv = ["evaluate", "--forecast", str(fc), "--truth", str(bad),
+                    "--out", str(out)]
+        else:
+            argv = [command, *as_flags(values), *argv[command]]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(
+            (out / name).exists() for name in ARTIFACTS)
+
+    def test_evaluate_shuffled_truth_same_scores(self, synth_files, tmp_path,
+                                                 capsys):
+        panel = synth_files["panel"]
+        rng = np.random.default_rng(12)
+        fc = tmp_path / "fc.csv"
+        dataio.write_forecast_samples_csv(
+            panel.y[:, -3:, None] + rng.normal(size=(panel.n, 3, 20)),
+            panel.region_ids, panel.times[-3:], fc)
+        truth = synth_files["root"] / "panel.csv"
+        header, *rows = truth.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join(
+            [header, *(rows[k] for k in rng.permutation(len(rows)))]) + "\n")
+        for path, out in ((truth, "a"), (shuffled, "b")):
+            assert main(["evaluate", "--forecast", str(fc), "--truth", str(path),
+                         "--out", str(tmp_path / out)]) == 0
+        capsys.readouterr()
+        for name in ("scores.csv", "scores_long.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
 
     def test_ingestion_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "regions.csv"

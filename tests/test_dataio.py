@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from stcast import dataio
-from stcast.causal import AdjustedPanel, DidEstimate, coefficient_names
-from stcast.errors import IngestionError
+from stcast.causal import AdjustedPanel, DidEstimate, Panel, coefficient_names
+from stcast.errors import AlignmentError, IngestionError
 from stcast.metrics import ScoreReport
+from stcast.spatial import Region, RegionSet
 from stcast.synth import GeneratorSpec, generate
 
 GOOD_REGIONS = """region_id,lat,lon,treated
@@ -293,6 +294,14 @@ class TestEstimateRoundTrip:
                            match=re.escape(f"line {line}: {message}")):
             dataio.read_did_estimate(path)
 
+    def test_residual_variance_std_error_rejected(self, tmp_path):
+        # It would otherwise load, then re-write without the std_error.
+        path = write(tmp_path, "est.csv", self._ESTIMATE_HEAD
+                     + "residual_variance,0.5,7.0\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                "line 7: residual_variance takes no std_error, got '7.0'")):
+            dataio.read_did_estimate(path)
+
     def test_zero_standard_error_allowed_without_residual_variance(
             self, tmp_path):
         # A perfect fit has zero residual variance and zero SEs.
@@ -390,7 +399,17 @@ class TestForecastSamplesRoundTrip:
             "a,2021-01-01,1,2.0\n"
             "b,2021-01-01,0,3.0\n"
         )
-        with pytest.raises(IngestionError, match="ragged"):
+        with pytest.raises(IngestionError, match=re.escape(
+                "region 'b' covers 1 of 2 (date, sample) keys; first missing: "
+                "[(datetime.date(2021, 1, 1), 1)]")):
+            dataio.read_forecast_samples(path)
+
+    def test_negative_sample_index(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text("region_id,date,sample,value\n"
+                        "a,2021-01-01,-1,1.5\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                "line 2: sample index '-1' is not an integer >= 0")):
             dataio.read_forecast_samples(path)
 
 
@@ -429,7 +448,8 @@ def reader_case(name, tmp_path):
         "panel": (lambda p: dataio.write_panel_csv(panel, p),
                   lambda p: dataio.read_panel(p, rs, panel.treated, ONSET)),
         "truth": (lambda p: dataio.write_panel_csv(panel, p),
-                  dataio.read_truth_values),
+                  lambda p: dataio.read_truth_values(p, panel.region_ids,
+                                                     panel.times)),
         "estimate": (lambda p: dataio.write_did_estimate_csv(est, p),
                      dataio.read_did_estimate),
         "adjusted": (lambda p: dataio.write_adjusted_csv(
@@ -452,13 +472,14 @@ def with_extra_row(name, tmp_path, extra):
     return path, reader, lines
 
 
-KEYED_READERS = ["regions", "panel", "truth", "estimate", "adjusted"]
+KEYED_READERS = ["regions", "panel", "truth", "estimate", "adjusted",
+                 "samples"]
 
 
 class TestRowRules:
     """Every reader applies the same two row rules."""
 
-    @pytest.mark.parametrize("name", [*KEYED_READERS, "samples"])
+    @pytest.mark.parametrize("name", KEYED_READERS)
     def test_short_row_reports_field_count(self, tmp_path, name):
         path, reader, lines = with_extra_row(
             name, tmp_path, lambda row: row.rsplit(",", 1)[0])
@@ -481,3 +502,132 @@ class TestRowRules:
         with pytest.raises(IngestionError, match=re.escape(
                 "line 8: expected 5 fields, got 4 (missing covariate column?)")):
             reader(path)
+
+
+def grid_case(layout):
+    """(write(path), read(path) -> arrays, arrays written) for each grid
+    layout, with extreme values and, for samples, a transposed view."""
+    rng = np.random.default_rng(9)
+    region_ids = ("R2", "R0", "R1")
+    times = tuple(dt.date(2021, 1, 1) + dt.timedelta(days=2 * k)
+                  for k in range(5))
+    y = rng.normal(scale=1e3, size=(3, 5))
+    y[0, :4] = [-0.0, 5e-324, 1e300, -1e300]
+    if layout == "samples":
+        samples = rng.normal(size=(3, 7, 5)).transpose(0, 2, 1)
+        samples[1, 3, :4] = [-0.0, 5e-324, 1e300, -1e300]
+
+        def read_samples(path):
+            # Regions come back in the order of their first row.
+            rids, _, cube = dataio.read_forecast_samples(path)
+            return (cube[[rids.index(rid) for rid in region_ids]],)
+        return (lambda path: dataio.write_forecast_samples_csv(
+                    samples, region_ids, times, path),
+                read_samples, (samples,))
+    c = rng.normal(size=(3, 5, 4 if layout == "panel-D4" else 0))
+    if layout == "panel-D4":
+        c[2, 4] = [-0.0, 5e-324, 1e300, -1e300]
+    panel = Panel(region_ids, times, y, c, np.array([1.0, 0.0, 1.0]),
+                  np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
+    if layout == "adjusted":
+        z = y[::-1].copy()
+
+        def read_adjusted(path):
+            adjusted = dataio.read_adjusted_csv(path, panel)
+            return adjusted.y_tilde, adjusted.z
+        return (lambda path: dataio.write_adjusted_csv(
+                    panel, AdjustedPanel(y_tilde=y, z=z), path),
+                read_adjusted, (y, z))
+    rs = RegionSet(tuple(Region(rid, 0.0, float(i))
+                         for i, rid in enumerate(region_ids)))
+
+    def read_panel(path):
+        read = dataio.read_panel(path, rs, panel.treated, times[2])
+        return read.y, read.c
+    return (lambda path: dataio.write_panel_csv(panel, path), read_panel,
+            (y, c))
+
+
+GRID_LAYOUTS = ["panel-D0", "panel-D4", "adjusted", "samples"]
+
+
+class TestGrid:
+    """One grid rule for panel, adjusted, sample and truth files."""
+
+    @pytest.mark.parametrize("layout", GRID_LAYOUTS)
+    def test_shuffled_round_trip(self, tmp_path, layout):
+        write_grid, read_grid, arrays = grid_case(layout)
+        path = tmp_path / "grid.csv"
+        write_grid(path)
+        header, *rows = path.read_text().splitlines()
+        order = np.random.default_rng(3).permutation(len(rows))
+        path.write_text("\n".join([header, *(rows[k] for k in order)]) + "\n")
+        for got, want in zip(read_grid(path), arrays):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("layout", GRID_LAYOUTS)
+    def test_gap_names_its_region(self, tmp_path, layout):
+        # Deleting R0's third row leaves one key of R0 without a row.
+        write_grid, read_grid, _ = grid_case(layout)
+        path = tmp_path / "grid.csv"
+        write_grid(path)
+        lines = path.read_text().splitlines()
+        gone = [k for k, line in enumerate(lines) if line.startswith("R0,")][2]
+        path.write_text("\n".join(lines[:gone] + lines[gone + 1:]) + "\n")
+        if layout == "samples":
+            message = ("region 'R0' covers 34 of 35 (date, sample) keys; "
+                       "first missing: [(datetime.date(2021, 1, 1), 2)]")
+        else:
+            message = ("region 'R0' covers 4 of 5 dates; first missing: "
+                       "[datetime.date(2021, 1, 5)]")
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            read_grid(path)
+
+    def test_adjusted_gap_is_malformed(self, tmp_path):
+        # A gap inside the file is a malformed grid (exit 7), not a
+        # mismatch with the panel.
+        _, panel = dataio.ingest(write(tmp_path, "regions.csv", GOOD_REGIONS),
+                                 write(tmp_path, "panel.csv", GOOD_PANEL), ONSET)
+        path = tmp_path / "adjusted_panel.csv"
+        dataio.write_adjusted_csv(
+            panel, AdjustedPanel(y_tilde=panel.y, z=panel.y), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                "region 'R00' covers 2 of 3 dates; first missing: "
+                "[datetime.date(2021, 1, 3)]")):
+            dataio.read_adjusted_csv(path, panel)
+
+    @pytest.mark.parametrize("keep, message", [
+        (lambda line: not line.startswith("R01,"),
+         "has no region 'R01' of the panel"),
+        (lambda line: "2021-01-03" not in line,
+         "has no date '2021-01-03' of the panel"),
+    ], ids=["region", "date"])
+    def test_adjusted_full_grid_off_the_panel_is_misaligned(
+            self, tmp_path, keep, message):
+        _, panel = dataio.ingest(write(tmp_path, "regions.csv", GOOD_REGIONS),
+                                 write(tmp_path, "panel.csv", GOOD_PANEL), ONSET)
+        path = tmp_path / "adjusted_panel.csv"
+        dataio.write_adjusted_csv(
+            panel, AdjustedPanel(y_tilde=panel.y, z=panel.y), path)
+        path.write_text("".join(line for line in
+                                path.read_text().splitlines(keepends=True)
+                                if keep(line)))
+        with pytest.raises(AlignmentError, match=re.escape(message)):
+            dataio.read_adjusted_csv(path, panel)
+
+    def test_truth_must_be_a_full_grid(self, tmp_path):
+        # Before, a truth file needed only the forecast's cells.
+        path = write(tmp_path, "truth.csv", GOOD_PANEL.replace(
+            "R00,2021-01-01,1.0,0.1,0.2\n", ""))
+        with pytest.raises(IngestionError, match=re.escape(
+                "region 'R00' covers 2 of 3 dates")):
+            dataio.read_truth_values(path, ("R00",), (dt.date(2021, 1, 3),))
+
+    def test_truth_aligned_to_forecast_axes(self, tmp_path):
+        path = write(tmp_path, "truth.csv", GOOD_PANEL)
+        observed = dataio.read_truth_values(
+            path, ("R01", "R00"), (dt.date(2021, 1, 2), dt.date(2021, 1, 3)))
+        assert np.array_equal(observed, [[5.0, 6.0], [2.0, 3.0]])

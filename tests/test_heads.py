@@ -54,6 +54,21 @@ class TestProjection:
             np.log1p(np.exp(raw[1])) + 1e-6, abs=1e-12)
         assert p.nu == pytest.approx(2.0 + np.log1p(np.exp(raw[2])), abs=1e-12)
 
+    @pytest.mark.parametrize("raw_nu", [-40.0, -800.0])
+    def test_very_negative_raw_nu_stays_valid(self, raw_nu):
+        # 2 + softplus(raw) rounds to exactly 2.0 here; nu must stay > 2,
+        # and the training gradient must be finite.
+        raw = np.array([[0.0, 0.0, raw_nu]])
+        p = project_raw(raw, "student_t")
+        assert p.nu[0] == np.nextafter(2.0, 3.0)
+        values, d_raw = nll_and_raw_grad(raw, np.array([0.5]), "student_t")
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(d_raw))
+
+    def test_nu_above_two_keeps_its_bits(self):
+        raw = np.array([-36.0, -30.0, -5.0, 0.0, 3.0, 40.0])
+        nu = project_raw(np.stack([raw, raw, raw], axis=1), "student_t").nu
+        assert np.array_equal(nu, 2.0 + softplus(raw))
+
     def test_arity_mismatch_rejected(self):
         with pytest.raises(InputValidationError):
             project_raw(np.zeros(2), "student_t")
