@@ -31,7 +31,6 @@ from .spatial import (
     RegionSet,
     SpatialMatrix,
     build_spatial_matrix,
-    geodesic_distance,
     spatial_lag,
 )
 from .synth import GeneratorSpec, generate
@@ -66,7 +65,6 @@ __all__ = [
     "fit_did",
     "fit_target_transform",
     "generate",
-    "geodesic_distance",
     "load_run_config",
     "parameter_report",
     "quantile",

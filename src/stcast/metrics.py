@@ -27,12 +27,16 @@ QUANTILES = (0.1, 0.5, 0.9)
 COVERAGE_LEVELS = (0.1, 0.5, 0.9)
 
 
-def quantile(samples: np.ndarray, q: float) -> float | np.ndarray:
-    """Type-7 (linear interpolation) sample quantile."""
+def quantile(samples: np.ndarray,
+             q: float | tuple[float, ...]) -> float | np.ndarray:
+    """Type-7 (linear interpolation) sample quantile at level ``q``; a
+    sequence of levels stacks one result per level on a new leading axis,
+    each bit for bit the single level's."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise InputValidationError("quantile of empty sample set")
-    if not 0.0 <= q <= 1.0:
+    levels = np.asarray(q, dtype=float)
+    if not np.all((0.0 <= levels) & (levels <= 1.0)):
         raise InputValidationError(f"quantile level {q} outside [0, 1]")
     return np.quantile(samples, q, axis=-1, method="linear")
 
@@ -87,7 +91,10 @@ def weighted_quantile_loss(forecasts, observed: np.ndarray, tau: float) -> float
     if not 0.0 < tau < 1.0:
         raise InputValidationError(f"tau must be in (0, 1), got {tau}")
     forecasts, observed = _aligned(forecasts, observed)
-    q = quantile(forecasts, tau)
+    return _wql(quantile(forecasts, tau), observed, tau)
+
+
+def _wql(q: np.ndarray, observed: np.ndarray, tau: float) -> float:
     denom = float(np.sum(np.abs(observed)))
     if denom == 0.0:
         raise InputValidationError(
@@ -102,8 +109,15 @@ def coverage(forecasts, observed: np.ndarray, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
     forecasts, observed = _aligned(forecasts, observed)
-    lo = quantile(forecasts, alpha / 2.0)
-    hi = quantile(forecasts, 1.0 - alpha / 2.0)
+    lo, hi = quantile(forecasts, _interval_levels(alpha))
+    return _inside(lo, hi, observed)
+
+
+def _interval_levels(alpha: float) -> tuple[float, float]:
+    return alpha / 2.0, 1.0 - alpha / 2.0
+
+
+def _inside(lo: np.ndarray, hi: np.ndarray, observed: np.ndarray) -> float:
     return float(np.mean((lo <= observed) & (observed <= hi)))
 
 
@@ -113,7 +127,10 @@ def quantile_exceedance(forecasts, observed: np.ndarray, tau: float) -> float:
     if not 0.0 < tau < 1.0:
         raise InputValidationError(f"tau must be in (0, 1), got {tau}")
     forecasts, observed = _aligned(forecasts, observed)
-    q = quantile(forecasts, tau)
+    return _at_or_below(quantile(forecasts, tau), observed)
+
+
+def _at_or_below(q: np.ndarray, observed: np.ndarray) -> float:
     return float(np.mean(observed <= q))
 
 
@@ -188,9 +205,14 @@ def score_report(samples: np.ndarray, observed: np.ndarray,
     if len(region_ids) != observed.shape[0]:
         raise InputValidationError(f"{len(region_ids)} region ids for {observed.shape[0]} regions")
 
-    wql = {t: weighted_quantile_loss(samples, observed, t) for t in QUANTILES}
-    cov_int = {a: coverage(samples, observed, a) for a in COVERAGE_LEVELS}
-    cov_q = {t: quantile_exceedance(samples, observed, t) for t in QUANTILES}
+    # One quantile pass over every distinct level the three scores use.
+    levels = tuple(sorted({*QUANTILES, *(x for a in COVERAGE_LEVELS
+                                         for x in _interval_levels(a))}))
+    q = dict(zip(levels, quantile(samples, levels)))
+    wql = {t: _wql(q[t], observed, t) for t in QUANTILES}
+    cov_int = {a: _inside(*(q[x] for x in _interval_levels(a)), observed)
+               for a in COVERAGE_LEVELS}
+    cov_q = {t: _at_or_below(q[t], observed) for t in QUANTILES}
 
     # Joint paths: flatten (region, horizon) per sample.  Taking them from
     # a C-ordered copy fixes the energy score's summation order, so its

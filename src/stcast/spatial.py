@@ -117,19 +117,6 @@ def _check_coordinates(lat: float, lon: float, label: str = "") -> None:
         raise InputValidationError(f"longitude {lon} out of [-180, 180]{tag}")
 
 
-def geodesic_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle (haversine) distance in kilometres between two
-    (lat, lon) points given in degrees."""
-    _check_coordinates(*a)
-    _check_coordinates(*b)
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    sin_dlat = math.sin((lat2 - lat1) / 2.0)
-    sin_dlon = math.sin((lon2 - lon1) / 2.0)
-    h = sin_dlat**2 + math.cos(lat1) * math.cos(lat2) * sin_dlon**2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-
 def _libm(fn, values: np.ndarray) -> np.ndarray:
     """``fn`` of each element as a Python float: libm rounds, not numpy."""
     return np.fromiter(map(fn, values.tolist()), float, values.size)
@@ -143,13 +130,13 @@ def _sin_squared(half_angles: np.ndarray) -> np.ndarray:
 
 
 def pairwise_distances(rs: RegionSet) -> np.ndarray:
-    """(N, N) symmetric matrix of great-circle distances in km.
+    """(N, N) symmetric matrix of great-circle (haversine) distances in km.
 
-    Bit-identical to ``geodesic_distance`` on every pair i < j: the IEEE
-    operations (subtract, halve, multiply, add, radians, sqrt, min) run in
-    numpy, and sin, cos, asin and the squares in libm, in the same
-    operand order.  Coordinates were validated when the ``RegionSet``
-    was built.
+    Each pair i < j gets, bit for bit, the scalar haversine written with
+    the ``math`` module: the IEEE operations (subtract, halve, multiply,
+    add, radians, sqrt, min) run in numpy, and sin, cos, asin and the
+    squares in libm, in that formula's operand order.  Coordinates were
+    validated when the ``RegionSet`` was built.
     """
     lat, lon = np.radians(rs.coordinates()).T
     cos_lat = _libm(math.cos, lat)

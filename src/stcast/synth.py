@@ -7,6 +7,16 @@ Student-t) noise.  A burn-in prefix washes out initial conditions so the
 retained window starts near the stationary regime.  Because the
 parameters are known exactly, generated panels serve as recovery oracles
 for the estimator and end-to-end tests.
+
+Only the two true recursions step through time, each over a time-major
+array so that a step touches contiguous rows: the covariate AR(1)
+``c(s) = phi * c(s-1) + shock(s)`` and the target
+``y(s) = rho * (W @ y(s-1)) + drift(s)``.  The drift holds every term
+that does not depend on an earlier y (intercept, group, period and
+treatment terms, covariates and noise) as one (N, BURN_IN + T) array
+built before the target recursion; the stability bound is checked once,
+after it.  Every value is bit-identical to stepping the equation one
+period at a time.
 """
 
 from __future__ import annotations
@@ -112,12 +122,17 @@ def generate(spec: GeneratorSpec) -> tuple[RegionSet, Panel, DidEstimate]:
 
     total = BURN_IN + t
     phi = spec.cov_persistence
-    c = np.empty((n, total, d))
     stat_sd = spec.cov_noise_scale / np.sqrt(max(1.0 - phi * phi, 1e-12))
-    c[:, 0, :] = rng.normal(0.0, stat_sd, (n, d))
+    # Time-major (total, N, D), so each step reads and writes contiguous
+    # rows; c(s) = shock(s) + phi * c(s-1) adds in either order bit for bit.
+    c_tm = np.empty((total, n, d))
+    c_tm[0] = rng.normal(0.0, stat_sd, (n, d))
     shocks = rng.normal(0.0, spec.cov_noise_scale, (n, total - 1, d))
-    for s in range(1, total):
-        c[:, s, :] = phi * c[:, s - 1, :] + shocks[:, s - 1, :]
+    c_tm[1:] = shocks.transpose(1, 0, 2)
+    carry = np.empty((n, d))
+    for prev, row in zip(c_tm, c_tm[1:]):
+        row += np.multiply(phi, prev, out=carry)
+    c = c_tm.transpose(1, 0, 2).copy()
 
     post = np.zeros(total)
     post[BURN_IN + spec.post_onset_index:] = 1.0
@@ -127,19 +142,28 @@ def generate(spec: GeneratorSpec) -> tuple[RegionSet, Panel, DidEstimate]:
 
     gamma = np.asarray(spec.true_gamma, dtype=float)
     eps = _draw_noise(rng, spec, (n, total))
-    y = np.empty((n, total))
-    y[:, 0] = (spec.true_beta0 + spec.true_beta1 * treated
-               + c[:, 0, :] @ gamma + eps[:, 0])
-    for s in range(1, total):
-        drift = (spec.true_beta0 + spec.true_beta1 * treated
-                 + spec.true_beta2 * post[s]
-                 + spec.true_delta * treated * post[s]
-                 + c[:, s, :] @ gamma + eps[:, s])
-        y[:, s] = spec.true_rho * (S.weights @ y[:, s - 1]) + drift
-        if np.any(np.abs(y[:, s]) > _STABILITY_BOUND):
-            raise GeneratorInstabilityError(
-                f"dynamics exploded at step {s} (|y| > {_STABILITY_BOUND:g})"
-            )
+    # Every non-recursive term of every step at once, summed in the order
+    # the per-step equation writes them.  The period terms of step 0 are
+    # zeros (post starts after the burn-in), which change no value.
+    drift = ((spec.true_beta0 + spec.true_beta1 * treated)[:, None]
+             + spec.true_beta2 * post
+             + (spec.true_delta * treated)[:, None] * post
+             + c @ gamma + eps)
+
+    # y(s) = rho * (W @ y(s-1)) + drift(s), time-major like c.  Overflow
+    # past the stability bound is reported once, after the loop.
+    y_tm = drift.T.copy()
+    lag = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, row in zip(y_tm, y_tm[1:]):
+            np.matmul(S.weights, prev, out=lag)
+            row += np.multiply(spec.true_rho, lag, out=lag)
+        exploded = np.flatnonzero((np.abs(y_tm[1:]) > _STABILITY_BOUND).any(axis=1))
+    if exploded.size:
+        raise GeneratorInstabilityError(
+            f"dynamics exploded at step {exploded[0] + 1} (|y| > {_STABILITY_BOUND:g})"
+        )
+    y = y_tm.T.copy()
 
     times = tuple(spec.start_date + dt.timedelta(days=k) for k in range(t))
     panel = Panel(

@@ -712,6 +712,16 @@ class TestCli:
             assert (tmp_path / "cli" / name).read_bytes() == \
                 (ref / name).read_bytes(), name
 
+    def test_simulate_explosive_dynamics_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--out", str(out), "--rho", "0.99",
+                   "--beta0", "1e9", "--noise-sigma", "0", "--t-steps", "60",
+                   "--post-onset-index", "30"])
+        assert rc == 6
+        assert capsys.readouterr().err == \
+            "error: dynamics exploded at step 1 (|y| > 1e+09)\n"
+        assert not out.exists() or list(out.iterdir()) == []    # no panel.csv
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--config", "{cfg}"],
         ["evaluate", "--config", "{cfg}"],

@@ -135,7 +135,9 @@ class TestIngestDiagnostics:
         regions = write(tmp_path, "regions.csv", GOOD_REGIONS)
         panel_path = write(tmp_path, "panel.csv",
                            GOOD_PANEL.replace("region_id,date,y", "id,day,value"))
-        with pytest.raises(IngestionError, match="header"):
+        message = (f"{panel_path}: header is ['id', 'day', 'value', 'c1', 'c2'], "
+                   "expected ['region_id', 'date', 'y'] + covariate columns")
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
             dataio.ingest(regions, panel_path, ONSET)
 
     def test_duplicate_region_id(self, tmp_path):

@@ -64,6 +64,24 @@ class TestQuantile:
         with pytest.raises(InputValidationError):
             quantile(np.array([]), 0.5)
 
+    @pytest.mark.parametrize("n", [2, 3, 11, 100])
+    def test_levels_stack_equal_to_single_levels(self, n):
+        # score_report takes all its levels from one call; each must be
+        # the single level's quantile, ties and all.  Only the sign of a
+        # zero may differ (the partition orders tied -0.0 and 0.0
+        # differently), which no comparison or |q - x| can see.
+        rng = np.random.default_rng(n)
+        s = np.round(rng.standard_t(3, size=(7, 5, n)), 1)
+        levels = (0.0, 0.05, 0.1, 0.25, 0.45, 0.5, 0.55, 0.75, 0.9, 0.95, 1.0)
+        stacked = quantile(s, levels)
+        for level, got in zip(levels, stacked):
+            assert np.array_equal(got, quantile(s, level)), level
+
+    def test_level_outside_unit_interval_rejected(self):
+        for q in (-0.1, 1.5, float("nan"), (0.5, 1.5)):
+            with pytest.raises(InputValidationError, match="outside"):
+                quantile(np.arange(4.0), q)
+
     @settings(max_examples=100, deadline=None)
     @given(
         values=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
@@ -278,6 +296,19 @@ class TestScoreReport:
             a = score_report(strided, obs, ids)
             b = score_report(np.ascontiguousarray(strided), obs, ids)
             assert a.rows() == b.rows()
+
+    def test_quantile_scores_match_per_level_calls(self):
+        # Rounded samples tie, zeros of both signs included.
+        rng = np.random.default_rng(8)
+        obs = np.round(rng.normal(size=(9, 5)), 1)
+        samples = np.round(obs[:, :, None] + rng.normal(size=(9, 5, 40)), 1)
+        report = score_report(samples, obs, tuple("abcdefghi"))
+        for t, value in report.wql.items():
+            assert value == weighted_quantile_loss(samples, obs, t)
+        for a, value in report.coverage_interval.items():
+            assert value == coverage(samples, obs, a)
+        for t, value in report.coverage_quantile.items():
+            assert value == quantile_exceedance(samples, obs, t)
 
     def test_rows_layout(self):
         report = ScoreReport(

@@ -1,13 +1,62 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from stcast import dataio
 from stcast.causal import coefficient_names
 from stcast.errors import GeneratorInstabilityError, InputValidationError
-from stcast.spatial import build_spatial_matrix, spatial_lag
-from stcast.synth import GeneratorSpec, generate
+from stcast.spatial import Region, RegionSet, build_spatial_matrix, spatial_lag
+from stcast.synth import BURN_IN, GeneratorSpec, _draw_noise, generate
 
 from conftest import coefficients, gammas
+
+EXPLODED_AT_1 = r"^dynamics exploded at step 1 \(\|y\| > 1e\+09\)$"
+
+
+def _per_step_generate(spec):
+    """The generator written one time step at a time, region-major, with
+    the drift rebuilt at every step: the reference ``generate`` must match
+    bit for bit.  Returns the panel's (y, c, treated, post)."""
+    rng = np.random.default_rng(spec.seed)
+    n, t, d = spec.n_regions, spec.t_steps, spec.d
+    if spec.coordinates is None:
+        coords = list(zip(rng.uniform(-60.0, 60.0, n),
+                          rng.uniform(-179.0, 179.0, n)))
+    else:
+        coords = spec.coordinates
+    S = build_spatial_matrix(RegionSet(tuple(
+        Region(f"R{i:02d}", float(lat), float(lon))
+        for i, (lat, lon) in enumerate(coords))), spec.alpha)
+    n_treated = int(np.clip(round(spec.treated_fraction * n), 1, n - 1))
+    treated = np.zeros(n)
+    treated[rng.permutation(n)[:n_treated]] = 1.0
+
+    total = BURN_IN + t
+    phi = spec.cov_persistence
+    c = np.empty((n, total, d))
+    stat_sd = spec.cov_noise_scale / np.sqrt(max(1.0 - phi * phi, 1e-12))
+    c[:, 0, :] = rng.normal(0.0, stat_sd, (n, d))
+    shocks = rng.normal(0.0, spec.cov_noise_scale, (n, total - 1, d))
+    for s in range(1, total):
+        c[:, s, :] = phi * c[:, s - 1, :] + shocks[:, s - 1, :]
+    post = np.zeros(total)
+    post[BURN_IN + spec.post_onset_index:] = 1.0
+    if spec.cov_shift_treated_post != 0.0:
+        c[:, :, 0] += spec.cov_shift_treated_post * np.outer(treated, post)
+
+    gamma = np.asarray(spec.true_gamma, dtype=float)
+    eps = _draw_noise(rng, spec, (n, total))
+    y = np.empty((n, total))
+    y[:, 0] = (spec.true_beta0 + spec.true_beta1 * treated
+               + c[:, 0, :] @ gamma + eps[:, 0])
+    for s in range(1, total):
+        drift = (spec.true_beta0 + spec.true_beta1 * treated
+                 + spec.true_beta2 * post[s]
+                 + spec.true_delta * treated * post[s]
+                 + c[:, s, :] @ gamma + eps[:, s])
+        y[:, s] = spec.true_rho * (S.weights @ y[:, s - 1]) + drift
+    return y[:, BURN_IN:], c[:, BURN_IN:, :], treated, post[BURN_IN:]
 
 
 class TestGeneratorSpec:
@@ -109,13 +158,50 @@ class TestGenerate:
         regions, _, _ = generate(spec)
         assert regions.coordinates() == pytest.approx(np.array(coords))
 
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(seed=11),
+        GeneratorSpec(noise_family="student_t", noise_df=4.0, noise_sigma=0.5,
+                      seed=12, t_steps=120, post_onset_index=60),
+        GeneratorSpec(cov_shift_treated_post=0.8, seed=13, t_steps=90,
+                      post_onset_index=40),
+        GeneratorSpec(true_gamma=(), seed=14, t_steps=90, post_onset_index=45),
+        GeneratorSpec(n_regions=3, coordinates=((0.0, 0.0), (10.0, 5.0),
+                                                (-20.0, 30.0)),
+                      true_rho=-0.5, seed=15, t_steps=50, post_onset_index=25),
+        GeneratorSpec(cov_persistence=0.0, seed=16, t_steps=70,
+                      post_onset_index=35),
+        GeneratorSpec(n_regions=500, t_steps=40, post_onset_index=20, seed=17),
+    ], ids=["default", "student_t", "cov_shift", "D=0", "coordinates",
+            "cov_persistence=0", "N=500"])
+    def test_matches_per_step_reference(self, spec):
+        _, panel, _ = generate(spec)
+        got = (panel.y, panel.c, panel.treated, panel.post)
+        for name, a, b in zip(("y", "c", "treated", "post"), got,
+                              _per_step_generate(spec)):
+            assert a.tobytes() == b.tobytes(), name
+            assert (a.shape, a.strides) == (b.shape, b.strides), name
+            assert (a.flags.c_contiguous, a.flags.f_contiguous) == \
+                (b.flags.c_contiguous, b.flags.f_contiguous), name
+
     def test_explosive_dynamics_detected(self):
         # Large beta0 with rho near 1 pushes the level towards
-        # beta0/(1-rho); make it overflow the stability bound.
+        # beta0/(1-rho); it passes the stability bound at the first
+        # checked step.
         spec = GeneratorSpec(true_rho=0.99, true_beta0=1e9, noise_sigma=0.0,
                              t_steps=60, post_onset_index=30, seed=0)
-        with pytest.raises(GeneratorInstabilityError):
+        with pytest.raises(GeneratorInstabilityError, match=EXPLODED_AT_1):
             generate(spec)
+
+    def test_overflow_reported_without_warning(self):
+        # At beta0 = 1e307 the level overflows to inf a few steps after
+        # it passes the bound; that must surface as the same error and no
+        # floating-point warning.
+        spec = GeneratorSpec(true_rho=0.99, true_beta0=1e307, noise_sigma=0.0,
+                             t_steps=60, post_onset_index=30, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeneratorInstabilityError, match=EXPLODED_AT_1):
+                generate(spec)
 
     def test_student_t_noise_option(self):
         spec = GeneratorSpec(noise_family="student_t", noise_df=4.0,
