@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
 from .errors import (
     EstimationError,
@@ -240,7 +240,8 @@ def build_design_matrix(p: Panel, S: SpatialMatrix | None):
     Columns: [spatial_lag(t-1), 1, treated, post, treated*post,
     covariates(t)], without the lag when ``S`` is None.  Returns
     (X, targets); row order is region-major (all of region 0's usable
-    periods, then region 1's, ...).
+    periods, then region 1's, ...), so ``X.reshape(N, T - 1, k)`` is the
+    (region, period, column) view the IV stage slices.
     """
     if p.t < 2:
         raise InsufficientDataError(f"need T >= 2 time steps, got {p.t}")
@@ -250,19 +251,17 @@ def build_design_matrix(p: Panel, S: SpatialMatrix | None):
         )
 
     n, t, d = p.n, p.t, p.d
-    rows = n * (t - 1)
-    cols = []
+    lagged = int(S is not None)
+    X = np.empty((n, t - 1, lagged + 4 + d))
     if S is not None:
-        lag = spatial_lag(S, p.y)           # lag[:, s] = S @ y[:, s]
-        cols.append(lag[:, : t - 1].reshape(rows))
-    cols.append(np.ones(rows))
-    cols.append(np.repeat(p.treated, t - 1))
-    cols.append(np.tile(p.post[1:], n))
-    cols.append(np.repeat(p.treated, t - 1) * np.tile(p.post[1:], n))
-    cols += [p.c[:, 1:, k].reshape(rows) for k in range(d)]
-    X = np.column_stack(cols)
-    targets = p.y[:, 1:].reshape(rows)
-    return X, targets
+        X[:, :, 0] = spatial_lag(S, p.y)[:, : t - 1]    # lag[:, s] = S @ y[:, s]
+    exog = X[:, :, lagged:]
+    exog[:, :, 0] = 1.0
+    exog[:, :, 1] = p.treated[:, None]
+    exog[:, :, 2] = p.post[1:]
+    exog[:, :, 3] = p.treated[:, None] * p.post[1:]
+    exog[:, :, 4:] = p.c[:, 1:]
+    return X.reshape(n * (t - 1), -1), p.y[:, 1:].reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,37 +272,76 @@ _COLLINEAR = ("singular normal equations; collinear columns: {} "
               "(constant treatment or post indicator?)")
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
-                   rank_error: str = _COLLINEAR) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of ``y`` on ``X`` from one pivoted QR: (beta, inv(X'X)).
+def _with_workspace(routine, *args, **kwargs):
+    """Call a LAPACK ``routine`` with the workspace its ``lwork=-1`` query
+    asks for (the blocking depends on it); its outputs before work and
+    info."""
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
 
-    With X[:, piv] = QR, beta solves R beta = Q'y and inv(X'X) is
-    R^-1 R^-T un-permuted, so X'X is never formed or inverted.  An exactly
-    rank-deficient ``X`` raises ``EstimationError`` with ``rank_error``
-    filled in with the dependent columns' ``labels``; a near-singular one
-    solves for beta with a tiny ridge on the normal equations, with a
-    warning.
+
+def _least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
+                   rank_error: str = _COLLINEAR
+                   ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Least squares of ``y`` on ``X`` from one pivoted QR:
+    (beta, (R', piv)), the factor ``_bread`` turns into inv(X'X).
+
+    LAPACK ``dgeqp3`` factors X[:, piv] = QR, ``dorgqr`` forms the
+    economic Q and ``dtrtrs`` solves R beta = Q'y.  These are the calls
+    ``scipy.linalg.qr(mode="economic", pivoting=True)`` and
+    ``solve_triangular`` make, with the same queried workspace and the
+    same transposed solve of their C-ordered R (R' lower, trans=1), so
+    the bits are theirs without their wrappers' cost.  A non-finite
+    input raises ``ValueError``.  An exactly rank-deficient ``X`` raises
+    ``EstimationError`` with ``rank_error`` filled in with the dependent
+    columns' ``labels``, before Q is formed; a near-singular one solves
+    for beta with a tiny ridge on the normal equations, with a warning.
     """
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    qr, piv, tau = _with_workspace(dgeqp3, np.array(X, order="F"),
+                                   overwrite_a=1)
+    piv -= 1                            # LAPACK pivots are 1-based
     k = X.shape[1]
+    diag = np.abs(np.diag(qr))
     rank = int(np.sum(diag > diag.max() * max(X.shape) * np.finfo(float).eps))
     if rank < k:
         bad = sorted(labels[j] for j in piv[rank:])
         raise EstimationError(rank_error.format(bad))
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    factor = (np.triu(qr[:k]).T, piv)
     if diag.max() / diag.min() > _COND_LIMIT:
         warnings.warn(
             "design matrix nearly singular; solving with ridge "
             f"{_RIDGE:g} on the normal equations",
             RuntimeWarning,
         )
-        return np.linalg.solve(X.T @ X + _RIDGE * np.eye(k), X.T @ y), xtx_inv
+        return np.linalg.solve(X.T @ X + _RIDGE * np.eye(k), X.T @ y), factor
+    q, = _with_workspace(dorgqr, qr, tau, overwrite_a=1)
     beta = np.empty(k)
-    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
-    return beta, xtx_inv
+    beta[piv] = _solve_r(factor[0], q.T @ y)
+    return beta, factor
+
+
+def _solve_r(rt: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve R x = b given R' (lower triangular)."""
+    x, info = dtrtrs(rt, b, lower=1, trans=1)
+    if info != 0:
+        raise EstimationError(f"triangular solve failed (dtrtrs info {info})")
+    return x
+
+
+def _bread(factor) -> np.ndarray:
+    """inv(X'X) in column order from ``_least_squares``'s factor: R^-1 R^-T
+    un-permuted, so X'X is never formed or inverted."""
+    rt, piv = factor
+    k = len(piv)
+    r_inv = _solve_r(rt, np.eye(k))
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    return xtx_inv
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +355,8 @@ def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
     Instruments are the spatially lagged covariates S c[:, t-1] (none
     when D = 0) and the second-order spatial lag S^2 y[:, t-2]; both need
     two periods of history, so the IV stages run on the t >= 2 sub-rows
-    of the design.
+    of the design, sliced from its (region, period, column) view.  Stage
+    1 only fits the lag; stage 2's bread gives the classical SE.
 
     Returns (rho_hat, rho_std_error).
     """
@@ -325,48 +364,45 @@ def estimate_rho_iv(X: np.ndarray, targets: np.ndarray, S: SpatialMatrix,
         raise InsufficientDataError(
             f"IV estimation needs T >= 3 time steps, got {p.t}"
         )
-    n, t = p.n, p.t
-    labels = design_column_labels(p.d)
-    if X.shape[1] != len(labels):
+    n, t, d = p.n, p.t, p.d
+    labels = design_column_labels(d)
+    k = len(labels)
+    if X.shape[1] != k:
         raise InputValidationError(
-            f"design matrix has {X.shape[1]} columns, expected {len(labels)}"
+            f"design matrix has {X.shape[1]} columns, expected {k}"
         )
 
-    # Row (i, s) of the t>=1 design sits at i*(t-1) + (s-1); keep s >= 2.
-    keep = np.concatenate([
-        i * (t - 1) + np.arange(1, t - 1) for i in range(n)
-    ])
-    w = X[keep, 0]                      # endogenous spatial lag
-    exog = X[keep, 1:]
-    y_sub = targets[keep]
+    sub = X.reshape(n, t - 1, k)[:, 1:]     # the s >= 2 cells
+    rows = n * (t - 2)
+    w = sub[:, :, 0].reshape(rows)      # endogenous spatial lag
+    y_sub = targets.reshape(n, t - 1)[:, 1:].reshape(rows)
 
-    iv_cols = [spatial_lag(S, p.c[:, :, k])[:, 1 : t - 1].reshape(-1)
-               for k in range(p.d)]
-    iv_labels = [f"S.c{k + 1}(t-1)" for k in range(p.d)]
-    lag2_y = spatial_lag(S, spatial_lag(S, p.y))
-    iv_cols.append(lag2_y[:, : t - 2].reshape(-1))
-    iv_labels.append("S^2.y(t-2)")
-
-    exog_labels = labels[1:]
-    h = np.column_stack([exog] + iv_cols)
+    # Instruments: the exogenous columns, S c(t-1) and S^2 y(t-2).
+    h = np.empty((n, t - 2, k + d))
+    h[:, :, : k - 1] = sub[:, :, 1:]
+    for j in range(d):
+        h[:, :, k - 1 + j] = spatial_lag(S, p.c[:, :, j])[:, 1 : t - 1]
+    h[:, :, -1] = spatial_lag(S, spatial_lag(S, p.y))[:, : t - 2]
+    h = h.reshape(rows, k + d)
+    iv_labels = [f"S.c{j + 1}(t-1)" for j in range(d)] + ["S^2.y(t-2)"]
 
     # Stage 1: project the lag on the instruments.
     gamma1, _ = _least_squares(
-        h, w, exog_labels + iv_labels,
+        h, w, labels[1:] + iv_labels,
         "rank-deficient instrument matrix; columns: {}")
-    w_hat = h @ gamma1
 
     # Stage 2: regress the target on the fitted lag plus exogenous columns.
-    z_hat = np.column_stack([w_hat, exog])
-    beta2sls, xtx_inv = _least_squares(z_hat, y_sub,
-                                       ["spatial_lag"] + exog_labels)
+    z_hat = np.empty((n, t - 2, k))
+    z_hat[:, :, 0] = (h @ gamma1).reshape(n, t - 2)
+    z_hat[:, :, 1:] = sub[:, :, 1:]
+    z_hat = z_hat.reshape(rows, k)
+    beta2sls, factor = _least_squares(z_hat, y_sub, labels)
     rho_hat = float(beta2sls[0])
 
     # Classical 2SLS covariance: residuals from the *actual* regressors.
-    z_actual = np.column_stack([w, exog])
-    residuals = y_sub - z_actual @ beta2sls
-    sigma2 = float(residuals @ residuals) / max(len(y_sub) - z_hat.shape[1], 1)
-    rho_se = float(np.sqrt(sigma2 * xtx_inv[0, 0]))
+    residuals = y_sub - sub.reshape(rows, k) @ beta2sls
+    sigma2 = float(residuals @ residuals) / max(rows - k, 1)
+    rho_se = float(np.sqrt(sigma2 * _bread(factor)[0, 0]))
 
     if abs(rho_hat) >= 1.0:
         raise NonstationarityError(
@@ -380,10 +416,10 @@ def _ols_estimate(X: np.ndarray, targets: np.ndarray, d: int, rho: float,
     """OLS of ``targets`` on the exogenous design columns ``X`` (const on)
     with classical standard errors, tabled after the given lag
     coefficient and, when known, its standard error."""
-    beta, xtx_inv = _least_squares(X, targets, design_column_labels(d)[1:])
+    beta, factor = _least_squares(X, targets, design_column_labels(d)[1:])
     residuals = targets - X @ beta
     sigma2 = float(residuals @ residuals) / max(len(targets) - X.shape[1], 1)
-    ses = np.sqrt(sigma2 * np.diag(xtx_inv))
+    ses = np.sqrt(sigma2 * np.diag(_bread(factor)))
     rows = [(rho, rho_se), *zip(beta, ses)]
     return DidEstimate(dict(zip(coefficient_names(d), rows)), sigma2)
 

@@ -91,11 +91,11 @@ def _floats(text: str) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    out = pipeline.output_dir(args.out or "stcast-out")
     given = {f.name: getattr(args, f.name) for f in fields(synth.GeneratorSpec)
              if getattr(args, f.name, None) is not None}
     spec = synth.GeneratorSpec(**given)
     regions, panel, truth = synth.generate(spec)
+    out = pipeline.output_dir(args.out or "stcast-out")
     dataio.write_regions_csv(regions, panel.treated, out / "regions.csv")
     dataio.write_panel_csv(panel, out / "panel.csv")
     dataio.write_ground_truth_csv(truth, out / "ground_truth.csv")

@@ -539,8 +539,9 @@ class TestLeastSquares:
         X = rng.normal(size=(40, 4)) * np.array([0.1, 1.0, 10.0, 3.0])
         piv = scipy.linalg.qr(X, mode="economic", pivoting=True)[2]
         assert list(piv) != [0, 1, 2, 3]
-        _, xtx_inv = causal._least_squares(X, rng.normal(size=40),
-                                           list("abcd"))
+        _, factor = causal._least_squares(X, rng.normal(size=40),
+                                          list("abcd"))
+        xtx_inv = causal._bread(factor)
         ref = np.linalg.inv(X.T @ X)
         assert np.allclose(xtx_inv, ref, rtol=1e-10,
                            atol=1e-12 * np.abs(ref).max())
@@ -550,24 +551,55 @@ class TestInstrumentFactorisation:
     def test_one_qr_of_the_instrument_matrix(self, monkeypatch):
         # The rank check and the stage-1 solve share one pivoted QR of the
         # instrument matrix; stage 2 factors the second-stage design.
+        # Workspace queries (lwork=-1) factor nothing.
         spec = GeneratorSpec(seed=5, t_steps=60, post_onset_index=30)
         regions, panel, _ = generate(spec)
         S = build_spatial_matrix(regions, spec.alpha)
         X, targets = build_design_matrix(panel, S)
         widths = []
-        qr = scipy.linalg.qr
+        dgeqp3 = causal.dgeqp3
 
-        def counting_qr(a, *args, **kwargs):
-            widths.append(np.shape(a)[1])
-            return qr(a, *args, **kwargs)
+        def counting_dgeqp3(a, lwork, **kwargs):
+            if lwork != -1:
+                widths.append(np.shape(a)[1])
+            return dgeqp3(a, lwork=lwork, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        monkeypatch.setattr(causal, "dgeqp3", counting_dgeqp3)
         estimate_rho_iv(X, targets, S, panel)
         d = panel.d
         # Instruments: 4 indicator columns, D covariates, D lagged
         # covariates and S^2 y.
         h_width = 4 + 2 * d + 1
         assert widths == [h_width, 1 + 4 + d]
+
+    def test_fit_did_forms_two_breads(self, monkeypatch):
+        # Only stage 2 (rho's SE) and the OLS stage read inv(X'X); the
+        # stage-1 projection forms none.
+        spec = GeneratorSpec(seed=5, t_steps=60, post_onset_index=30)
+        regions, panel, _ = generate(spec)
+        widths = []
+        bread = causal._bread
+
+        def counting_bread(factor):
+            widths.append(len(factor[1]))
+            return bread(factor)
+
+        monkeypatch.setattr(causal, "_bread", counting_bread)
+        fit_did(panel, build_spatial_matrix(regions, spec.alpha))
+        assert widths == [1 + 4 + panel.d, 4 + panel.d]
+
+    @pytest.mark.parametrize("where", ["design", "target"])
+    def test_non_finite_input_raises_before_lapack(self, monkeypatch, where):
+        calls = []
+        for name in ("dgeqp3", "dorgqr", "dtrtrs"):
+            monkeypatch.setattr(causal, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        rng = np.random.default_rng(2)
+        X, y = rng.normal(size=(20, 3)), rng.normal(size=20)
+        (X if where == "design" else y)[4] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            causal._least_squares(X, y, list("abc"))
+        assert calls == []
 
     def test_rank_deficient_instruments_named(self):
         rng = np.random.default_rng(0)
@@ -577,6 +609,99 @@ class TestInstrumentFactorisation:
         with pytest.raises(EstimationError, match=re.escape(
                 "rank-deficient instrument matrix; columns: ['S.c3(t-1)', 'c3']")):
             fit_did(panel, _matrix_for(panel))
+
+
+def _wrapped_least_squares(X, y, labels, rank_error):
+    """Least squares through scipy's wrappers, as the library first wrote
+    it: (beta, inv(X'X)) from ``scipy.linalg.qr`` and ``solve_triangular``,
+    with the rank check, the ridge fallback and the R^-1 R^-T bread."""
+    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    k = X.shape[1]
+    rank = int(np.sum(diag > diag.max() * max(X.shape) * np.finfo(float).eps))
+    if rank < k:
+        raise EstimationError(rank_error.format(sorted(labels[j] for j in piv[rank:])))
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    if diag.max() / diag.min() > 1e12:
+        return np.linalg.solve(X.T @ X + 1e-10 * np.eye(k), X.T @ y), xtx_inv
+    beta = np.empty(k)
+    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+    return beta, xtx_inv
+
+
+def _wrapped_fit(p, S):
+    """The spatial 2SLS-then-OLS fit as the library first wrote it, on
+    designs stacked column by column: (table, residual variance, z)."""
+    n, t, d = p.n, p.t, p.d
+    rows = n * (t - 1)
+    treated, post = np.repeat(p.treated, t - 1), np.tile(p.post[1:], n)
+    cols = [np.ones(rows), treated, post, treated * post]
+    cols += [p.c[:, 1:, k].reshape(rows) for k in range(d)]
+    exog_labels = design_column_labels(d)[1:]
+    targets = p.y[:, 1:].reshape(rows)
+    rho, rho_se = 0.0, None
+    if S is not None:
+        lag = spatial_lag(S, p.y)[:, : t - 1].reshape(rows)
+        X = np.column_stack([lag] + cols)
+        keep = np.concatenate([i * (t - 1) + np.arange(1, t - 1)
+                               for i in range(n)])
+        w, exog, y_sub = X[keep, 0], X[keep, 1:], targets[keep]
+        iv_cols = [spatial_lag(S, p.c[:, :, k])[:, 1 : t - 1].reshape(-1)
+                   for k in range(d)]
+        iv_cols.append(spatial_lag(S, spatial_lag(S, p.y))[:, : t - 2].reshape(-1))
+        h = np.column_stack([exog] + iv_cols)
+        iv_labels = [f"S.c{k + 1}(t-1)" for k in range(d)] + ["S^2.y(t-2)"]
+        gamma1, _ = _wrapped_least_squares(
+            h, w, exog_labels + iv_labels,
+            "rank-deficient instrument matrix; columns: {}")
+        z_hat = np.column_stack([h @ gamma1, exog])
+        beta2sls, bread = _wrapped_least_squares(
+            z_hat, y_sub, ["spatial_lag"] + exog_labels, causal._COLLINEAR)
+        residuals = y_sub - np.column_stack([w, exog]) @ beta2sls
+        sigma2 = float(residuals @ residuals) / max(len(y_sub) - z_hat.shape[1], 1)
+        rho, rho_se = float(beta2sls[0]), float(np.sqrt(sigma2 * bread[0, 0]))
+        targets = targets - rho * X[:, 0]
+        X = X[:, 1:]
+    else:
+        X = np.column_stack(cols)
+    beta, bread = _wrapped_least_squares(X, targets, exog_labels,
+                                         causal._COLLINEAR)
+    residuals = targets - X @ beta
+    sigma2 = float(residuals @ residuals) / max(len(targets) - X.shape[1], 1)
+    ses = np.sqrt(sigma2 * np.diag(bread))
+    table = dict(zip(coefficient_names(d), [(rho, rho_se), *zip(beta, ses)]))
+    y_tilde = p.y - table["delta"][0] * np.outer(p.treated, p.post)
+    z = y_tilde.copy() if S is None else y_tilde + rho * spatial_lag(S, y_tilde)
+    return table, sigma2, z
+
+
+def _oracle_cases():
+    specs = [GeneratorSpec(seed=s) for s in (1, 2, 3)]
+    specs += [GeneratorSpec(seed=4, noise_family="student_t"),
+              GeneratorSpec(seed=14, true_gamma=()),
+              GeneratorSpec(seed=5, n_regions=500, t_steps=40,
+                            post_onset_index=20)]
+    cases = [(spec, False) for spec in specs]
+    return cases + [(GeneratorSpec(seed=6), True)]
+
+
+class TestWrappedScipyOracle:
+    # Compared on this machine, not against stored bits: LAPACK's rounding
+    # depends on the CPU and the BLAS build.
+    @pytest.mark.parametrize(
+        "spec, no_spatial", _oracle_cases(),
+        ids=["seed1", "seed2", "seed3", "student_t", "D=0", "N=500-T=40",
+             "S=None"])
+    def test_fit_and_adjustment_bit_identical(self, spec, no_spatial):
+        regions, panel, _ = generate(spec)
+        S = None if no_spatial else build_spatial_matrix(regions, spec.alpha)
+        table, sigma2, z = _wrapped_fit(panel, S)
+        est = fit_did(panel, S)
+        assert dict(est.table) == table
+        assert est.residual_variance == sigma2
+        assert adjust_panel(panel, est, S).z.tobytes() == z.tobytes()
 
 
 class TestAdjustment:

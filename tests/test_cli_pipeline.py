@@ -720,7 +720,13 @@ class TestCli:
         assert rc == 6
         assert capsys.readouterr().err == \
             "error: dynamics exploded at step 1 (|y| > 1e+09)\n"
-        assert not out.exists() or list(out.iterdir()) == []    # no panel.csv
+        assert not out.exists()
+
+    def test_simulate_rejected_spec_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--rho", "1.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--config", "{cfg}"],
