@@ -27,6 +27,7 @@ import csv
 import datetime as dt
 import math
 from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,8 +74,9 @@ def _parse_date(parsed: dict[str, dt.date], text: str, line: int) -> dt.date:
 
 
 def _read_rows(path, expected_header: list[str], exact: bool = True):
-    """(header, [(line_number, row)]) after validating the header and the
-    field count of every non-blank row."""
+    """(header, lines, rows): the validated header, then the non-blank
+    rows and the line number of each, after checking every row's field
+    count."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -87,14 +89,19 @@ def _read_rows(path, expected_header: list[str], exact: bool = True):
                 f"{path}: header is {header}, expected "
                 f"{expected_header}{'' if exact else ' + covariate columns'}"
             )
-        rows = [(i, row) for i, row in enumerate(reader, start=2) if row]
-    for line, row in rows:
-        if len(row) != len(header):
-            raise IngestionError(
-                f"line {line}: expected {len(header)} fields, got {len(row)}"
-                + ("" if exact else " (missing covariate column?)")
-            )
-    return header, rows
+        rows = list(reader)
+    lines = range(2, len(rows) + 2)
+    if not all(rows):
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = list(filter(None, rows))
+    if set(map(len, rows)) - {len(header)}:
+        line, row = next((line, row) for line, row in zip(lines, rows)
+                         if len(row) != len(header))
+        raise IngestionError(
+            f"line {line}: expected {len(header)} fields, got {len(row)}"
+            + ("" if exact else " (missing covariate column?)")
+        )
+    return header, lines, rows
 
 
 def _record_key(seen: dict, key, line: int, what: str) -> None:
@@ -131,15 +138,78 @@ def _read_grid(path, header: list[str], region_ids=None, exact: bool = True):
     the region axis, and a row for another region is an error; without
     them regions keep the order of their first row.  Dates are sorted.
     Every defect, including a key without a row, is an IngestionError.
+
+    A full grid without a broken row is read column by column, each
+    distinct key text parsed once; for any other file
+    ``_raise_grid_defect`` finds the defect row by row.
     """
-    header, rows = _read_rows(path, header, exact)
+    header, lines, rows = _read_rows(path, header, exact)
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    width = 3 if header[2] == "sample" else 2
+    columns = [list(map(itemgetter(j), rows)) for j in range(len(header))]
+    index = {rid: i for i, rid in enumerate(region_ids or ())}
+    keyed = _grid_cells(columns[:width], index, region_ids is None)
+    try:
+        values = np.array([np.fromiter(map(float, column), float, len(rows))
+                           for column in columns[width:]]).T
+    except ValueError:
+        values = None
+    if keyed is None or values is None or not np.isfinite(values).all():
+        _raise_grid_defect(path, lines, rows, header, region_ids)
+    cells, dates = keyed
+    grid = np.empty(values.shape)
+    grid[cells] = values
+    return tuple(index), tuple(dates), grid.reshape(len(index), len(dates), -1,
+                                                    values.shape[1])
+
+
+def _grid_cells(keys, index: dict, grow: bool):
+    """(cells, dates): each row's flat (region, date, sample) position in
+    the N x T x S grid and the sorted dates, from the key columns with
+    each distinct text parsed once; regions missing from ``index`` are
+    added when ``grow``.  None unless every key parses, every region is
+    known and the rows fill the grid, each cell once."""
+    regions: dict[str, int] = {}
+    parsed: dict[str, dt.date] = {}
+    try:
+        for text in dict.fromkeys(keys[0]):
+            if grow:
+                index.setdefault(text.strip(), len(index))
+            regions[text] = index[text.strip()]
+        for text in dict.fromkeys(keys[1]):
+            _parse_date(parsed, text, 0)
+        samples = {text: _parse_sample(text, 0)
+                   for text in dict.fromkeys(keys[2] if len(keys) == 3 else ())}
+    except (KeyError, IngestionError):
+        return None
+    dates = sorted(set(parsed.values()))
+    s = 1 + max(samples.values(), default=0)
+    if len(index) * len(dates) * s != len(keys[0]):
+        return None
+    at = {date: j for j, date in enumerate(dates)}
+    cells = (_positions(keys[0], regions) * len(dates)
+             + _positions(keys[1], {text: at[d] for text, d in parsed.items()})) * s
+    if samples:
+        cells += _positions(keys[2], samples)
+    return (cells, dates) if np.bincount(cells).max() == 1 else None
+
+
+def _positions(column, position: dict) -> np.ndarray:
+    return np.fromiter(map(position.__getitem__, column), np.intp, len(column))
+
+
+def _raise_grid_defect(path, lines, rows, header: list[str], region_ids):
+    """Raise the defect that keeps ``_read_grid``'s rows from being a full
+    grid, checking them one at a time: the first broken row in line
+    order, citing its line, else the first region with a key without a
+    row."""
     width = 3 if header[2] == "sample" else 2
     names = header[width:]
     index = {rid: i for i, rid in enumerate(region_ids or ())}
     parsed: dict[str, dt.date] = {}
     first: dict[tuple[str, dt.date, int], int] = {}
-    values = []
-    for line, row in rows:
+    for line, row in zip(lines, rows):
         rid = row[0].strip()
         if rid not in index:
             if region_ids is not None:
@@ -148,30 +218,22 @@ def _read_grid(path, header: list[str], region_ids=None, exact: bool = True):
         key = (rid, _parse_date(parsed, row[1], line),
                _parse_sample(row[2], line) if width == 3 else 0)
         _record_key(first, key, line, _GRID_KEY[width])
-        values += _parse_floats(row[width:], line, names)
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
+        _parse_floats(row[width:], line, names)
 
-    ks = [k for _, _, k in first]
     dates = sorted(set(parsed.values()))
-    n, t, s = len(index), len(dates), 1 + max(ks)
-    if len(rows) != n * t * s:
-        unit = "dates" if width == 2 else "(date, sample) keys"
-        for rid in index:
-            gaps = list(islice(((d, k) for d in dates for k in range(s)
-                                if (rid, d, k) not in first), 3))
-            if gaps:
-                have = sum(key[0] == rid for key in first)
-                shown = [d for d, _ in gaps] if width == 2 else gaps
-                raise IngestionError(
-                    f"{path}: region '{rid}' covers {have} of {t * s} "
-                    f"{unit}; first missing: {shown}"
-                )
-    grid = np.empty((n, t, s, len(names)))
-    at = {date: j for j, date in enumerate(dates)}
-    grid[[index[r] for r, _, _ in first], [at[d] for _, d, _ in first], ks] = \
-        np.reshape(values, (len(rows), len(names)))
-    return tuple(index), tuple(dates), grid
+    t, s = len(dates), 1 + max(k for _, _, k in first)
+    unit = "dates" if width == 2 else "(date, sample) keys"
+    for rid in index:
+        gaps = list(islice(((d, k) for d in dates for k in range(s)
+                            if (rid, d, k) not in first), 3))
+        if gaps:
+            have = sum(key[0] == rid for key in first)
+            shown = [d for d, _ in gaps] if width == 2 else gaps
+            raise IngestionError(
+                f"{path}: region '{rid}' covers {have} of {t * s} "
+                f"{unit}; first missing: {shown}"
+            )
+    raise AssertionError(f"{path}: the rows fill the grid")
 
 
 def _write_grid(path, header: list[str], region_ids, dates,
@@ -219,10 +281,10 @@ def _on_axes(path, grid, region_ids, dates, against: str, exact: bool):
 
 def read_regions(path) -> tuple[RegionSet, np.ndarray]:
     """Parse regions.csv; returns (RegionSet, treated vector)."""
-    _, rows = _read_rows(path, ["region_id", "lat", "lon", "treated"])
+    _, lines, rows = _read_rows(path, ["region_id", "lat", "lon", "treated"])
     regions, treated = [], []
     seen = {}
-    for line, row in rows:
+    for line, row in zip(lines, rows):
         rid = row[0].strip()
         if not rid:
             raise IngestionError(f"line {line}: empty region_id")
@@ -315,12 +377,12 @@ def read_did_estimate(path) -> DidEstimate:
     or a value the estimate rejects
     (a negative residual_variance, |rho| >= 1, a non-positive std_error
     when residual_variance > 0) is an IngestionError citing its line."""
-    _, rows = _read_rows(path, ["coefficient", "estimate", "std_error"])
+    _, lines, rows = _read_rows(path, ["coefficient", "estimate", "std_error"])
     # No well-formed file has more gammas than rows.
     known = {*coefficient_names(len(rows)), "residual_variance"}
     parsed: dict[str, tuple[float, float | None]] = {}
     first_line: dict[str, int] = {}
-    for line, row in rows:
+    for line, row in zip(lines, rows):
         name = row[0].strip()
         if name not in known:
             raise IngestionError(f"line {line}: unknown coefficient '{name}'")

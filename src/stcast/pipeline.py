@@ -8,22 +8,27 @@ and scores the forecast against a held-out tail: the last ``horizon``
 steps are never seen by estimation, the target transforms, or training.
 
 A run first replaces any earlier manifest with ``status=running``.  It
-ends with a manifest of the configuration, seed, and SHA-256 content
-hashes of all artifacts; a run that raises anything records the failing
-stage and flags already-written artifacts as stale.
+ends with a manifest of the configuration, seed, run environment (CPU
+count, numpy and scipy versions, each found OpenBLAS pool's thread
+count), and SHA-256 content hashes of all artifacts; a run that raises
+anything records the failing stage and flags already-written artifacts
+as stale.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import dataio
-from .causal import Panel, adjust_panel, fit_did, parameter_report
+from .causal import (Panel, adjust_panel, blas_threads, fit_did,
+                     parameter_report)
 from .config import RunConfig
 from .errors import (InputValidationError, InsufficientDataError,
                      StcastError)
@@ -64,6 +69,10 @@ def write_manifest(out_dir: Path, config: RunConfig, status: str,
         lines.append(f"failed_stage={failed_stage}")
     for key, value in config.items():
         lines.append(f"config.{key}={value}")
+    lines += [f"env.nproc={os.cpu_count()}", f"env.numpy={np.__version__}",
+              f"env.scipy={scipy.__version__}"]
+    for pool, threads in blas_threads().items():
+        lines.append(f"env.blas_threads.{pool}={threads}")
     for name in ARTIFACTS:
         artifact = out_dir / name
         if artifact.exists():

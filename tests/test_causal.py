@@ -3,6 +3,8 @@ import datetime as dt
 import itertools
 import pickle
 import re
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -702,6 +704,122 @@ class TestWrappedScipyOracle:
         assert dict(est.table) == table
         assert est.residual_variance == sigma2
         assert adjust_panel(panel, est, S).z.tobytes() == z.tobytes()
+
+
+@pytest.fixture
+def scipy_pool():
+    """The (get, set) thread-count handles of scipy's OpenBLAS pool, with
+    the pool at 3 threads for the test: a count that a scope setting 1
+    changes on any machine, and not the default that a restore to a fixed
+    count would reach on a 2-core one.  Its count is restored after."""
+    if causal._SCIPY_OPENBLAS is None:
+        pytest.skip("scipy does not bundle a scipy-openblas library")
+    get_threads, set_threads = causal._SCIPY_OPENBLAS
+    before = get_threads()
+    set_threads(3)
+    yield get_threads, set_threads
+    set_threads(before)
+
+
+def _recording_lapack(monkeypatch, get_threads):
+    """Patch the three LAPACK routines to record (name, scipy thread
+    count) at each call that computes (not a workspace query)."""
+    seen = []
+    for name in ("dgeqp3", "dorgqr", "dtrtrs"):
+        def recording(*args, routine=getattr(causal, name), name=name, **kwargs):
+            if kwargs.get("lwork") != -1:
+                seen.append((name, get_threads()))
+            return routine(*args, **kwargs)
+        monkeypatch.setattr(causal, name, recording)
+    return seen
+
+
+def _nonstationary_bare_case():
+    # The covariate-free panel on which the IV stage gives |rho| >= 1.
+    spec = GeneratorSpec(n_regions=5, t_steps=300, post_onset_index=150,
+                         true_rho=-0.3, noise_family="student_t",
+                         true_gamma=(1.0, -0.5, -1.0), seed=202)
+    regions, panel, _ = generate(spec)
+    return _without_factors(panel), build_spatial_matrix(regions, spec.alpha)
+
+
+def _returning_case():
+    spec = GeneratorSpec(seed=1)
+    regions, panel, _ = generate(spec)
+    return panel, build_spatial_matrix(regions, spec.alpha)
+
+
+def _collinear_case():
+    rng = np.random.default_rng(0)
+    panel = make_panel(rng.normal(size=(3, 20)), c=rng.normal(size=(3, 20, 4)),
+                       treated=np.zeros(3))
+    return panel, _matrix_for(panel)
+
+
+class TestLapackThreads:
+    def test_every_lapack_call_runs_on_one_thread(self, monkeypatch, scipy_pool):
+        seen = _recording_lapack(monkeypatch, scipy_pool[0])
+        spec = GeneratorSpec(seed=5, t_steps=60, post_onset_index=30)
+        regions, panel, _ = generate(spec)
+        fit_did(panel, build_spatial_matrix(regions, spec.alpha))
+        assert {name for name, _ in seen} == {"dgeqp3", "dorgqr", "dtrtrs"}
+        assert {threads for _, threads in seen} == {1}
+
+    @pytest.mark.parametrize("case, error", [
+        (_returning_case, None),
+        (_collinear_case, EstimationError),
+        (_nonstationary_bare_case, NonstationarityError),
+    ], ids=["returns", "collinear", "nonstationary"])
+    def test_count_restored_after_the_fit(self, scipy_pool, case, error):
+        panel, S = case()
+        if error is None:
+            fit_did(panel, S)
+        else:
+            with pytest.raises(error):
+                fit_did(panel, S)
+        assert scipy_pool[0]() == 3
+
+    def test_concurrent_fits_restore_the_count(self, scipy_pool):
+        # The pool is one per process, so fits in several threads share
+        # it: each runs capped, and the count the first fit found comes
+        # back after the last.
+        panel, S = _returning_case()
+        want = fit_did(panel, S)
+        results = []
+
+        def fits():
+            for _ in range(25):
+                results.append(fit_did(panel, S))
+
+        workers = [threading.Thread(target=fits) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == 100 and all(est == want for est in results)
+        assert scipy_pool[0]() == 3
+
+    def test_without_handles_the_fit_is_unchanged(self, monkeypatch,
+                                                  scipy_pool):
+        spec = GeneratorSpec(seed=3)
+        regions, panel, _ = generate(spec)
+        S = build_spatial_matrix(regions, spec.alpha)
+        capped = fit_did(panel, S)
+        monkeypatch.setattr(causal, "_SCIPY_OPENBLAS", None)
+        seen = _recording_lapack(monkeypatch, scipy_pool[0])
+        est = fit_did(panel, S)
+        assert dict(est.table) == dict(capped.table)
+        assert est.residual_variance == capped.residual_variance
+        assert (adjust_panel(panel, est, S).z.tobytes()
+                == adjust_panel(panel, capped, S).z.tobytes())
+        # No set call: every routine ran at the pool's own count.
+        assert seen and {threads for _, threads in seen} == {3}
 
 
 class TestAdjustment:

@@ -1,6 +1,7 @@
 import argparse
 import datetime as dt
 import json
+import os
 import re
 import warnings
 from dataclasses import fields
@@ -8,14 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from stcast import dataio, errors
-from stcast.causal import AdjustedPanel, coefficient_names
+from stcast import causal, dataio, errors
+from stcast.causal import AdjustedPanel, blas_threads, coefficient_names
 from stcast.cli import build_parser, main
 from stcast.config import RunConfig, load_run_config, parse_config_file
 from stcast.errors import ConfigError, InputValidationError
 from stcast.forecaster import ModelConfig
-from stcast.pipeline import ARTIFACTS, model_label, run_pipeline
+from stcast.pipeline import (ARTIFACTS, model_label, run_pipeline,
+                             write_manifest)
 from stcast.synth import GeneratorSpec, generate
 
 
@@ -191,6 +194,34 @@ class TestPipeline:
         manifest = artifacts["manifest.txt"].read_text()
         assert "status=ok" in manifest
         assert "artifact_sha256.forecast_samples.csv=" in manifest
+
+    def test_manifest_records_run_environment(self, synth_files, tmp_path):
+        # Wide-panel outputs depend on numpy's BLAS thread count, so a run
+        # records it; the fit restores scipy's pool before the manifest.
+        cfg = load_run_config(overrides=base_overrides(
+            synth_files, tmp_path / "run", epochs=1, num_samples=5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            artifacts = run_pipeline(cfg)
+        lines = artifacts["manifest.txt"].read_text().splitlines()
+        env = dict(line.split("=", 1) for line in lines
+                   if line.startswith("env."))
+        assert env["env.nproc"] == str(os.cpu_count())
+        assert env["env.numpy"] == np.__version__
+        assert env["env.scipy"] == scipy.__version__
+        assert {key: int(value) for key, value in env.items()
+                if key.startswith("env.blas_threads.")} == {
+            f"env.blas_threads.{pool}": threads
+            for pool, threads in blas_threads().items()}
+        assert lines.index("status=ok") == 0
+
+    def test_manifest_omits_a_pool_it_cannot_find(self, monkeypatch,
+                                                   tmp_path):
+        monkeypatch.setattr(causal, "_NUMPY_OPENBLAS", None)
+        write_manifest(tmp_path, RunConfig(), "ok")
+        text = (tmp_path / "manifest.txt").read_text()
+        assert "env.blas_threads.numpy=" not in text
+        assert "env.nproc=" in text
 
     def test_determinism_byte_identical(self, synth_files, tmp_path):
         with warnings.catch_warnings():

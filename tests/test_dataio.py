@@ -586,6 +586,44 @@ class TestGrid:
         with pytest.raises(IngestionError, match=re.escape(message)):
             read_grid(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["a,2021-01-01,0,nan", "a,2021-01-01,x,2.0"],
+         "line 2: non-finite value in column 'value'"),
+        (["a,2021-01-01,0,1.0", "a,2021-13-01,1,2.0", "a,2021-01-01,0,2.0"],
+         "line 3: cannot parse date '2021-13-01'"),
+        (["a,2021-01-01,0,1.0", "a,2021-01-01,0,2.0", "a,2021-13-01,1,2.0"],
+         "line 3: duplicate (region, date, sample) = (a, 2021-01-01, 0) "
+         "(first at line 2)"),
+    ], ids=["value-then-sample", "date-then-duplicate", "duplicate-then-date"])
+    def test_first_broken_row_is_reported(self, tmp_path, rows, message):
+        # Of two broken rows, the error cites the earlier one, whatever
+        # the rules they break.
+        path = write(tmp_path, "fc.csv",
+                     "\n".join(["region_id,date,sample,value", *rows]) + "\n")
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            dataio.read_forecast_samples(path)
+
+    def test_duplicate_in_a_grid_sized_file(self, tmp_path):
+        # 4 rows for a 2 x 1 x 2 grid: the repeat hides the missing key
+        # from a row count.
+        path = write(tmp_path, "fc.csv", "region_id,date,sample,value\n"
+                     "a,2021-01-01,0,1.0\na,2021-01-01,0,2.0\n"
+                     "b,2021-01-01,0,1.0\nb,2021-01-01,1,2.0\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                "line 3: duplicate (region, date, sample) = (a, 2021-01-01, 0) "
+                "(first at line 2)")):
+            dataio.read_forecast_samples(path)
+
+    def test_huge_sample_index_is_a_gap(self, tmp_path):
+        # The grid a sample index implies is never allocated before the
+        # file is known to fill it.
+        path = write(tmp_path, "fc.csv", "region_id,date,sample,value\n"
+                     "a,2021-01-01,0,1.0\na,2021-01-01,1000000000000,2.0\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                "region 'a' covers 2 of 1000000000001 (date, sample) keys; "
+                "first missing: [(datetime.date(2021, 1, 1), 1), ")):
+            dataio.read_forecast_samples(path)
+
     def test_adjusted_gap_is_malformed(self, tmp_path):
         # A gap inside the file is a malformed grid (exit 7), not a
         # mismatch with the panel.
