@@ -14,11 +14,14 @@ via ``repr``):
     scores_long.csv       model,horizon,metric,value
 
 In every reader a row must have the header's field count, and a repeated
-key is rejected citing its first line.  The panel, adjusted, sample and
-truth files are one (region, date[, sample]) grid, read by ``_read_grid``
-and written by ``_write_grid``: a file that is not one full grid on its
-own is an IngestionError (exit 7), one whose regions or dates differ from
-the artifact it is read against an AlignmentError (exit 8).
+key is rejected citing its first line.  No reader accepts a region id that
+the writers, which never quote, could not write back.  The panel,
+adjusted, sample and truth files are one (region, date[, sample]) grid,
+read in one column-wise pass by ``_read_grid`` and written by
+``_write_grid``: a file that is not one full grid on its own is an
+IngestionError (exit 7) naming its first broken row, or its first gap
+when no row is broken; one whose regions or dates differ from the
+artifact it is read against is an AlignmentError (exit 8).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from functools import partial
 from itertools import islice, repeat
 from operator import itemgetter
 
@@ -57,20 +61,6 @@ def _parse_floats(texts, line: int, columns) -> list[float]:
             raise IngestionError(
                 f"line {line}: non-finite value in column '{column}'")
     return values
-
-
-def _parse_date(parsed: dict[str, dt.date], text: str, line: int) -> dt.date:
-    """ISO date from ``text``, memoised in ``parsed``: each distinct string
-    is parsed once, so a malformed one is reported at its first line."""
-    date = parsed.get(text)
-    if date is None:
-        try:
-            date = parsed[text] = dt.date.fromisoformat(text.strip())
-        except ValueError:
-            raise IngestionError(
-                f"line {line}: cannot parse date '{text}' (expected YYYY-MM-DD)"
-            ) from None
-    return date
 
 
 def _read_rows(path, expected_header: list[str], exact: bool = True):
@@ -112,6 +102,16 @@ def _record_key(seen: dict, key, line: int, what: str) -> None:
                              f"(first at line {first})")
 
 
+# The writers never quote, so a region id must not hold these.
+_REGION_ID_BREAKS = frozenset(',"\r\n')
+
+
+def _check_region_id(rid: str, line: int) -> None:
+    if not _REGION_ID_BREAKS.isdisjoint(rid):
+        raise IngestionError(f"line {line}: region_id {rid!r} contains a "
+                             "comma, quote or line break")
+
+
 # ---------------------------------------------------------------------------
 # The (region, date) grid
 # ---------------------------------------------------------------------------
@@ -120,11 +120,12 @@ _GRID_KEY = {2: "(region, date) = ({0[0]}, {0[1]})",
              3: "(region, date, sample) = ({0[0]}, {0[1]}, {0[2]})"}
 
 
-def _parse_sample(text: str, line: int) -> int:
-    if not text.strip().isdecimal():
-        raise IngestionError(
-            f"line {line}: sample index '{text}' is not an integer >= 0")
-    return int(text)
+def _or_none(parse, text: str):
+    """``parse(text)``, or None where that raises ValueError."""
+    try:
+        return parse(text)
+    except ValueError:
+        return None
 
 
 def _read_grid(path, header: list[str], region_ids=None, exact: bool = True):
@@ -139,9 +140,12 @@ def _read_grid(path, header: list[str], region_ids=None, exact: bool = True):
     them regions keep the order of their first row.  Dates are sorted.
     Every defect, including a key without a row, is an IngestionError.
 
-    A full grid without a broken row is read column by column, each
-    distinct key text parsed once; for any other file
-    ``_raise_grid_defect`` finds the defect row by row.
+    One column-wise pass codes each key column, each distinct text
+    parsed once, and the value columns.  The first broken row in line
+    order is reported: within it a bad region, date or sample index, a
+    repeated key, then the value columns left to right.  Only a file
+    without a broken row is checked for gaps, naming the first region,
+    in region order, that lacks a key.
     """
     header, lines, rows = _read_rows(path, header, exact)
     if not rows:
@@ -149,91 +153,85 @@ def _read_grid(path, header: list[str], region_ids=None, exact: bool = True):
     width = 3 if header[2] == "sample" else 2
     columns = [list(map(itemgetter(j), rows)) for j in range(len(header))]
     index = {rid: i for i, rid in enumerate(region_ids or ())}
-    keyed = _grid_cells(columns[:width], index, region_ids is None)
-    try:
-        values = np.array([np.fromiter(map(float, column), float, len(rows))
-                           for column in columns[width:]]).T
-    except ValueError:
-        values = None
-    if keyed is None or values is None or not np.isfinite(values).all():
-        _raise_grid_defect(path, lines, rows, header, region_ids)
-    cells, dates = keyed
-    grid = np.empty(values.shape)
+    position = {}
+    for text in dict.fromkeys(columns[0]):
+        rid = text.strip()
+        if region_ids is None and _REGION_ID_BREAKS.isdisjoint(rid):
+            index.setdefault(rid, len(index))
+        position[text] = index.get(rid, -1)
+    region = _positions(columns[0], position)
+    date, dates = _ranks(columns[1], partial(_or_none, dt.date.fromisoformat))
+    sample, samples = (
+        _ranks(columns[2], lambda text: int(text) if text.isdecimal() else None)
+        if width == 3 else (np.zeros(len(rows), np.intp), [0]))
+    values = np.array([_floats(column) for column in columns[width:]]).T
+    # Each row's flat (region, date, sample rank) cell; a row whose key
+    # does not parse is broken whatever cell it lands on.
+    cells = (region * len(dates) + date) * len(samples) + sample
+    order = np.argsort(cells, kind="stable")
+    repeated = np.zeros(len(rows), bool)
+    repeated[order[1:][cells[order[1:]] == cells[order[:-1]]]] = True
+    broken = ((region < 0) | (date < 0) | (sample < 0) | repeated
+              | ~np.isfinite(values).all(axis=1))
+    if broken.any():
+        i = int(broken.argmax())
+        line, row, rid = lines[i], rows[i], rows[i][0].strip()
+        if region[i] < 0:
+            _check_region_id(rid, line)
+            raise IngestionError(f"line {line}: unknown region '{rid}'")
+        if date[i] < 0:
+            raise IngestionError(f"line {line}: cannot parse date '{row[1]}' "
+                                 "(expected YYYY-MM-DD)")
+        if sample[i] < 0:
+            raise IngestionError(
+                f"line {line}: sample index '{row[2]}' is not an integer >= 0")
+        if repeated[i]:
+            key = (rid, dates[date[i]], samples[sample[i]])
+            first = lines[int(np.argmax(cells[:i] == cells[i]))]
+            _record_key({key: first}, key, line, _GRID_KEY[width])
+        _parse_floats(row[width:], line, header[width:])
+
+    # No row is broken, so the keys are distinct: the file is a full grid
+    # unless it holds fewer rows than N x T x S.
+    t, s = len(dates), samples[-1] + 1
+    if len(index) * t * s != len(rows):
+        have = np.bincount(region, minlength=len(index)).tolist()
+        g = next(g for g, count in enumerate(have) if count < t * s)
+        mine = region == g
+        present = {(dates[j], samples[k]) for j, k
+                   in zip(date[mine].tolist(), sample[mine].tolist())}
+        gaps = list(islice(((d, k) for d in dates for k in range(s)
+                            if (d, k) not in present), 3))
+        unit = "dates" if width == 2 else "(date, sample) keys"
+        raise IngestionError(
+            f"{path}: region '{list(index)[g]}' covers {have[g]} of {t * s} "
+            f"{unit}; first missing: {[d for d, _ in gaps] if width == 2 else gaps}")
+    grid = np.empty((len(rows), values.shape[1]))
     grid[cells] = values
-    return tuple(index), tuple(dates), grid.reshape(len(index), len(dates), -1,
-                                                    values.shape[1])
+    return tuple(index), tuple(dates), grid.reshape(len(index), t, s, -1)
 
 
-def _grid_cells(keys, index: dict, grow: bool):
-    """(cells, dates): each row's flat (region, date, sample) position in
-    the N x T x S grid and the sorted dates, from the key columns with
-    each distinct text parsed once; regions missing from ``index`` are
-    added when ``grow``.  None unless every key parses, every region is
-    known and the rows fill the grid, each cell once."""
-    regions: dict[str, int] = {}
-    parsed: dict[str, dt.date] = {}
+def _ranks(column, parse):
+    """(codes, keys): the sorted distinct values ``parse`` gives the
+    stripped texts of ``column``, each distinct text parsed once, and each
+    row's position among them, -1 where ``parse`` gives None."""
+    parsed = {text: parse(text.strip()) for text in dict.fromkeys(column)}
+    keys = sorted(set(parsed.values()) - {None})
+    rank = {key: j for j, key in enumerate(keys)}
+    return _positions(column, {text: rank.get(key, -1)
+                               for text, key in parsed.items()}), keys
+
+
+def _floats(column) -> np.ndarray:
+    """``column`` as floats, NaN where a text does not parse."""
     try:
-        for text in dict.fromkeys(keys[0]):
-            if grow:
-                index.setdefault(text.strip(), len(index))
-            regions[text] = index[text.strip()]
-        for text in dict.fromkeys(keys[1]):
-            _parse_date(parsed, text, 0)
-        samples = {text: _parse_sample(text, 0)
-                   for text in dict.fromkeys(keys[2] if len(keys) == 3 else ())}
-    except (KeyError, IngestionError):
-        return None
-    dates = sorted(set(parsed.values()))
-    s = 1 + max(samples.values(), default=0)
-    if len(index) * len(dates) * s != len(keys[0]):
-        return None
-    at = {date: j for j, date in enumerate(dates)}
-    cells = (_positions(keys[0], regions) * len(dates)
-             + _positions(keys[1], {text: at[d] for text, d in parsed.items()})) * s
-    if samples:
-        cells += _positions(keys[2], samples)
-    return (cells, dates) if np.bincount(cells).max() == 1 else None
+        return np.fromiter(map(float, column), float, len(column))
+    except ValueError:
+        return np.array([_or_none(float, text) for text in column], float)
 
 
 def _positions(column, position: dict) -> np.ndarray:
     return np.fromiter(map(position.__getitem__, column), np.intp, len(column))
-
-
-def _raise_grid_defect(path, lines, rows, header: list[str], region_ids):
-    """Raise the defect that keeps ``_read_grid``'s rows from being a full
-    grid, checking them one at a time: the first broken row in line
-    order, citing its line, else the first region with a key without a
-    row."""
-    width = 3 if header[2] == "sample" else 2
-    names = header[width:]
-    index = {rid: i for i, rid in enumerate(region_ids or ())}
-    parsed: dict[str, dt.date] = {}
-    first: dict[tuple[str, dt.date, int], int] = {}
-    for line, row in zip(lines, rows):
-        rid = row[0].strip()
-        if rid not in index:
-            if region_ids is not None:
-                raise IngestionError(f"line {line}: unknown region '{rid}'")
-            index[rid] = len(index)
-        key = (rid, _parse_date(parsed, row[1], line),
-               _parse_sample(row[2], line) if width == 3 else 0)
-        _record_key(first, key, line, _GRID_KEY[width])
-        _parse_floats(row[width:], line, names)
-
-    dates = sorted(set(parsed.values()))
-    t, s = len(dates), 1 + max(k for _, _, k in first)
-    unit = "dates" if width == 2 else "(date, sample) keys"
-    for rid in index:
-        gaps = list(islice(((d, k) for d in dates for k in range(s)
-                            if (rid, d, k) not in first), 3))
-        if gaps:
-            have = sum(key[0] == rid for key in first)
-            shown = [d for d, _ in gaps] if width == 2 else gaps
-            raise IngestionError(
-                f"{path}: region '{rid}' covers {have} of {t * s} "
-                f"{unit}; first missing: {shown}"
-            )
-    raise AssertionError(f"{path}: the rows fill the grid")
 
 
 def _write_grid(path, header: list[str], region_ids, dates,
@@ -288,6 +286,7 @@ def read_regions(path) -> tuple[RegionSet, np.ndarray]:
         rid = row[0].strip()
         if not rid:
             raise IngestionError(f"line {line}: empty region_id")
+        _check_region_id(rid, line)
         _record_key(seen, rid, line, "region_id '{}'")
         lat, lon = _parse_floats(row[1:3], line, ("lat", "lon"))
         flag = row[3].strip()

@@ -27,6 +27,7 @@ the samples are bit-identical to one step over all rows.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 import zipfile
 from dataclasses import dataclass, fields
@@ -66,12 +67,14 @@ class ModelConfig:
     batch_size: int = 64
 
     def __post_init__(self):
+        # A float such as 8.0 compares equal to 8 but breaks array shapes.
         for name in ("hidden_size", "num_layers", "context_len", "horizon",
-                     "epochs", "num_samples", "batch_size"):
-            if int(getattr(self, name)) <= 0:
-                raise InputValidationError(f"{name} must be a positive integer")
-        if int(self.seed) < 0:
-            raise InputValidationError("seed must be a non-negative integer")
+                     "epochs", "num_samples", "batch_size", "seed"):
+            value = getattr(self, name)
+            kind, least = ("non-negative", 0) if name == "seed" else ("positive", 1)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise InputValidationError(f"{name} must be a {kind} integer")
         # NaN fails both tests; grad_clip=inf means no clipping.
         if not (0 <= self.learning_rate < np.inf and self.grad_clip > 0):
             raise InputValidationError(

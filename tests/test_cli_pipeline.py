@@ -857,7 +857,7 @@ class TestCli:
         "missing-member", "missing-parameter", "not-npz", "unknown-config-key",
         "misshaped-parameter", "config-hidden-size", "non-finite-parameter",
         "undeclared-layer", "misshaped-scaler", "nonpositive-scaler-std",
-        "invalid-config-value"])
+        "invalid-config-value", "float-config-value"])
     def test_malformed_model_exit_code(self, synth_files, trained_stages,
                                        tmp_path, capsys, defect):
         # The trained model has one layer of 8 hidden units on 4 regions.
@@ -894,6 +894,11 @@ class TestCli:
         elif defect == "invalid-config-value":
             arrays["meta.config"] = np.array(json.dumps({**config, "epochs": 0}))
             expected = "bad meta.config (epochs must be a positive integer)"
+        elif defect == "float-config-value":
+            # 8.0 == 8, so the parameter shapes alone would accept it.
+            arrays["meta.config"] = np.array(json.dumps({**config,
+                                                         "hidden_size": 8.0}))
+            expected = "bad meta.config (hidden_size must be a positive integer)"
         elif defect == "undeclared-layer":
             # A second layer's blocks under a one-layer meta.config.
             for kind, shape in (("W", (3, 8, 8)), ("U", (3, 8, 8)), ("b", (3, 8))):

@@ -158,6 +158,24 @@ class TestIngestDiagnostics:
         with pytest.raises(IngestionError, match="empty file"):
             dataio.read_regions(path)
 
+    @pytest.mark.parametrize("field, rid", [
+        ('"A,1"', "A,1"), ('"A""1"', 'A"1'), ('"A\n1"', "A\n1"),
+        ('"A\r1"', "A\r1")], ids=["comma", "quote", "lf", "cr"])
+    def test_region_id_the_writers_cannot_write_back(self, tmp_path, field,
+                                                     rid):
+        # The writers do not quote, so such an id would come back split
+        # into more fields or rows.
+        regions = write(tmp_path, "regions.csv",
+                        GOOD_REGIONS + f"{field},0.0,0.0,0\n")
+        samples = write(tmp_path, "fc.csv", "region_id,date,sample,value\n"
+                        f"R00,2021-01-01,0,1.0\n{field},2021-01-01,0,1.0\n")
+        for read, path, line in ((dataio.read_regions, regions, 4),
+                                 (dataio.read_forecast_samples, samples, 3)):
+            with pytest.raises(IngestionError, match=re.escape(
+                    f"line {line}: region_id {rid!r} contains a comma, "
+                    "quote or line break")):
+                read(path)
+
 
 THREE_REGIONS = GOOD_REGIONS + "R02,0.0,0.0,0\n"
 
@@ -594,14 +612,46 @@ class TestGrid:
         (["a,2021-01-01,0,1.0", "a,2021-01-01,0,2.0", "a,2021-13-01,1,2.0"],
          "line 3: duplicate (region, date, sample) = (a, 2021-01-01, 0) "
          "(first at line 2)"),
-    ], ids=["value-then-sample", "date-then-duplicate", "duplicate-then-date"])
+        (["a,2021-01-01,0,1.0", "a,2021-01-01,100000000000000000000,2.0"],
+         "region 'a' covers 2 of 100000000000000000001 (date, sample) keys; "
+         "first missing: [(datetime.date(2021, 1, 1), 1), "),
+        (["a,2021-01-01,100000000000000000000,1.0",
+          "a,2021-01-01,100000000000000000000,2.0"],
+         "line 3: duplicate (region, date, sample) = "
+         "(a, 2021-01-01, 100000000000000000000) (first at line 2)"),
+        (["a,2021-01-01,0,1.0", "a,2021-01-01,0,nan"],
+         "line 3: duplicate (region, date, sample) = (a, 2021-01-01, 0) "
+         "(first at line 2)"),
+        ([" a ,2021-01-01, 0 ,1.0", "a, 2021-01-01,0,2.0"],
+         "line 3: duplicate (region, date, sample) = (a, 2021-01-01, 0) "
+         "(first at line 2)"),
+        (["", "a,2021-01-01,0,1.0", "", "a,2021-01-01,0,2.0"],
+         "line 5: duplicate (region, date, sample) = (a, 2021-01-01, 0) "
+         "(first at line 3)"),
+        (["region_id,date,y,c1,c2", "R99,2021-13-01,1.0,0.1,0.2"],
+         "line 2: unknown region 'R99'"),
+        (["region_id,date,y,c1,c2", "R00,2021-01-01,1.0,nan,x"],
+         "line 2: non-finite value in column 'c1'"),
+    ], ids=["value-then-sample", "date-then-duplicate", "duplicate-then-date",
+            "huge-index-gap", "huge-index-duplicate", "duplicate-then-value",
+            "spaced-duplicate", "blank-lines-counted", "region-then-date",
+            "value-columns-in-order"])
     def test_first_broken_row_is_reported(self, tmp_path, rows, message):
         # Of two broken rows, the error cites the earlier one, whatever
-        # the rules they break.
-        path = write(tmp_path, "fc.csv",
-                     "\n".join(["region_id,date,sample,value", *rows]) + "\n")
+        # the rules they break; within a row, the first rule broken of
+        # region, date, sample index, repeated key, then the values left
+        # to right.  Only a file without a broken row is checked for gaps.
+        # Rows led by a header are a panel on GOOD_REGIONS.
+        if rows[0].startswith("region_id,"):
+            regions = write(tmp_path, "regions.csv", GOOD_REGIONS)
+            path = write(tmp_path, "panel.csv", "\n".join(rows) + "\n")
+            read = lambda: dataio.ingest(regions, path, ONSET)
+        else:
+            path = write(tmp_path, "fc.csv", "\n".join(
+                ["region_id,date,sample,value", *rows]) + "\n")
+            read = lambda: dataio.read_forecast_samples(path)
         with pytest.raises(IngestionError, match=re.escape(message)):
-            dataio.read_forecast_samples(path)
+            read()
 
     def test_duplicate_in_a_grid_sized_file(self, tmp_path):
         # 4 rows for a 2 x 1 x 2 grid: the repeat hides the missing key
