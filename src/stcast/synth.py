@@ -17,12 +17,19 @@ treatment terms, covariates and noise) as one (N, BURN_IN + T) array
 built before the target recursion; the stability bound is checked once,
 after it.  Every value is bit-identical to stepping the equation one
 period at a time.
+
+The panel holds C-contiguous copies of the retained window only, so a
+held panel keeps the N * T * (D + 1) floats of y and c and none of the
+burn-in.  Its
+``times`` come from ``_calendar``: panels with the same start date and
+length share one immutable tuple of dates.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,8 +107,20 @@ def _draw_noise(rng: np.random.Generator, spec: GeneratorSpec, size) -> np.ndarr
     return scale * rng.standard_t(df, size)
 
 
+@lru_cache(maxsize=8)
+def _calendar(start_date: dt.date, t_steps: int) -> tuple[dt.date, ...]:
+    """The ``t_steps`` daily dates from ``start_date``, one shared tuple
+    per (start, length)."""
+    return tuple(start_date + dt.timedelta(days=k) for k in range(t_steps))
+
+
 def generate(spec: GeneratorSpec) -> tuple[RegionSet, Panel, DidEstimate]:
-    """Simulate a panel; returns (regions, panel, ground_truth)."""
+    """Simulate a panel; returns (regions, panel, ground_truth).
+
+    The panel's y, c and post are compact copies of the retained window
+    (the burn-in is dropped, not kept behind views), and its times are
+    the calendar shared by every panel with the same start and length.
+    """
     rng = np.random.default_rng(spec.seed)
     n, t, d = spec.n_regions, spec.t_steps, spec.d
 
@@ -163,16 +182,14 @@ def generate(spec: GeneratorSpec) -> tuple[RegionSet, Panel, DidEstimate]:
         raise GeneratorInstabilityError(
             f"dynamics exploded at step {exploded[0] + 1} (|y| > {_STABILITY_BOUND:g})"
         )
-    y = y_tm.T.copy()
 
-    times = tuple(spec.start_date + dt.timedelta(days=k) for k in range(t))
     panel = Panel(
         region_ids=tuple(regions.region_ids),
-        times=times,
-        y=y[:, BURN_IN:],
-        c=c[:, BURN_IN:, :],
+        times=_calendar(spec.start_date, t),
+        y=y_tm[BURN_IN:].T.copy(),
+        c=c[:, BURN_IN:, :].copy(),
         treated=treated,
-        post=post[BURN_IN:],
+        post=post[BURN_IN:].copy(),
     )
     values = (spec.true_rho, spec.true_beta0, spec.true_beta1, spec.true_beta2,
               spec.true_delta, *spec.true_gamma)

@@ -297,6 +297,24 @@ class TestScoreReport:
             b = score_report(np.ascontiguousarray(strided), obs, ids)
             assert a.rows() == b.rows()
 
+    @pytest.mark.parametrize("m", [1, 5, 9, 130])
+    def test_region_crps_matches_per_region_calls(self, m):
+        # The per-region scores come from one all-cell pass; each must be
+        # bit for bit the region's own mean_crps, strided ensembles and
+        # horizons past numpy's 8-wide unrolled and 128-wide pairwise
+        # blocks included.
+        rng = np.random.default_rng(m)
+        for k in range(40):
+            n, s = int(rng.integers(1, 7)), int(rng.integers(2, 60))
+            samples = rng.normal(size=(n, s, m)).transpose(0, 2, 1)
+            if k % 2:
+                samples = np.ascontiguousarray(samples)
+            obs = rng.normal(size=(n, m))
+            ids = tuple(f"r{i}" for i in range(n))
+            report = score_report(samples, obs, ids)
+            assert list(report.crps_per_region.values()) == [
+                mean_crps(samples[i], obs[i]) for i in range(n)]
+
     def test_quantile_scores_match_per_level_calls(self):
         # Rounded samples tie, zeros of both signs included.
         rng = np.random.default_rng(8)

@@ -1,3 +1,4 @@
+import datetime as dt
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ EXPLODED_AT_1 = r"^dynamics exploded at step 1 \(\|y\| > 1e\+09\)$"
 def _per_step_generate(spec):
     """The generator written one time step at a time, region-major, with
     the drift rebuilt at every step: the reference ``generate`` must match
-    bit for bit.  Returns the panel's (y, c, treated, post)."""
+    bit for bit.  Returns the panel's (y, c, treated, post), the retained
+    window as compact C-ordered copies."""
     rng = np.random.default_rng(spec.seed)
     n, t, d = spec.n_regions, spec.t_steps, spec.d
     if spec.coordinates is None:
@@ -56,7 +58,8 @@ def _per_step_generate(spec):
                  + spec.true_delta * treated * post[s]
                  + c[:, s, :] @ gamma + eps[:, s])
         y[:, s] = spec.true_rho * (S.weights @ y[:, s - 1]) + drift
-    return y[:, BURN_IN:], c[:, BURN_IN:, :], treated, post[BURN_IN:]
+    return (y[:, BURN_IN:].copy(), c[:, BURN_IN:, :].copy(), treated,
+            post[BURN_IN:].copy())
 
 
 class TestGeneratorSpec:
@@ -182,6 +185,33 @@ class TestGenerate:
             assert (a.shape, a.strides) == (b.shape, b.strides), name
             assert (a.flags.c_contiguous, a.flags.f_contiguous) == \
                 (b.flags.c_contiguous, b.flags.f_contiguous), name
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(seed=21),
+        GeneratorSpec(n_regions=500, t_steps=40, post_onset_index=20, seed=22),
+        GeneratorSpec(true_gamma=(), seed=23, t_steps=90, post_onset_index=45),
+    ], ids=["default", "N=500", "D=0"])
+    def test_panel_arrays_hold_only_the_window(self, spec):
+        # No burn-in stays alive behind a view: each array owns exactly
+        # its own floats.
+        _, panel, _ = generate(spec)
+        for name in ("y", "c", "post"):
+            a = getattr(panel, name)
+            assert a.flags.owndata, name
+            assert a.nbytes == a.size * 8, name
+        assert panel.y.shape == (spec.n_regions, spec.t_steps)
+        assert panel.c.shape == (spec.n_regions, spec.t_steps, spec.d)
+
+    def test_panels_share_one_calendar(self):
+        start = dt.date(2021, 3, 30)
+        base = dict(start_date=start, t_steps=40, post_onset_index=20)
+        _, p1, _ = generate(GeneratorSpec(seed=1, **base))
+        _, p2, _ = generate(GeneratorSpec(seed=2, **base))
+        assert p1.times is p2.times
+        _, p3, _ = generate(GeneratorSpec(seed=1, **{**base, "t_steps": 41}))
+        assert p3.times == tuple(start + dt.timedelta(days=k)
+                                 for k in range(41))
+        assert p1.times == p3.times[:40]
 
     def test_explosive_dynamics_detected(self):
         # Large beta0 with rho near 1 pushes the level towards
