@@ -12,7 +12,8 @@ coefficients by ordinary least squares with the spatial-lag contribution
 moved to the left-hand side.  ``causal_adjust`` removes the estimated
 treatment effect from treated post-period cells and
 ``build_adjusted_input`` folds the spatial spillover back in to produce
-the forecaster's conditioning series.
+the forecaster's conditioning series.  The least-squares LAPACK calls
+run on one thread of scipy's OpenBLAS pool (``_blas.one_thread``).
 
 The fit is a ``DidEstimate``: one ordered table of (estimate, standard
 error) rows named by ``coefficient_names(D)``, plus the residual
@@ -26,21 +27,16 @@ panel with D = 0 covariate columns drops the gamma term.
 
 from __future__ import annotations
 
-import ctypes
 import datetime as dt
-import functools
-import glob
-import os
-import threading
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-import scipy
 from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
+from ._blas import one_thread
 from .errors import (
     EstimationError,
     InputValidationError,
@@ -278,82 +274,6 @@ _COLLINEAR = ("singular normal equations; collinear columns: {} "
               "(constant treatment or post indicator?)")
 
 
-def _openblas(package, suffix: str):
-    """(get, set) of the thread count of the OpenBLAS that ``package``'s
-    wheel bundles in ``<package>.libs``, or None without that library or
-    its ``scipy_openblas_{get,set}_num_threads<suffix>`` symbols."""
-    libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
-                        f"{package.__name__}.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(path)
-            get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
-    return None
-
-
-# numpy's products and scipy.linalg.lapack each run on their own wheel's
-# OpenBLAS, with separate thread pools.
-_NUMPY_OPENBLAS = _openblas(np, "64_")
-_SCIPY_OPENBLAS = _openblas(scipy, "")
-
-
-def blas_threads() -> dict[str, int]:
-    """The thread count of numpy's and of scipy's OpenBLAS pool, for each
-    one found."""
-    pools = {"numpy": _NUMPY_OPENBLAS, "scipy": _SCIPY_OPENBLAS}
-    return {name: pool[0]() for name, pool in pools.items() if pool}
-
-
-class _OneThreadScopes:
-    """The open one-thread scopes of all threads.  scipy's pool is one per
-    process, so the first scope to open sets it to 1 thread and the last
-    to close restores the count the first found."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.open = 0
-        self.threads = 0
-
-    def enter(self, pool) -> None:
-        with self.lock:
-            if self.open == 0:
-                self.threads = pool[0]()
-                pool[1](1)
-            self.open += 1
-
-    def exit(self, pool) -> None:
-        with self.lock:
-            self.open -= 1
-            if self.open == 0:
-                pool[1](self.threads)
-
-
-_SCOPES = _OneThreadScopes()
-
-
-def _on_one_lapack_thread(fn):
-    """``fn`` run with scipy's OpenBLAS pool at 1 thread; its count is
-    restored when ``fn`` returns or raises.  Without the pool's handles
-    ``fn`` runs as it is."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        pool = _SCIPY_OPENBLAS
-        if pool is None:
-            return fn(*args, **kwargs)
-        _SCOPES.enter(pool)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _SCOPES.exit(pool)
-    return wrapper
-
-
 def _with_workspace(routine, *args, **kwargs):
     """Call a LAPACK ``routine`` with the workspace its ``lwork=-1`` query
     asks for (the blocking depends on it); its outputs before work and
@@ -365,7 +285,7 @@ def _with_workspace(routine, *args, **kwargs):
     return out
 
 
-@_on_one_lapack_thread
+@one_thread("scipy")
 def _least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
                    rank_error: str = _COLLINEAR
                    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -424,7 +344,7 @@ def _solve_r(rt: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@_on_one_lapack_thread
+@one_thread("scipy")
 def _bread(factor) -> np.ndarray:
     """inv(X'X) in column order from ``_least_squares``'s factor: R^-1 R^-T
     un-permuted, so X'X is never formed or inverted."""

@@ -82,24 +82,28 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     values, first_line = {}, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value, got '{stripped}'"
-                )
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-            if key in first_line:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}' "
-                                  f"(first at line {first_line[key]})")
-            first_line[key] = lineno
-            values[key] = _coerce(key, raw)
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not {err.encoding} text ({err.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key=value, got '{stripped}'"
+            )
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}' "
+                              f"(first at line {first_line[key]})")
+        first_line[key] = lineno
+        values[key] = _coerce(key, raw)
     return values
 
 

@@ -66,20 +66,26 @@ def _parse_floats(texts, line: int, columns) -> list[float]:
 def _read_rows(path, expected_header: list[str], exact: bool = True):
     """(header, lines, rows): the validated header, then the non-blank
     rows and the line number of each, after checking every row's field
-    count."""
+    count.  A file that does not decode or parse as CSV (such as a field
+    over csv's size limit) raises IngestionError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if (header if exact else header[: len(expected_header)]) != expected_header:
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as err:
+            raise IngestionError(f"{path}: line {reader.line_num}: {err}") from None
+        except UnicodeDecodeError as err:
             raise IngestionError(
-                f"{path}: header is {header}, expected "
-                f"{expected_header}{'' if exact else ' + covariate columns'}"
-            )
-        rows = list(reader)
+                f"{path}: not {err.encoding} text ({err.reason})") from None
+    if header is None:
+        raise IngestionError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    if (header if exact else header[: len(expected_header)]) != expected_header:
+        raise IngestionError(
+            f"{path}: header is {header}, expected "
+            f"{expected_header}{'' if exact else ' + covariate columns'}"
+        )
     lines = range(2, len(rows) + 2)
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]

@@ -27,8 +27,8 @@ import numpy as np
 import scipy
 
 from . import dataio
-from .causal import (Panel, adjust_panel, blas_threads, fit_did,
-                     parameter_report)
+from ._blas import blas_threads
+from .causal import Panel, adjust_panel, fit_did, parameter_report
 from .config import RunConfig
 from .errors import (InputValidationError, InsufficientDataError,
                      StcastError)

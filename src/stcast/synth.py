@@ -92,6 +92,12 @@ class GeneratorSpec:
             )
         if not 0.0 <= self.cov_persistence < 1.0:
             raise InputValidationError("cov_persistence must be in [0, 1)")
+        for name in ("noise_sigma", "cov_noise_scale"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise InputValidationError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not self.noise_df > 0.0:
+            raise InputValidationError(f"noise_df must be > 0, got {self.noise_df}")
 
     @property
     def d(self) -> int:

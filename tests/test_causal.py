@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stcast import causal, dataio
+from stcast import _blas, causal, dataio
 from stcast.causal import (
     DidEstimate,
     Panel,
@@ -706,24 +706,34 @@ class TestWrappedScipyOracle:
         assert adjust_panel(panel, est, S).z.tobytes() == z.tobytes()
 
 
-@pytest.fixture
-def scipy_pool():
-    """The (get, set) thread-count handles of scipy's OpenBLAS pool, with
-    the pool at 3 threads for the test: a count that a scope setting 1
-    changes on any machine, and not the default that a restore to a fixed
-    count would reach on a 2-core one.  Its count is restored after."""
-    if causal._SCIPY_OPENBLAS is None:
-        pytest.skip("scipy does not bundle a scipy-openblas library")
-    get_threads, set_threads = causal._SCIPY_OPENBLAS
+def _pool_at_3(name):
+    """The (get, set) thread-count handles of the pool ``name`` of
+    ``_blas.POOLS``, with the pool at 3 threads for the test: a count that
+    a scope setting 1 changes on any machine, and not the default that a
+    restore to a fixed count would reach on a 2-core one.  Its count is
+    restored after."""
+    if name not in _blas.POOLS:
+        pytest.skip(f"{name} does not bundle a scipy-openblas library")
+    get_threads, set_threads = _blas.POOLS[name]
     before = get_threads()
     set_threads(3)
     yield get_threads, set_threads
     set_threads(before)
 
 
+@pytest.fixture
+def scipy_pool():
+    yield from _pool_at_3("scipy")
+
+
+@pytest.fixture
+def numpy_pool():
+    yield from _pool_at_3("numpy")
+
+
 def _recording_lapack(monkeypatch, get_threads):
-    """Patch the three LAPACK routines to record (name, scipy thread
-    count) at each call that computes (not a workspace query)."""
+    """Patch the three LAPACK routines to record (name, get_threads())
+    at each call that computes (not a workspace query)."""
     seen = []
     for name in ("dgeqp3", "dorgqr", "dtrtrs"):
         def recording(*args, routine=getattr(causal, name), name=name, **kwargs):
@@ -811,7 +821,7 @@ class TestLapackThreads:
         regions, panel, _ = generate(spec)
         S = build_spatial_matrix(regions, spec.alpha)
         capped = fit_did(panel, S)
-        monkeypatch.setattr(causal, "_SCIPY_OPENBLAS", None)
+        monkeypatch.delitem(_blas.POOLS, "scipy")
         seen = _recording_lapack(monkeypatch, scipy_pool[0])
         est = fit_did(panel, S)
         assert dict(est.table) == dict(capped.table)
@@ -820,6 +830,85 @@ class TestLapackThreads:
                 == adjust_panel(panel, capped, S).z.tobytes())
         # No set call: every routine ran at the pool's own count.
         assert seen and {threads for _, threads in seen} == {3}
+
+    def test_a_numpy_scope_leaves_the_fit_on_one_scipy_thread(
+            self, monkeypatch, numpy_pool, scipy_pool):
+        # Each pool counts its own scopes: one open on numpy's pool does
+        # not stop the fit from pinning scipy's.
+        seen = _recording_lapack(
+            monkeypatch, lambda: (numpy_pool[0](), scipy_pool[0]()))
+        panel, S = _returning_case()
+        with _blas.one_thread("numpy"):
+            fit_did(panel, S)
+        assert {name for name, _ in seen} == {"dgeqp3", "dorgqr", "dtrtrs"}
+        assert {threads for _, threads in seen} == {(1, 1)}
+        assert (numpy_pool[0](), scipy_pool[0]()) == (3, 3)
+
+
+class _FakePool:
+    """A pool's (get, set) handles that record each count set."""
+
+    def __init__(self):
+        self.threads, self.sets = 3, []
+
+    def handles(self):
+        return (lambda: self.threads), self.set
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Two fake pools, "a" and "b", in ``_blas.POOLS``, each at 3."""
+    pools = {name: _FakePool() for name in "ab"}
+    for name, pool in pools.items():
+        monkeypatch.setitem(_blas.POOLS, name, pool.handles())
+    return pools
+
+
+class TestOneThreadScope:
+    def test_nested_scopes_restore_when_the_outer_closes(self, fake_pools):
+        pool = fake_pools["a"]
+        with _blas.one_thread("a"):
+            with _blas.one_thread("a"):
+                assert pool.threads == 1
+            assert pool.threads == 1
+        assert pool.sets == [1, 3]
+
+    def test_a_raise_restores_the_count(self, fake_pools):
+        @_blas.one_thread("a")
+        def failing():
+            assert fake_pools["a"].threads == 1
+            raise EstimationError("boom")
+
+        with pytest.raises(EstimationError):
+            with _blas.one_thread("a"):
+                raise EstimationError("boom")
+        with pytest.raises(EstimationError):
+            failing()
+        assert fake_pools["a"].sets == [1, 3, 1, 3]
+
+    def test_each_pool_counts_its_own_scopes(self, fake_pools):
+        a, b = fake_pools["a"], fake_pools["b"]
+        with _blas.one_thread("a"):
+            with _blas.one_thread("b"):
+                assert (a.threads, b.threads) == (1, 1)
+            assert (a.threads, b.threads) == (1, 3)
+        assert (a.sets, b.sets) == ([1, 3], [1, 3])
+
+    def test_a_missing_pool_is_a_noop(self, monkeypatch, fake_pools):
+        @_blas.one_thread("a")
+        def threads():
+            return fake_pools["a"].threads
+
+        monkeypatch.delitem(_blas.POOLS, "a")
+        with _blas.one_thread("absent"):
+            pass
+        # The decorated call looks the pool up when it runs.
+        assert threads() == 3
+        assert fake_pools["a"].sets == []
 
 
 class TestAdjustment:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 import scipy
 
-from stcast import causal, dataio, errors
-from stcast.causal import AdjustedPanel, blas_threads, coefficient_names
+from stcast import _blas, dataio, errors
+from stcast._blas import blas_threads
+from stcast.causal import AdjustedPanel, coefficient_names
 from stcast.cli import build_parser, main
 from stcast.config import RunConfig, load_run_config, parse_config_file
 from stcast.errors import ConfigError, InputValidationError
@@ -217,7 +218,7 @@ class TestPipeline:
 
     def test_manifest_omits_a_pool_it_cannot_find(self, monkeypatch,
                                                    tmp_path):
-        monkeypatch.setattr(causal, "_NUMPY_OPENBLAS", None)
+        monkeypatch.delitem(_blas.POOLS, "numpy", raising=False)
         write_manifest(tmp_path, RunConfig(), "ok")
         text = (tmp_path / "manifest.txt").read_text()
         assert "env.blas_threads.numpy=" not in text
@@ -730,6 +731,43 @@ class TestCli:
         assert rc == 7
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, row, message", [
+        ("panel.csv", b"R00,2020-06-01," + b"9" * 131_073,
+         "line {line}: field larger than field limit"),
+        ("panel.csv", b"R00,2020-06-01,\xff", "not utf-8 text"),
+        ("regions.csv", b"R99,\xff,0.0,1", "not utf-8 text"),
+    ], ids=["panel-long-field", "panel-undecodable", "regions-undecodable"])
+    def test_unparseable_csv_exit_code(self, synth_files, tmp_path, capsys,
+                                       name, row, message):
+        # A file that does not decode or parse as CSV is malformed (exit
+        # 7); the error names the file, and the line for a parse error.
+        data = tmp_path / "data"
+        data.mkdir()
+        for part in ("regions.csv", "panel.csv"):
+            (data / part).write_bytes((synth_files["root"] / part).read_bytes())
+        path = data / name
+        line = len(path.read_bytes().splitlines()) + 1
+        with path.open("ab") as fh:
+            fh.write(row + b"\n")
+        out = tmp_path / "est"
+        flags = as_flags(base_overrides(synth_files, out,
+                                        regions=data / "regions.csv",
+                                        panel=data / "panel.csv"))
+        assert main(["estimate", *flags]) == 7
+        assert (f"error: {path}: {message.format(line=line)}"
+                in capsys.readouterr().err)
+        assert not (out / "did_estimate.csv").exists()
+
+    def test_undecodable_config_exit_code(self, synth_files, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs=1\n# \xff\n")
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--config", str(cfg),
+                   *as_flags(base_overrides(synth_files, out))])
+        assert rc == 9
+        assert f"error: {cfg}: not utf-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_defaults_are_generator_defaults(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path / "cli")]) == 0
         capsys.readouterr()
@@ -757,6 +795,14 @@ class TestCli:
         out = tmp_path / "sim"
         assert main(["simulate", "--out", str(out), "--rho", "1.5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_simulate_negative_noise_creates_no_directory(self, tmp_path,
+                                                          capsys):
+        # numpy would refuse the scale mid-draw; the spec refuses it first.
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--noise-sigma", "-1"]) == 2
+        assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

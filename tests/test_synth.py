@@ -77,6 +77,16 @@ class TestGeneratorSpec:
         with pytest.raises(InputValidationError):
             GeneratorSpec(treated_fraction=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("noise_sigma", -1.0), ("noise_sigma", np.nan), ("noise_sigma", np.inf),
+        ("cov_noise_scale", -0.5), ("cov_noise_scale", np.nan),
+        ("cov_noise_scale", np.inf), ("noise_df", 0.0), ("noise_df", -3.0),
+        ("noise_df", np.nan),
+    ])
+    def test_rejects_bad_noise_scale(self, name, value):
+        with pytest.raises(InputValidationError, match=name):
+            GeneratorSpec(**{name: value})
+
 
 class TestGenerate:
     def test_degenerate_dgp_closed_form(self):
