@@ -8,7 +8,7 @@ from stcast import dataio
 from stcast.causal import AdjustedPanel, DidEstimate, Panel, coefficient_names
 from stcast.errors import AlignmentError, IngestionError
 from stcast.metrics import ScoreReport
-from stcast.spatial import Region, RegionSet
+from stcast.spatial import Region, RegionSet, SpatialMatrix
 from stcast.synth import GeneratorSpec, generate
 
 GOOD_REGIONS = """region_id,lat,lon,treated
@@ -451,6 +451,84 @@ class TestScoresCsv:
         long_path = tmp_path / "long.csv"
         dataio.write_scores_long_csv(report, "gaussian-full", 5, long_path)
         assert "gaussian-full,5,wql[0.5],0.3\n" in long_path.read_text()
+
+
+def table_case(name):
+    """(write(path), the exact text written) for each table writer, on
+    fixed inputs with full-precision reals and a missing std_error."""
+    from stcast.spatial import spatial_matrix_to_csv
+
+    rs = RegionSet((Region("a", 10.0, 20.5), Region("b", -33.25, 151.0),
+                    Region("c", 0.1, -0.7)))
+    est = DidEstimate({"rho": (0.3, 0.05), "beta0": (1.0, 0.25),
+                       "beta1": (0.2, 0.1), "beta2": (-0.4, 0.125),
+                       "delta": (-1.5, None), "gamma1": (1 / 3, 0.01)},
+                      residual_variance=0.5)
+    truth = DidEstimate({name: (value, None) for name, value in zip(
+        coefficient_names(2), (0.4, 1.0, 0.5, -0.3, -2.0, 1.0, -0.5))},
+        residual_variance=0.01)
+    report = ScoreReport(
+        crps=0.5, wql={0.9: 0.1, 0.1: 0.2, 0.5: 0.3},
+        coverage_interval={0.1: 0.91}, coverage_quantile={0.1: 0.12},
+        energy=1.0, crps_per_region={"b": 0.6, "a": 0.4})
+    weights = [[0.0, 0.5, 0.5], [0.25, 0.0, 0.75], [1 / 3, 2 / 3, 0.0]]
+    S = SpatialMatrix(weights=np.array(weights), alpha=1.0,
+                      region_ids=("a", "b", "c"))
+    return {
+        "regions": (
+            lambda p: dataio.write_regions_csv(rs, np.array([1.0, 0.0, 1.0]), p),
+            "region_id,lat,lon,treated\n"
+            "a,10.0,20.5,1\nb,-33.25,151.0,0\nc,0.1,-0.7,1\n"),
+        "did_estimate": (
+            lambda p: dataio.write_did_estimate_csv(est, p),
+            "coefficient,estimate,std_error\n"
+            "rho,0.3,0.05\nbeta0,1.0,0.25\nbeta1,0.2,0.1\nbeta2,-0.4,0.125\n"
+            "delta,-1.5,\ngamma1,0.3333333333333333,0.01\n"
+            "residual_variance,0.5,\n"),
+        "ground_truth": (
+            lambda p: dataio.write_ground_truth_csv(truth, p),
+            "coefficient,value\n"
+            "rho,0.4\nbeta0,1.0\nbeta1,0.5\nbeta2,-0.3\ndelta,-2.0\n"
+            "gamma1,1.0\ngamma2,-0.5\nresidual_variance,0.01\n"),
+        "scores": (
+            lambda p: dataio.write_scores_csv(report, p),
+            "metric,level,value\n"
+            "crps,,0.5\nwql,0.1,0.2\nwql,0.5,0.3\nwql,0.9,0.1\n"
+            "coverage_interval,0.1,0.91\ncoverage_quantile,0.1,0.12\n"
+            "energy,,1.0\ncrps_region,a,0.4\ncrps_region,b,0.6\n"),
+        "scores_long": (
+            lambda p: dataio.write_scores_long_csv(report, "gaussian-full", 5, p),
+            "model,horizon,metric,value\n"
+            "gaussian-full,5,crps,0.5\ngaussian-full,5,wql[0.1],0.2\n"
+            "gaussian-full,5,wql[0.5],0.3\ngaussian-full,5,wql[0.9],0.1\n"
+            "gaussian-full,5,coverage_interval[0.1],0.91\n"
+            "gaussian-full,5,coverage_quantile[0.1],0.12\n"
+            "gaussian-full,5,energy,1.0\n"
+            "gaussian-full,5,crps_region[a],0.4\n"
+            "gaussian-full,5,crps_region[b],0.6\n"),
+        "spatial_matrix": (
+            lambda p: spatial_matrix_to_csv(S, p),
+            "a,b,c\n0.0,0.5,0.5\n0.25,0.0,0.75\n"
+            "0.3333333333333333,0.6666666666666666,0.0\n"),
+        "spatial_matrix_unnamed": (
+            lambda p: spatial_matrix_to_csv(
+                SpatialMatrix(weights=S.weights, alpha=1.0), p),
+            "0,1,2\n0.0,0.5,0.5\n0.25,0.0,0.75\n"
+            "0.3333333333333333,0.6666666666666666,0.0\n"),
+    }[name]
+
+
+class TestTableBytes:
+    """Each table writer's exact output, pinned as literal text."""
+
+    @pytest.mark.parametrize("name", [
+        "regions", "did_estimate", "ground_truth", "scores", "scores_long",
+        "spatial_matrix", "spatial_matrix_unnamed"])
+    def test_written_text(self, tmp_path, name):
+        writer, expected = table_case(name)
+        path = tmp_path / f"{name}.csv"
+        writer(path)
+        assert path.read_bytes() == expected.encode()
 
 
 def reader_case(name, tmp_path):
