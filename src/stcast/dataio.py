@@ -30,7 +30,7 @@ import csv
 import datetime as dt
 import math
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -39,11 +39,17 @@ from .causal import (AdjustedPanel, DidEstimate, Panel, coefficient_names,
                      invalid_rows)
 from .errors import AlignmentError, IngestionError
 from .metrics import ScoreReport
-from .spatial import Region, RegionSet
+from .spatial import Region, RegionSet, SpatialMatrix
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_table(path, header, rows) -> None:
+    """Write ``header``, then each row of text fields, comma-joined."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(row) + "\n" for row in chain([header], rows))
 
 
 def _parse_floats(texts, line: int, columns) -> list[float]:
@@ -280,7 +286,7 @@ def _on_axes(path, grid, region_ids, dates, against: str, exact: bool):
 
 
 # ---------------------------------------------------------------------------
-# regions.csv
+# regions.csv and spatial_matrix.csv
 # ---------------------------------------------------------------------------
 
 def read_regions(path) -> tuple[RegionSet, np.ndarray]:
@@ -306,11 +312,16 @@ def read_regions(path) -> tuple[RegionSet, np.ndarray]:
 
 
 def write_regions_csv(rs: RegionSet, treated: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("region_id,lat,lon,treated\n")
-        for region, flag in zip(rs.regions, treated):
-            fh.write(f"{region.region_id},{_fmt(region.lat)},"
-                     f"{_fmt(region.lon)},{int(flag)}\n")
+    _write_table(path, ["region_id", "lat", "lon", "treated"],
+                 ((r.region_id, _fmt(r.lat), _fmt(r.lon), str(int(flag)))
+                  for r, flag in zip(rs.regions, treated)))
+
+
+def spatial_matrix_to_csv(S: SpatialMatrix, path) -> None:
+    """The weight matrix: a header of region ids (of row indices for a
+    matrix without them), then N rows of N full-precision reals."""
+    _write_table(path, S.region_ids or map(str, range(S.n)),
+                 (map(repr, row) for row in S.weights.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +378,10 @@ def read_truth_values(path, region_ids, dates) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_did_estimate_csv(est: DidEstimate, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("coefficient,estimate,std_error\n")
-        for name, (value, se) in est.table.items():
-            fh.write(f"{name},{_fmt(value)},{'' if se is None else _fmt(se)}\n")
-        fh.write(f"residual_variance,{_fmt(est.residual_variance)},\n")
+    _write_table(path, ["coefficient", "estimate", "std_error"], [
+        *((name, _fmt(value), "" if se is None else _fmt(se))
+          for name, (value, se) in est.table.items()),
+        ("residual_variance", _fmt(est.residual_variance), "")])
 
 
 def read_did_estimate(path) -> DidEstimate:
@@ -434,11 +444,9 @@ def read_adjusted_csv(path, panel: Panel) -> AdjustedPanel:
 
 
 def write_ground_truth_csv(truth: DidEstimate, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("coefficient,value\n")
-        for name, (value, _) in truth.table.items():
-            fh.write(f"{name},{_fmt(value)}\n")
-        fh.write(f"residual_variance,{_fmt(truth.residual_variance)}\n")
+    _write_table(path, ["coefficient", "value"], [
+        *((name, _fmt(value)) for name, (value, _) in truth.table.items()),
+        ("residual_variance", _fmt(truth.residual_variance))])
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +468,13 @@ def read_forecast_samples(path):
 
 
 def write_scores_csv(report: ScoreReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("metric,level,value\n")
-        for metric, level, value in report.rows():
-            fh.write(f"{metric},{level},{_fmt(value)}\n")
+    _write_table(path, ["metric", "level", "value"],
+                 ((metric, level, _fmt(value))
+                  for metric, level, value in report.rows()))
 
 
 def write_scores_long_csv(report: ScoreReport, model: str, horizon: int, path) -> None:
     """Plot-ready long format mirroring the per-horizon results layout."""
-    with open(path, "w", newline="") as fh:
-        fh.write("model,horizon,metric,value\n")
-        for metric, level, value in report.rows():
-            name = metric if not level else f"{metric}[{level}]"
-            fh.write(f"{model},{horizon},{name},{_fmt(value)}\n")
+    _write_table(path, ["model", "horizon", "metric", "value"],
+                 ((model, str(horizon), f"{metric}[{level}]" if level else metric,
+                   _fmt(value)) for metric, level, value in report.rows()))

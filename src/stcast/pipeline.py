@@ -33,8 +33,9 @@ from .config import RunConfig
 from .errors import (InputValidationError, InsufficientDataError,
                      StcastError)
 from .forecaster import ForecastModel
+from .dataio import spatial_matrix_to_csv
 from .metrics import score_report
-from .spatial import build_spatial_matrix, spatial_matrix_to_csv
+from .spatial import build_spatial_matrix
 from .transforms import fit_target_transform
 
 ARTIFACTS = (

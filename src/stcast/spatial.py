@@ -183,12 +183,3 @@ def spatial_lag(S: SpatialMatrix, series: np.ndarray) -> np.ndarray:
         )
     return S.weights @ series
 
-
-def spatial_matrix_to_csv(S: SpatialMatrix, path) -> None:
-    """Dump the weight matrix as CSV: header of region ids, then N rows
-    of N full-precision reals."""
-    ids = S.region_ids if S.region_ids else tuple(str(i) for i in range(S.n))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(ids) + "\n")
-        for row in S.weights:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

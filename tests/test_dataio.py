@@ -456,8 +456,6 @@ class TestScoresCsv:
 def table_case(name):
     """(write(path), the exact text written) for each table writer, on
     fixed inputs with full-precision reals and a missing std_error."""
-    from stcast.spatial import spatial_matrix_to_csv
-
     rs = RegionSet((Region("a", 10.0, 20.5), Region("b", -33.25, 151.0),
                     Region("c", 0.1, -0.7)))
     est = DidEstimate({"rho": (0.3, 0.05), "beta0": (1.0, 0.25),
@@ -507,11 +505,11 @@ def table_case(name):
             "gaussian-full,5,crps_region[a],0.4\n"
             "gaussian-full,5,crps_region[b],0.6\n"),
         "spatial_matrix": (
-            lambda p: spatial_matrix_to_csv(S, p),
+            lambda p: dataio.spatial_matrix_to_csv(S, p),
             "a,b,c\n0.0,0.5,0.5\n0.25,0.0,0.75\n"
             "0.3333333333333333,0.6666666666666666,0.0\n"),
         "spatial_matrix_unnamed": (
-            lambda p: spatial_matrix_to_csv(
+            lambda p: dataio.spatial_matrix_to_csv(
                 SpatialMatrix(weights=S.weights, alpha=1.0), p),
             "0,1,2\n0.0,0.5,0.5\n0.25,0.0,0.75\n"
             "0.3333333333333333,0.6666666666666666,0.0\n"),

@@ -249,7 +249,7 @@ class TestSpatialMatrixType:
 
 class TestMatrixCsv:
     def test_dump_full_precision(self, square_regions, tmp_path):
-        from stcast.spatial import spatial_matrix_to_csv
+        from stcast.dataio import spatial_matrix_to_csv
 
         S = build_spatial_matrix(square_regions, alpha=1.7)
         path = tmp_path / "spatial_matrix.csv"
