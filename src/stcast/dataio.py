@@ -29,9 +29,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import os
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -46,9 +49,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def replacing(path, mode: str = "w", newline: str | None = None):
+    """A file to write ``path`` through: it is opened on a temporary sibling
+    (permissions follow the umask), which replaces ``path`` when the block
+    ends.  On any exception the sibling is removed and ``path`` is left as
+    it was.  Nothing is fsynced: a raised error or a killed process never
+    leaves a part-written artifact, but a power loss may."""
+    target = Path(path)
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode, newline=newline) as fh:
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _write_table(path, header, rows) -> None:
     """Write ``header``, then each row of text fields, comma-joined."""
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         fh.writelines(",".join(row) + "\n" for row in chain([header], rows))
 
 
@@ -258,7 +279,7 @@ def _write_grid(path, header: list[str], region_ids, dates,
     keys = [date.isoformat() for date in dates]
     if header[2] == "sample":
         keys = [f"{key},{j}" for key in keys for j in range(s)]
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
         for rid, block in zip(region_ids, values):
             columns = [map(repr, col) for col in block.reshape(t * s, k).T.tolist()]
@@ -425,7 +446,7 @@ def read_did_estimate(path) -> DidEstimate:
 
 
 def write_parameter_report(report: str, path) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(report)
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import heads
+from .dataio import replacing
 from .causal import AdjustedPanel, Panel
 from .errors import (
     DivergenceError,
@@ -376,7 +377,7 @@ class ForecastModel:
         config = {f.name: getattr(self.config, f.name) for f in fields(ModelConfig)}
         arrays["meta.config"] = np.array(json.dumps(config))
         arrays["meta.region_ids"] = np.array(list(self.region_ids))
-        with open(path, "wb") as fh:
+        with replacing(path, "wb") as fh:
             np.savez(fh, **arrays)
 
     @classmethod

@@ -79,7 +79,8 @@ def write_manifest(out_dir: Path, config: RunConfig, status: str,
         if artifact.exists():
             key = "stale_artifact" if status != "ok" else "artifact_sha256"
             lines.append(f"{key}.{name}={_sha256(artifact)}")
-    path.write_text("\n".join(lines) + "\n")
+    with dataio.replacing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -202,7 +203,8 @@ def run_pipeline(config: RunConfig, regions=None, panel=None) -> dict[str, Path]
         )
     out_dir = output_dir(config.out)
     manifest = out_dir / "manifest.txt"
-    manifest.write_text("status=running\n")
+    with dataio.replacing(manifest) as fh:
+        fh.write("status=running\n")
     try:
         _run_stages(config, out_dir, regions, panel)
     except BaseException as err:
@@ -259,8 +261,12 @@ def evaluate_files(forecast_path, truth_panel_path, out_dir,
     """Score a forecast_samples.csv against a truth panel.csv.
 
     The truth file is a full (region, date) grid that must hold every
-    forecast region and date; it may hold more.
+    forecast region and date; it may hold more.  ``model`` becomes a field
+    of scores_long.csv, so it may not hold what a region id may not.
     """
+    if not dataio._REGION_ID_BREAKS.isdisjoint(model):
+        raise InputValidationError(f"model name {model!r} contains a comma, "
+                                   "quote or line break")
     out = output_dir(out_dir)
     region_ids, dates, samples = dataio.read_forecast_samples(forecast_path)
     observed = dataio.read_truth_values(truth_panel_path, region_ids, dates)

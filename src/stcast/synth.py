@@ -72,6 +72,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n_regions < 2:
             raise InputValidationError("need at least 2 regions")
+        for name in ("true_rho", "true_delta", "true_gamma", "true_beta0",
+                     "true_beta1", "true_beta2", "cov_shift_treated_post"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InputValidationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if abs(self.true_rho) >= 1.0:
             raise InputValidationError(f"|true_rho| must be < 1, got {self.true_rho}")
         if not 1 <= self.post_onset_index <= self.t_steps - 1:

@@ -187,6 +187,9 @@ class TestPipeline:
                      "adjusted_panel.csv", "model.npz",
                      "forecast_samples.csv", "scores.csv", "manifest.txt"):
             assert artifacts[name].exists(), name
+        # Every artifact replaced its temporary sibling.
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
+            sorted(artifacts)
         scores = artifacts["scores.csv"].read_text()
         for metric in ("crps", "wql,0.1", "wql,0.5", "wql,0.9",
                        "coverage_interval,0.1", "coverage_quantile,0.9",
@@ -524,6 +527,28 @@ class TestCli:
         assert "energy,,0.0\n" in text
         capsys.readouterr()
 
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_evaluate_rejects_unwritable_model_name(self, tmp_path, capsys,
+                                                    char):
+        # scores_long.csv is never quoted, so such a name would add fields
+        # or rows to it; it exits 2 before --out exists.
+        dates = (dt.date(2021, 3, 1), dt.date(2021, 3, 2))
+        fc = tmp_path / "fc.csv"
+        dataio.write_forecast_samples_csv(np.zeros((2, 2, 3)), ("a", "b"),
+                                          dates, fc)
+        tp = tmp_path / "truth.csv"
+        tp.write_text("region_id,date,y\n" + "".join(
+            f"{rid},{d.isoformat()},0.0\n" for rid in "ab" for d in dates))
+        out = tmp_path / "scores"
+        rc = main(["evaluate", "--model-name", f"a{char}b", "--forecast",
+                   str(fc), "--truth", str(tp), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: model name {f'a{char}b'!r} contains a comma, quote or "
+            "line break\n")
+        assert not out.exists()
+
     def test_evaluate_calibrated_sampler_coverage(self, tmp_path, capsys):
         # A forecaster that samples from the true distribution scores
         # close to nominal coverage through the file-based path too.
@@ -731,6 +756,18 @@ class TestCli:
         assert rc == 7
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_artifact_exit_code(self, synth_files, tmp_path, capsys):
+        # A directory where the artifact goes cannot be replaced: an
+        # OSError (exit 7) that leaves the directory and no temporary file.
+        out = tmp_path / "o"
+        (out / "spatial_matrix.csv").mkdir(parents=True)
+        rc = main(["build-spatial", "--regions",
+                   str(synth_files["root"] / "regions.csv"), "--out", str(out)])
+        assert rc == 7
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["spatial_matrix.csv"]
+        assert (out / "spatial_matrix.csv").is_dir()
+
     @pytest.mark.parametrize("name, row, message", [
         ("panel.csv", b"R00,2020-06-01," + b"9" * 131_073,
          "line {line}: field larger than field limit"),
@@ -803,6 +840,17 @@ class TestCli:
         out = tmp_path / "sim"
         assert main(["simulate", "--out", str(out), "--noise-sigma", "-1"]) == 2
         assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--rho", "nan"], "true_rho"), (["--beta0", "inf"], "true_beta0"),
+        (["--delta", "nan"], "true_delta"), (["--gamma", "1,nan"], "true_gamma"),
+    ], ids=["rho", "beta0", "delta", "gamma"])
+    def test_simulate_non_finite_coefficient_creates_no_directory(
+            self, tmp_path, capsys, flags, name):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

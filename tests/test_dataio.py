@@ -1,4 +1,5 @@
 import datetime as dt
+import os
 import re
 
 import numpy as np
@@ -527,6 +528,54 @@ class TestTableBytes:
         path = tmp_path / f"{name}.csv"
         writer(path)
         assert path.read_bytes() == expected.encode()
+
+
+class TestWholeWrites:
+    """A write that fails part-way leaves the earlier file as it was, and
+    no temporary file beside it."""
+
+    def test_interrupted_table_keeps_previous_file(self, tmp_path):
+        writer, _ = table_case("scores")
+        path = tmp_path / "scores.csv"
+        writer(path)
+        before = path.read_bytes()
+
+        class Breaking:
+            def rows(self):
+                yield "crps", "", 9.0
+                raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            dataio.write_scores_csv(Breaking(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
+
+    @pytest.mark.parametrize("mode, data", [("w", "partial"), ("wb", b"partial")])
+    def test_interrupted_write_through_replacing(self, tmp_path, mode, data):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(OSError, match="disk full"):
+            with dataio.replacing(path, mode) as fh:
+                fh.write(data)
+                raise OSError("disk full")
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with dataio.replacing(tmp_path / "new.csv") as fh:
+                fh.write("region_id")
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_permissions_follow_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            table_case("regions")[0](tmp_path / "regions.csv")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "regions.csv").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def reader_case(name, tmp_path):

@@ -87,6 +87,18 @@ class TestGeneratorSpec:
         with pytest.raises(InputValidationError, match=name):
             GeneratorSpec(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("true_rho", np.nan), ("true_delta", np.nan), ("true_beta0", np.inf),
+        ("true_beta1", -np.inf), ("true_beta2", np.nan),
+        ("true_gamma", (1.0, np.nan)), ("cov_shift_treated_post", np.inf),
+    ])
+    def test_rejects_non_finite_coefficient(self, name, value):
+        # abs(nan) >= 1 is false, so a NaN rho would pass the stationarity
+        # check and fail only later, as a non-finite y naming no setting.
+        with pytest.raises(InputValidationError,
+                           match=f"^{name} must be finite, got "):
+            GeneratorSpec(**{name: value})
+
 
 class TestGenerate:
     def test_degenerate_dgp_closed_form(self):
