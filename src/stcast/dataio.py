@@ -1,5 +1,12 @@
 """CSV schemas: ingestion with row-level diagnostics, artifact writers.
 
+This is the only module that writes a CSV: each table goes through
+``_write_table`` (a header, then rows of text fields, comma-joined) and
+each grid through ``_write_grid``.  Every artifact, ``model.npz`` and the
+manifest included, is written through ``replacing``, a temporary sibling
+that replaces the file whole, so an error or a killed process never
+leaves a truncated artifact.
+
 File formats (all comma-separated, ISO-8601 dates, full-precision reals
 via ``repr``):
 

@@ -36,8 +36,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import heads
-from .dataio import replacing
 from .causal import AdjustedPanel, Panel
+from .dataio import replacing
 from .errors import (
     DivergenceError,
     IngestionError,

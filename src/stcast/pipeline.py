@@ -30,10 +30,10 @@ from . import dataio
 from ._blas import blas_threads
 from .causal import Panel, adjust_panel, fit_did, parameter_report
 from .config import RunConfig
+from .dataio import spatial_matrix_to_csv
 from .errors import (InputValidationError, InsufficientDataError,
                      StcastError)
 from .forecaster import ForecastModel
-from .dataio import spatial_matrix_to_csv
 from .metrics import score_report
 from .spatial import build_spatial_matrix
 from .transforms import fit_target_transform

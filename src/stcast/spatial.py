@@ -3,7 +3,8 @@
 The weight matrix assigns every region a convex combination of all other
 regions, with influence decaying as an inverse power of great-circle
 distance.  Rows sum to one, the diagonal is exactly zero, and a larger
-decay exponent concentrates weight on nearer neighbours.
+decay exponent concentrates weight on nearer neighbours.  This module
+writes no file: ``dataio.spatial_matrix_to_csv`` writes the matrix.
 """
 
 from __future__ import annotations
@@ -182,4 +183,3 @@ def spatial_lag(S: SpatialMatrix, series: np.ndarray) -> np.ndarray:
             f"series has {series.shape[0]} rows but matrix is {S.n}x{S.n}"
         )
     return S.weights @ series
-
