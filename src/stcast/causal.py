@@ -13,7 +13,9 @@ moved to the left-hand side.  ``causal_adjust`` removes the estimated
 treatment effect from treated post-period cells and
 ``build_adjusted_input`` folds the spatial spillover back in to produce
 the forecaster's conditioning series.  The least-squares LAPACK calls
-run on one thread of scipy's OpenBLAS pool (``_blas.one_thread``).
+run on one thread of scipy's OpenBLAS pool, and ``fit_did`` and
+``adjust_panel`` run their numpy products on one thread of numpy's
+(``_blas.one_thread``), so their bits do not depend on either count.
 
 The fit is a ``DidEstimate``: one ordered table of (estimate, standard
 error) rows named by ``coefficient_names(D)``, plus the residual
@@ -452,6 +454,7 @@ def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
     return _ols_estimate(X[:, 1:], offset_targets, d, rho_hat, rho_se)
 
 
+@one_thread("numpy")
 def fit_did(p: Panel, S: SpatialMatrix | None) -> DidEstimate:
     """Full estimation: design matrix, IV stage for the lag, then OLS.
 
@@ -483,6 +486,7 @@ def build_adjusted_input(y_tilde: np.ndarray, S: SpatialMatrix,
     return y_tilde + rho_hat * spatial_lag(S, y_tilde)
 
 
+@one_thread("numpy")
 def adjust_panel(p: Panel, est: DidEstimate,
                  S: SpatialMatrix | None) -> AdjustedPanel:
     """Both adjustment steps; with ``S`` None the input equals the

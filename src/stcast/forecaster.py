@@ -21,7 +21,10 @@ The decode projects and draws over all N x num_samples rows at once, but
 advances the GRU over fixed blocks of DECODE_BLOCK_ROWS rows and writes
 each block's new state back in place, so its temporaries stay one
 block in size whatever the sample count; GEMM rows are independent, so
-the samples are bit-identical to one step over all rows.
+the samples are bit-identical to one step over all rows.  ``fit`` and
+``forecast`` run their numpy products on one thread of numpy's OpenBLAS
+pool (``_blas.one_thread``): OpenBLAS splits the N-row encode and the
+decode blocks across threads, and a split product rounds differently.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import heads
+from ._blas import one_thread
 from .causal import AdjustedPanel, Panel
 from .dataio import replacing
 from .errors import (
@@ -152,6 +156,7 @@ class ForecastModel:
 
     # -- training -----------------------------------------------------------
 
+    @one_thread("numpy")
     def fit(self, adjusted: AdjustedPanel, panel: Panel) -> list[float]:
         """Train on the panel; returns the per-epoch mean NLL trace.
 
@@ -340,6 +345,7 @@ class ForecastModel:
             )
         return self.z_transform.apply(z_history), self.y_transform.apply(y_history)
 
+    @one_thread("numpy")
     def forecast(self, z_history: np.ndarray, y_history: np.ndarray,
                  horizon: int | None = None, num_samples: int | None = None,
                  seed: int | None = None) -> ForecastDistribution:

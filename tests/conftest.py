@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from stcast import _blas
 from stcast.causal import Panel
 from stcast.spatial import Region, RegionSet
 
@@ -53,3 +54,28 @@ def gammas(est):
     """The covariate coefficients gamma1..gammaD as an array."""
     return np.array([value for name, (value, _) in est.table.items()
                      if name.startswith("gamma")])
+
+
+def _pool_at_3(name):
+    """The (get, set) thread-count handles of the pool ``name`` of
+    ``_blas.POOLS``, with the pool at 3 threads for the test: a count that
+    a scope setting 1 changes on any machine, and not the default that a
+    restore to a fixed count would reach on a 2-core one.  Its count is
+    restored after."""
+    if name not in _blas.POOLS:
+        pytest.skip(f"{name} does not bundle a scipy-openblas library")
+    get_threads, set_threads = _blas.POOLS[name]
+    before = get_threads()
+    set_threads(3)
+    yield get_threads, set_threads
+    set_threads(before)
+
+
+@pytest.fixture
+def scipy_pool():
+    yield from _pool_at_3("scipy")
+
+
+@pytest.fixture
+def numpy_pool():
+    yield from _pool_at_3("numpy")

@@ -691,7 +691,9 @@ def _oracle_cases():
 
 class TestWrappedScipyOracle:
     # Compared on this machine, not against stored bits: LAPACK's rounding
-    # depends on the CPU and the BLAS build.
+    # depends on the CPU and the BLAS build.  The reference runs its numpy
+    # products on one thread, as the library does; its LAPACK calls stay
+    # on scipy's pool at the pool's own count.
     @pytest.mark.parametrize(
         "spec, no_spatial", _oracle_cases(),
         ids=["seed1", "seed2", "seed3", "student_t", "D=0", "N=500-T=40",
@@ -699,36 +701,12 @@ class TestWrappedScipyOracle:
     def test_fit_and_adjustment_bit_identical(self, spec, no_spatial):
         regions, panel, _ = generate(spec)
         S = None if no_spatial else build_spatial_matrix(regions, spec.alpha)
-        table, sigma2, z = _wrapped_fit(panel, S)
+        with _blas.one_thread("numpy"):
+            table, sigma2, z = _wrapped_fit(panel, S)
         est = fit_did(panel, S)
         assert dict(est.table) == table
         assert est.residual_variance == sigma2
         assert adjust_panel(panel, est, S).z.tobytes() == z.tobytes()
-
-
-def _pool_at_3(name):
-    """The (get, set) thread-count handles of the pool ``name`` of
-    ``_blas.POOLS``, with the pool at 3 threads for the test: a count that
-    a scope setting 1 changes on any machine, and not the default that a
-    restore to a fixed count would reach on a 2-core one.  Its count is
-    restored after."""
-    if name not in _blas.POOLS:
-        pytest.skip(f"{name} does not bundle a scipy-openblas library")
-    get_threads, set_threads = _blas.POOLS[name]
-    before = get_threads()
-    set_threads(3)
-    yield get_threads, set_threads
-    set_threads(before)
-
-
-@pytest.fixture
-def scipy_pool():
-    yield from _pool_at_3("scipy")
-
-
-@pytest.fixture
-def numpy_pool():
-    yield from _pool_at_3("numpy")
 
 
 def _recording_lapack(monkeypatch, get_threads):
