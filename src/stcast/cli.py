@@ -12,10 +12,12 @@ previous stage's artifacts:
     evaluate       score a forecast against a truth panel -> scores.csv
     pipeline       all stages end to end with a held-out scoring window
 
-A stage subcommand ingests its inputs, calls that stage's function in
-``pipeline`` and prints a summary.  Stage subcommands operate on the full
-panel they are given; only ``pipeline`` reserves the final horizon steps
-for scoring.
+A stage subcommand reads all its inputs, then creates ``--out``, calls
+that stage's function in ``pipeline`` and prints a summary; an input it
+cannot read leaves no output directory.  ``pipeline`` creates ``--out``
+first, since a failed run records its manifest there.  Stage subcommands
+operate on the full panel they are given; only ``pipeline`` reserves the
+final horizon steps for scoring.
 
 Configuration flags are generated from the ``RunConfig`` fields;
 ``--config`` points at a key=value file, and flags override it.
@@ -64,22 +66,21 @@ def _add_overrides(parser: argparse.ArgumentParser, keys=None) -> None:
             parser.add_argument(flag, type=kind, dest=f.name)
 
 
-def _config_from(args: argparse.Namespace):
-    """The run config from ``--config`` plus flags, and its output dir."""
+def _config_from(args: argparse.Namespace) -> RunConfig:
+    """The run config from ``--config`` plus flags."""
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    config = load_run_config(getattr(args, "config", None), overrides)
-    return config, pipeline.output_dir(config.out)
+    return load_run_config(getattr(args, "config", None), overrides)
 
 
 def _stage_inputs(args):
-    """Config, output dir, regions, and the target transform fitted on the
-    ingested panel together with the transformed panel."""
-    config, out = _config_from(args)
+    """Config, regions, and the target transform fitted on the ingested
+    panel together with the transformed panel."""
+    config = _config_from(args)
     regions, panel = dataio.ingest(config.regions, config.panel,
                                    config.onset_date())
     transform, panel_t = pipeline.transform_targets(panel,
                                                     config.target_transform)
-    return config, out, regions, transform, panel_t
+    return config, regions, transform, panel_t
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -102,37 +103,44 @@ def _cmd_simulate(args) -> int:
     onset = panel.times[spec.post_onset_index]
     print(f"wrote {out}/regions.csv, panel.csv, ground_truth.csv "
           f"(N={panel.n}, T={panel.t}, post onset {onset.isoformat()})")
+    if np.any(panel.y <= -1):
+        print("y has values <= -1: run pipeline with --target-transform "
+              "standardize, since the default log1p-standardize needs y > -1")
     return 0
 
 
 def _cmd_build_spatial(args) -> int:
-    config, out = _config_from(args)
+    config = _config_from(args)
     regions, _ = dataio.read_regions(config.regions)
+    out = pipeline.output_dir(config.out)
     S = pipeline.build_spatial(regions, config.alpha, out)
     print(f"wrote {out / 'spatial_matrix.csv'} (N={S.n}, alpha={S.alpha})")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    config, out, regions, _, panel_t = _stage_inputs(args)
+    config, regions, _, panel_t = _stage_inputs(args)
     S = build_spatial_matrix(regions, config.alpha)
+    out = pipeline.output_dir(config.out)
     _, report = pipeline.estimate(panel_t, S, config, out)
     print(report, end="")
     return 0
 
 
 def _cmd_adjust(args) -> int:
-    config, out, regions, _, panel_t = _stage_inputs(args)
+    config, regions, _, panel_t = _stage_inputs(args)
     est = dataio.read_did_estimate(args.estimate)
     S = build_spatial_matrix(regions, config.alpha)
+    out = pipeline.output_dir(config.out)
     pipeline.adjust(panel_t, est, S, config, out)
     print(f"wrote {out / 'adjusted_panel.csv'}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config, out, _, _, panel_t = _stage_inputs(args)
+    config, _, _, panel_t = _stage_inputs(args)
     adjusted = dataio.read_adjusted_csv(args.adjusted, panel_t)
+    out = pipeline.output_dir(config.out)
     _, trace = pipeline.train(adjusted, panel_t, config, out)
     print(f"wrote {out / 'model.npz'} "
           f"(epochs={len(trace)}, final mean NLL {trace[-1]:.4f})")
@@ -140,7 +148,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    config, out, _, transform, panel_t = _stage_inputs(args)
+    config, _, transform, panel_t = _stage_inputs(args)
     if panel_t.t < 2:
         raise InsufficientDataError(f"{config.panel}: forecast dates continue the "
                                     f"date spacing, which needs at least 2 dates; got 1")
@@ -152,6 +160,7 @@ def _cmd_forecast(args) -> int:
     step = panel_t.times[1] - panel_t.times[0]
     dates = [panel_t.times[-1] + step * (k + 1) for k in range(config.horizon)]
     post = np.array([float(d >= config.onset_date()) for d in dates])
+    out = pipeline.output_dir(config.out)
     pipeline.forecast(model, adjusted, panel_t, transform, est, post, dates,
                       config, out)
     print(f"wrote {out / 'forecast_samples.csv'} "
@@ -172,7 +181,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config, _ = _config_from(args)
+    config = _config_from(args)
     artifacts = run_pipeline(config)
     print(f"pipeline ok ({model_label(config)}); artifacts in {config.out}:")
     for name in sorted(artifacts):

@@ -61,16 +61,19 @@ def replacing(path, mode: str = "w", newline: str | None = None):
     """A file to write ``path`` through: it is opened on a temporary sibling
     (permissions follow the umask), which replaces ``path`` when the block
     ends.  On any exception the sibling is removed and ``path`` is left as
-    it was.  Nothing is fsynced: a raised error or a killed process never
-    leaves a part-written artifact, but a power loss may."""
+    it was.  An ``OSError`` that names the sibling names ``path`` instead.
+    Nothing is fsynced: a raised error or a killed process never leaves a
+    part-written artifact, but a power loss may."""
     target = Path(path)
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(temp, mode, newline=newline) as fh:
             yield fh
         os.replace(temp, target)
-    except BaseException:
+    except BaseException as err:
         temp.unlink(missing_ok=True)
+        if isinstance(err, OSError) and err.filename == str(temp):
+            raise OSError(err.errno, err.strerror, str(target)) from err
         raise
 
 

@@ -263,12 +263,13 @@ def evaluate_files(forecast_path, truth_panel_path, out_dir,
     The truth file is a full (region, date) grid that must hold every
     forecast region and date; it may hold more.  ``model`` becomes a field
     of scores_long.csv, so it may not hold what a region id may not.
+    ``out_dir`` is created only once both files are read.
     """
     if not dataio._REGION_ID_BREAKS.isdisjoint(model):
         raise InputValidationError(f"model name {model!r} contains a comma, "
                                    "quote or line break")
-    out = output_dir(out_dir)
     region_ids, dates, samples = dataio.read_forecast_samples(forecast_path)
     observed = dataio.read_truth_values(truth_panel_path, region_ids, dates)
+    out = output_dir(out_dir)
     report = evaluate(samples, observed, region_ids, model, out)
     return report, {name: out / name for name in ("scores.csv", "scores_long.csv")}

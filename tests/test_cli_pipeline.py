@@ -818,6 +818,23 @@ class TestCli:
             assert (tmp_path / "cli" / name).read_bytes() == \
                 (ref / name).read_bytes(), name
 
+    @pytest.mark.parametrize("flags, hint", [([], True), (["--beta0", "10"], False)],
+                             ids=["default", "beta0=10"])
+    def test_simulate_names_the_transform_its_panel_needs(self, tmp_path,
+                                                          capsys, flags, hint):
+        # The default spec draws y <= -1, which log1p-standardize refuses.
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        y = np.array([float(row.split(",")[2]) for row
+                      in (out / "panel.csv").read_text().splitlines()[1:]])
+        assert bool(np.any(y <= -1)) is hint
+        assert "post onset" in lines[0]
+        assert lines[1:] == (["y has values <= -1: run pipeline with "
+                              "--target-transform standardize, since the "
+                              "default log1p-standardize needs y > -1"]
+                             if hint else [])
+
     def test_simulate_explosive_dynamics_exit_code(self, tmp_path, capsys):
         out = tmp_path / "sim"
         rc = main(["simulate", "--out", str(out), "--rho", "0.99",
@@ -904,6 +921,39 @@ class TestCli:
                    "--out", str(tmp_path / "o")])
         assert rc == 7
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, reads", [
+        ("build-spatial", ["--regions"]), ("estimate", ["--panel"]),
+        ("adjust", ["--estimate"]), ("train", ["--adjusted"]),
+        ("forecast", ["--adjusted", "--estimate", "--model"]),
+        ("evaluate", ["--forecast", "--truth"]),
+    ], ids=["build-spatial", "estimate", "adjust", "train", "forecast",
+            "evaluate"])
+    def test_missing_input_creates_no_directory(
+            self, synth_files, trained_stages, tmp_path, capsys, command,
+            reads):
+        # A stage command reads every input before it creates --out; the
+        # missing file is the one its command reads last.
+        root, out = synth_files["root"], tmp_path / "out"
+        forecast = tmp_path / "forecast_samples.csv"
+        dataio.write_forecast_samples_csv(
+            np.ones((1, 1, 3)), synth_files["panel"].region_ids[:1],
+            synth_files["panel"].times[-1:], forecast)
+        files = {"--regions": root / "regions.csv", "--panel": root / "panel.csv",
+                 "--estimate": trained_stages / "did_estimate.csv",
+                 "--adjusted": trained_stages / "adjusted_panel.csv",
+                 "--model": trained_stages / "model.npz",
+                 "--forecast": forecast, "--truth": root / "panel.csv",
+                 reads[-1]: tmp_path / "missing.csv"}
+        if command in ("build-spatial", "evaluate"):
+            argv = [command, "--out", str(out)]
+        else:
+            argv = [command, *as_flags(base_overrides(synth_files, out))]
+        for flag in reads:
+            argv += [flag, str(files[flag])]
+        assert main(argv) == 7
+        assert str(tmp_path / "missing.csv") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_forecast_size_exit_code(self, synth_files, tmp_path,
                                                  capsys):

@@ -568,6 +568,21 @@ class TestWholeWrites:
                 raise KeyboardInterrupt
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("blocked", ["missing-directory", "directory-at-path"])
+    def test_an_error_names_the_artifact(self, tmp_path, blocked):
+        # The temporary sibling is an implementation detail: the error
+        # names the path the caller gave, and no sibling is left.
+        if blocked == "missing-directory":
+            path = tmp_path / "nodir" / "report.txt"
+        else:
+            path = tmp_path / "report.txt"
+            path.mkdir()
+        with pytest.raises(OSError) as caught:
+            dataio.write_parameter_report("x", path)
+        assert str(caught.value).endswith(f": {str(path)!r}")
+        assert [p.name for p in tmp_path.rglob("*")] == (
+            [] if blocked == "missing-directory" else ["report.txt"])
+
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_permissions_follow_umask(self, tmp_path, umask):
         old = os.umask(umask)
