@@ -23,8 +23,9 @@ each block's new state back in place, so its temporaries stay one
 block in size whatever the sample count; GEMM rows are independent, so
 the samples are bit-identical to one step over all rows.  ``fit`` and
 ``forecast`` run their numpy products on one thread of numpy's OpenBLAS
-pool (``_blas.one_thread``): OpenBLAS splits the N-row encode and the
-decode blocks across threads, and a split product rounds differently.
+pool (``_blas.one_thread``), so their bits do not depend on the pool's
+count, and the N-row encode and the decode blocks, which OpenBLAS would
+split across threads, leave a lower memory peak.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Outputs that do not depend on the thread count of numpy's OpenBLAS pool.
 
 OpenBLAS splits a product across its pool's threads above a size, and a
-split product rounds differently.  ``fit_did``, ``adjust_panel``,
+split product can round differently.  ``fit_did``, ``adjust_panel``,
 ``ForecastModel.fit`` and ``ForecastModel.forecast`` run their numpy
 products on one thread, so the caller's count does not reach their bytes.
 At N = 500 the spatial lag, the history encode and the decode blocks are
