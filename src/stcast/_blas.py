@@ -2,9 +2,15 @@
 wheels bundle, and the only module that loads those libraries.
 
 numpy's products and scipy.linalg.lapack each run on their own wheel's
-OpenBLAS, with separate pools.  ``POOLS`` maps each pool found ("numpy",
-"scipy") to its (get, set) thread-count handles, ``blas_threads`` reads
-them for the run manifest, and ``one_thread`` holds one pool at 1 thread.
+OpenBLAS pool.  ``POOLS`` maps each pool found ("numpy", "scipy") to its
+(get, set) thread-count handles, ``blas_threads`` reads them for the run
+manifest, and ``one_thread`` holds every pool at 1 thread.  ``fit_did``,
+``adjust_panel``, ``ForecastModel.fit`` and ``ForecastModel.forecast``
+hold it: a product split across threads can round differently, and the
+fit's LAPACK designs (1788 x 13 and smaller at N=6, T=300; 19000 x 13 at
+N=500, T=40) are too small for a second thread to pay.  On 2 cores one
+thread took ``fit_did`` from 1.2 to 0.74 ms on the former and from 42 to
+12 ms on the latter.
 """
 
 import contextlib
@@ -12,7 +18,6 @@ import ctypes
 import glob
 import os
 import threading
-from collections import Counter
 
 import numpy as np
 import scipy
@@ -47,33 +52,31 @@ def blas_threads() -> dict[str, int]:
     return {name: get_threads() for name, (get_threads, _) in POOLS.items()}
 
 
-# A pool is one per process, so its scopes are counted across threads.
+# A pool is one per process, so scopes are counted across threads.
 _LOCK = threading.Lock()
-_OPEN: Counter[str] = Counter()     # open scopes per pool name
-_SAVED: dict[str, int] = {}         # the count the first one found
+_open = 0       # open scopes
+_saved = []     # (set handle, count) of each pool, as the first one found
 
 
 @contextlib.contextmanager
-def one_thread(name: str):
-    """Run the block, or each call of a decorated function, with the pool
-    ``name`` at 1 thread.  The first scope open on that pool sets 1 and
-    the last to close restores the count the first found, also when the
-    block raises; scopes on another pool do not count.  A pool missing
-    from ``POOLS`` when the scope opens makes it a no-op."""
-    pool = POOLS.get(name)
-    if pool is None:
-        yield
-        return
-    get_threads, set_threads = pool
+def one_thread():
+    """Run the block, or each call of a decorated function, with every pool
+    in ``POOLS`` at 1 thread.  The first scope to open sets 1 and the last
+    to close restores the counts the first found, also when the block
+    raises."""
+    global _open, _saved
     with _LOCK:
-        if not _OPEN[name]:
-            _SAVED[name] = get_threads()
-            set_threads(1)
-        _OPEN[name] += 1
+        if not _open:
+            _saved = [(set_threads, get_threads())
+                      for get_threads, set_threads in POOLS.values()]
+            for set_threads, _ in _saved:
+                set_threads(1)
+        _open += 1
     try:
         yield
     finally:
         with _LOCK:
-            _OPEN[name] -= 1
-            if not _OPEN[name]:
-                set_threads(_SAVED[name])
+            _open -= 1
+            if not _open:
+                for set_threads, threads in _saved:
+                    set_threads(threads)

@@ -12,10 +12,9 @@ coefficients by ordinary least squares with the spatial-lag contribution
 moved to the left-hand side.  ``causal_adjust`` removes the estimated
 treatment effect from treated post-period cells and
 ``build_adjusted_input`` folds the spatial spillover back in to produce
-the forecaster's conditioning series.  The least-squares LAPACK calls
-run on one thread of scipy's OpenBLAS pool, and ``fit_did`` and
-``adjust_panel`` run their numpy products on one thread of numpy's
-(``_blas.one_thread``), so their bits do not depend on either count.
+the forecaster's conditioning series.  ``fit_did`` and ``adjust_panel``
+run on one thread of each OpenBLAS pool (``_blas.one_thread``), so their
+bits do not depend on either pool's count.
 
 The fit is a ``DidEstimate``: one ordered table of (estimate, standard
 error) rows named by ``coefficient_names(D)``, plus the residual
@@ -287,7 +286,6 @@ def _with_workspace(routine, *args, **kwargs):
     return out
 
 
-@one_thread("scipy")
 def _least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
                    rank_error: str = _COLLINEAR
                    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -304,14 +302,7 @@ def _least_squares(X: np.ndarray, y: np.ndarray, labels: list[str],
     ``EstimationError`` with ``rank_error`` filled in with the dependent
     columns' ``labels``, before Q is formed; a near-singular one solves
     for beta with a tiny ridge on the normal equations, with a warning.
-
-    The calls run on one thread of scipy's OpenBLAS pool.  The designs
-    are too small for a second thread to pay: 1788 x 13, 1788 x 9 and
-    1794 x 8 on a 6-region, 300-step panel, 19000 x 13 at 500 regions
-    and 40 steps.  On 2 cores one thread took ``fit_did`` from 1.2 to
-    0.74 ms on the former and from 42 to 12 ms on the latter.  The bits
-    do not depend on the thread count; ``TestWrappedScipyOracle`` pins
-    them against scipy's wrappers at the default count.
+    ``TestWrappedScipyOracle`` pins the bits against scipy's wrappers.
     """
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -346,7 +337,6 @@ def _solve_r(rt: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@one_thread("scipy")
 def _bread(factor) -> np.ndarray:
     """inv(X'X) in column order from ``_least_squares``'s factor: R^-1 R^-T
     un-permuted, so X'X is never formed or inverted."""
@@ -454,7 +444,7 @@ def estimate_ols_given_rho(X: np.ndarray, targets: np.ndarray, rho_hat: float,
     return _ols_estimate(X[:, 1:], offset_targets, d, rho_hat, rho_se)
 
 
-@one_thread("numpy")
+@one_thread()
 def fit_did(p: Panel, S: SpatialMatrix | None) -> DidEstimate:
     """Full estimation: design matrix, IV stage for the lag, then OLS.
 
@@ -486,7 +476,7 @@ def build_adjusted_input(y_tilde: np.ndarray, S: SpatialMatrix,
     return y_tilde + rho_hat * spatial_lag(S, y_tilde)
 
 
-@one_thread("numpy")
+@one_thread()
 def adjust_panel(p: Panel, est: DidEstimate,
                  S: SpatialMatrix | None) -> AdjustedPanel:
     """Both adjustment steps; with ``S`` None the input equals the

@@ -12,12 +12,13 @@ previous stage's artifacts:
     evaluate       score a forecast against a truth panel -> scores.csv
     pipeline       all stages end to end with a held-out scoring window
 
-A stage subcommand reads all its inputs, then creates ``--out``, calls
-that stage's function in ``pipeline`` and prints a summary; an input it
-cannot read leaves no output directory.  ``pipeline`` creates ``--out``
-first, since a failed run records its manifest there.  Stage subcommands
-operate on the full panel they are given; only ``pipeline`` reserves the
-final horizon steps for scoring.
+A stage subcommand reads its inputs, calls that stage's function in
+``pipeline``, which creates ``--out`` at its first write, and prints a
+summary; a command that fails before that leaves no output directory.
+``pipeline`` creates ``--out`` first, since a failed run records its
+manifest there; ``simulate`` creates it just before it writes.  Stage
+subcommands operate on the full panel they are given; only ``pipeline``
+reserves the final horizon steps for scoring.
 
 Configuration flags are generated from the ``RunConfig`` fields;
 ``--config`` points at a key=value file, and flags override it.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -96,7 +98,8 @@ def _cmd_simulate(args) -> int:
              if getattr(args, f.name, None) is not None}
     spec = synth.GeneratorSpec(**given)
     regions, panel, truth = synth.generate(spec)
-    out = pipeline.output_dir(args.out or "stcast-out")
+    out = Path(args.out or "stcast-out")
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_regions_csv(regions, panel.treated, out / "regions.csv")
     dataio.write_panel_csv(panel, out / "panel.csv")
     dataio.write_ground_truth_csv(truth, out / "ground_truth.csv")
@@ -112,7 +115,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_build_spatial(args) -> int:
     config = _config_from(args)
     regions, _ = dataio.read_regions(config.regions)
-    out = pipeline.output_dir(config.out)
+    out = Path(config.out)
     S = pipeline.build_spatial(regions, config.alpha, out)
     print(f"wrote {out / 'spatial_matrix.csv'} (N={S.n}, alpha={S.alpha})")
     return 0
@@ -121,8 +124,7 @@ def _cmd_build_spatial(args) -> int:
 def _cmd_estimate(args) -> int:
     config, regions, _, panel_t = _stage_inputs(args)
     S = build_spatial_matrix(regions, config.alpha)
-    out = pipeline.output_dir(config.out)
-    _, report = pipeline.estimate(panel_t, S, config, out)
+    _, report = pipeline.estimate(panel_t, S, config, Path(config.out))
     print(report, end="")
     return 0
 
@@ -131,7 +133,7 @@ def _cmd_adjust(args) -> int:
     config, regions, _, panel_t = _stage_inputs(args)
     est = dataio.read_did_estimate(args.estimate)
     S = build_spatial_matrix(regions, config.alpha)
-    out = pipeline.output_dir(config.out)
+    out = Path(config.out)
     pipeline.adjust(panel_t, est, S, config, out)
     print(f"wrote {out / 'adjusted_panel.csv'}")
     return 0
@@ -140,7 +142,7 @@ def _cmd_adjust(args) -> int:
 def _cmd_train(args) -> int:
     config, _, _, panel_t = _stage_inputs(args)
     adjusted = dataio.read_adjusted_csv(args.adjusted, panel_t)
-    out = pipeline.output_dir(config.out)
+    out = Path(config.out)
     _, trace = pipeline.train(adjusted, panel_t, config, out)
     print(f"wrote {out / 'model.npz'} "
           f"(epochs={len(trace)}, final mean NLL {trace[-1]:.4f})")
@@ -160,7 +162,7 @@ def _cmd_forecast(args) -> int:
     step = panel_t.times[1] - panel_t.times[0]
     dates = [panel_t.times[-1] + step * (k + 1) for k in range(config.horizon)]
     post = np.array([float(d >= config.onset_date()) for d in dates])
-    out = pipeline.output_dir(config.out)
+    out = Path(config.out)
     pipeline.forecast(model, adjusted, panel_t, transform, est, post, dates,
                       config, out)
     print(f"wrote {out / 'forecast_samples.csv'} "

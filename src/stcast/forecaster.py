@@ -22,9 +22,9 @@ advances the GRU over fixed blocks of DECODE_BLOCK_ROWS rows and writes
 each block's new state back in place, so its temporaries stay one
 block in size whatever the sample count; GEMM rows are independent, so
 the samples are bit-identical to one step over all rows.  ``fit`` and
-``forecast`` run their numpy products on one thread of numpy's OpenBLAS
-pool (``_blas.one_thread``), so their bits do not depend on the pool's
-count, and the N-row encode and the decode blocks, which OpenBLAS would
+``forecast`` run on one thread of each OpenBLAS pool
+(``_blas.one_thread``), so their bits do not depend on the pools'
+counts, and the N-row encode and the decode blocks, which OpenBLAS would
 split across threads, leave a lower memory peak.
 """
 
@@ -145,8 +145,7 @@ class ForecastModel:
             params["head.W"] = rng.uniform(-bound, bound, shape)
             params["head.b"] = np.zeros(shape[1])
         self.params = params    # the stack's own dict, which SGD updates in place
-        self.gru = GRUStack(INPUT_SIZE, config.hidden_size, config.num_layers,
-                            params)
+        self.gru = GRUStack(params)
         self.z_transform = z_transform
         self.y_transform = y_transform
         self.region_ids = region_ids
@@ -157,7 +156,7 @@ class ForecastModel:
 
     # -- training -----------------------------------------------------------
 
-    @one_thread("numpy")
+    @one_thread()
     def fit(self, adjusted: AdjustedPanel, panel: Panel) -> list[float]:
         """Train on the panel; returns the per-epoch mean NLL trace.
 
@@ -346,7 +345,7 @@ class ForecastModel:
             )
         return self.z_transform.apply(z_history), self.y_transform.apply(y_history)
 
-    @one_thread("numpy")
+    @one_thread()
     def forecast(self, z_history: np.ndarray, y_history: np.ndarray,
                  horizon: int | None = None, num_samples: int | None = None,
                  seed: int | None = None) -> ForecastDistribution:

@@ -64,15 +64,16 @@ def init_gru_params(input_size: int, hidden_size: int, num_layers: int,
 class GRUStack:
     """Thin stateful wrapper over a gate-stacked parameter dict, which it
     holds by reference (other keys, such as a head's, are carried along).
+    The layer count and hidden size are read from the ``l{l}.U`` blocks.
 
     Hidden state is a list of (batch, hidden) arrays, one per layer.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, num_layers: int,
-                 params: dict[str, np.ndarray]):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.num_layers = num_layers
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.num_layers = 0
+        while f"l{self.num_layers}.U" in params:
+            self.num_layers += 1
+        self.hidden_size = params["l0.U"].shape[-1]
         self.params = params
 
     def init_hidden(self, batch: int) -> list[np.ndarray]:

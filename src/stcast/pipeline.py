@@ -1,11 +1,12 @@
 """The stage graph, shared by the CLI and ``run_pipeline``.
 
 Each stage is one function that computes its result and writes its
-artifacts into an output directory: ``transform_targets`` (writes
-nothing), ``build_spatial``, ``estimate``, ``adjust``, ``train``,
-``forecast`` and ``evaluate``.  ``run_pipeline`` chains them on one panel
-and scores the forecast against a held-out tail: the last ``horizon``
-steps are never seen by estimation, the target transforms, or training.
+artifacts into an output directory, which it creates at its first
+write: ``transform_targets`` (writes nothing), ``build_spatial``,
+``estimate``, ``adjust``, ``train``, ``forecast`` and ``evaluate``.
+``run_pipeline`` chains them on one panel and scores the forecast
+against a held-out tail: the last ``horizon`` steps are never seen by
+estimation, the target transforms, or training.
 
 A run first replaces any earlier manifest with ``status=running``.  It
 ends with a manifest of the configuration, seed, run environment (CPU
@@ -101,11 +102,12 @@ def model_label(config: RunConfig) -> str:
     return config.distribution + (suffix or "-full")
 
 
-def output_dir(path) -> Path:
-    """The output directory, created if missing."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _artifact(out, name: str) -> Path:
+    """The path of artifact ``name`` in ``out``, created if missing.  Each
+    stage calls it as it writes, after its inputs are read and its result
+    is computed, so a stage that fails leaves no new directory."""
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out, name)
 
 
 def transform_targets(panel: Panel, kind: str):
@@ -117,7 +119,7 @@ def transform_targets(panel: Panel, kind: str):
 
 def build_spatial(regions, alpha: float, out: Path):
     S = build_spatial_matrix(regions, alpha)
-    spatial_matrix_to_csv(S, out / "spatial_matrix.csv")
+    spatial_matrix_to_csv(S, _artifact(out, "spatial_matrix.csv"))
     return S
 
 
@@ -133,15 +135,16 @@ def estimate(panel_t: Panel, S, config: RunConfig, out: Path):
     """Fit the regression; returns the estimate and its parameter report."""
     est = fit_did(*_ablate(panel_t, S, config))
     report = parameter_report(est)
-    dataio.write_did_estimate_csv(est, out / "did_estimate.csv")
-    dataio.write_parameter_report(report, out / "parameter_report.txt")
+    dataio.write_did_estimate_csv(est, _artifact(out, "did_estimate.csv"))
+    dataio.write_parameter_report(report, _artifact(out, "parameter_report.txt"))
     return est, report
 
 
 def adjust(panel_t: Panel, est, S, config: RunConfig, out: Path):
     ablated, S = _ablate(panel_t, S, config)
     adjusted = adjust_panel(ablated, est, S)
-    dataio.write_adjusted_csv(panel_t, adjusted, out / "adjusted_panel.csv")
+    dataio.write_adjusted_csv(panel_t, adjusted,
+                              _artifact(out, "adjusted_panel.csv"))
     return adjusted
 
 
@@ -149,7 +152,7 @@ def train(adjusted, panel_t: Panel, config: RunConfig, out: Path):
     """Train the forecaster; returns the model and its per-epoch NLL trace."""
     model = ForecastModel(config)
     trace = model.fit(adjusted, panel_t)
-    model.save(out / "model.npz")
+    model.save(_artifact(out, "model.npz"))
     return model, trace
 
 
@@ -175,16 +178,16 @@ def forecast(model, adjusted, panel_t: Panel, transform, est, post, dates,
     effect = est.delta * np.outer(panel_t.treated, post)
     samples = transform.invert(dist.samples + effect[:, :, None])
     dataio.write_forecast_samples_csv(samples, panel_t.region_ids, dates,
-                                      out / "forecast_samples.csv")
+                                      _artifact(out, "forecast_samples.csv"))
     return samples
 
 
 def evaluate(samples, truth, region_ids, model: str, out: Path):
     """Score (N, m, s) samples against (N, m) truth; writes both score CSVs."""
     report = score_report(samples, truth, region_ids=region_ids)
-    dataio.write_scores_csv(report, out / "scores.csv")
+    dataio.write_scores_csv(report, _artifact(out, "scores.csv"))
     dataio.write_scores_long_csv(report, model, truth.shape[1],
-                                 out / "scores_long.csv")
+                                 _artifact(out, "scores_long.csv"))
     return report
 
 
@@ -201,8 +204,8 @@ def run_pipeline(config: RunConfig, regions=None, panel=None) -> dict[str, Path]
             f"pipeline scores its forecast, which needs num_samples >= 2, "
             f"got {config.num_samples}"
         )
-    out_dir = output_dir(config.out)
-    manifest = out_dir / "manifest.txt"
+    manifest = _artifact(config.out, "manifest.txt")   # --out first
+    out_dir = manifest.parent
     with dataio.replacing(manifest) as fh:
         fh.write("status=running\n")
     try:
@@ -263,13 +266,12 @@ def evaluate_files(forecast_path, truth_panel_path, out_dir,
     The truth file is a full (region, date) grid that must hold every
     forecast region and date; it may hold more.  ``model`` becomes a field
     of scores_long.csv, so it may not hold what a region id may not.
-    ``out_dir`` is created only once both files are read.
     """
     if not dataio._REGION_ID_BREAKS.isdisjoint(model):
         raise InputValidationError(f"model name {model!r} contains a comma, "
                                    "quote or line break")
     region_ids, dates, samples = dataio.read_forecast_samples(forecast_path)
     observed = dataio.read_truth_values(truth_panel_path, region_ids, dates)
-    out = output_dir(out_dir)
+    out = Path(out_dir)
     report = evaluate(samples, observed, region_ids, model, out)
     return report, {name: out / name for name in ("scores.csv", "scores_long.csv")}

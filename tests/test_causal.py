@@ -692,8 +692,9 @@ def _oracle_cases():
 class TestWrappedScipyOracle:
     # Compared on this machine, not against stored bits: LAPACK's rounding
     # depends on the CPU and the BLAS build.  The reference runs its numpy
-    # products on one thread, as the library does; its LAPACK calls stay
-    # on scipy's pool at the pool's own count.
+    # products on one thread, as the library does, set through numpy's
+    # pool handles alone; its LAPACK calls stay on scipy's pool at the
+    # pool's own count, so a multi-thread LAPACK checks the library's one.
     @pytest.mark.parametrize(
         "spec, no_spatial", _oracle_cases(),
         ids=["seed1", "seed2", "seed3", "student_t", "D=0", "N=500-T=40",
@@ -701,8 +702,14 @@ class TestWrappedScipyOracle:
     def test_fit_and_adjustment_bit_identical(self, spec, no_spatial):
         regions, panel, _ = generate(spec)
         S = None if no_spatial else build_spatial_matrix(regions, spec.alpha)
-        with _blas.one_thread("numpy"):
+        get_threads, set_threads = _blas.POOLS.get(
+            "numpy", (lambda: None, lambda threads: None))
+        before = get_threads()
+        set_threads(1)
+        try:
             table, sigma2, z = _wrapped_fit(panel, S)
+        finally:
+            set_threads(before)
         est = fit_did(panel, S)
         assert dict(est.table) == table
         assert est.residual_variance == sigma2
@@ -809,14 +816,14 @@ class TestLapackThreads:
         # No set call: every routine ran at the pool's own count.
         assert seen and {threads for _, threads in seen} == {3}
 
-    def test_a_numpy_scope_leaves_the_fit_on_one_scipy_thread(
+    def test_an_outer_scope_leaves_the_fit_on_one_thread(
             self, monkeypatch, numpy_pool, scipy_pool):
-        # Each pool counts its own scopes: one open on numpy's pool does
-        # not stop the fit from pinning scipy's.
+        # A scope the caller holds open around the fit keeps both pools
+        # at 1 until it closes.
         seen = _recording_lapack(
             monkeypatch, lambda: (numpy_pool[0](), scipy_pool[0]()))
         panel, S = _returning_case()
-        with _blas.one_thread("numpy"):
+        with _blas.one_thread():
             fit_did(panel, S)
         assert {name for name, _ in seen} == {"dgeqp3", "dorgqr", "dtrtrs"}
         assert {threads for _, threads in seen} == {(1, 1)}
@@ -849,44 +856,51 @@ def fake_pools(monkeypatch):
 class TestOneThreadScope:
     def test_nested_scopes_restore_when_the_outer_closes(self, fake_pools):
         pool = fake_pools["a"]
-        with _blas.one_thread("a"):
-            with _blas.one_thread("a"):
+        with _blas.one_thread():
+            with _blas.one_thread():
                 assert pool.threads == 1
             assert pool.threads == 1
         assert pool.sets == [1, 3]
 
     def test_a_raise_restores_the_count(self, fake_pools):
-        @_blas.one_thread("a")
+        @_blas.one_thread()
         def failing():
             assert fake_pools["a"].threads == 1
             raise EstimationError("boom")
 
         with pytest.raises(EstimationError):
-            with _blas.one_thread("a"):
+            with _blas.one_thread():
                 raise EstimationError("boom")
         with pytest.raises(EstimationError):
             failing()
         assert fake_pools["a"].sets == [1, 3, 1, 3]
 
-    def test_each_pool_counts_its_own_scopes(self, fake_pools):
+    def test_one_scope_pins_and_restores_every_pool(self, fake_pools):
         a, b = fake_pools["a"], fake_pools["b"]
-        with _blas.one_thread("a"):
-            with _blas.one_thread("b"):
-                assert (a.threads, b.threads) == (1, 1)
-            assert (a.threads, b.threads) == (1, 3)
-        assert (a.sets, b.sets) == ([1, 3], [1, 3])
+        b.threads = 5
+        with _blas.one_thread():
+            assert (a.threads, b.threads) == (1, 1)
+        assert (a.sets, b.sets) == ([1, 3], [1, 5])
 
-    def test_a_missing_pool_is_a_noop(self, monkeypatch, fake_pools):
-        @_blas.one_thread("a")
+    def test_a_pool_removed_from_pools_is_not_touched(self, monkeypatch,
+                                                      fake_pools):
+        @_blas.one_thread()
         def threads():
-            return fake_pools["a"].threads
+            return fake_pools["a"].threads, fake_pools["b"].threads
 
         monkeypatch.delitem(_blas.POOLS, "a")
-        with _blas.one_thread("absent"):
-            pass
-        # The decorated call looks the pool up when it runs.
-        assert threads() == 3
-        assert fake_pools["a"].sets == []
+        # The decorated call reads POOLS when it runs.
+        assert threads() == (3, 1)
+        assert (fake_pools["a"].sets, fake_pools["b"].sets) == ([], [1, 3])
+
+    def test_a_fit_sets_each_pool_once(self, monkeypatch):
+        # fit_did holds the one scope, and nothing inside it opens another.
+        pools = {name: _FakePool() for name in ("numpy", "scipy")}
+        for name, pool in pools.items():
+            monkeypatch.setitem(_blas.POOLS, name, pool.handles())
+        fit_did(*_returning_case())
+        assert {name: pool.sets for name, pool in pools.items()} == {
+            "numpy": [1, 3], "scipy": [1, 3]}
 
 
 class TestAdjustment:

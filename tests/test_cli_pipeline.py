@@ -932,8 +932,8 @@ class TestCli:
     def test_missing_input_creates_no_directory(
             self, synth_files, trained_stages, tmp_path, capsys, command,
             reads):
-        # A stage command reads every input before it creates --out; the
-        # missing file is the one its command reads last.
+        # A stage command creates --out only when it writes; the missing
+        # file is the one its command reads last.
         root, out = synth_files["root"], tmp_path / "out"
         forecast = tmp_path / "forecast_samples.csv"
         dataio.write_forecast_samples_csv(
@@ -954,6 +954,40 @@ class TestCli:
         assert main(argv) == 7
         assert str(tmp_path / "missing.csv") in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize("command", ["estimate", "evaluate"])
+    def test_failing_stage_creates_no_directory(
+            self, synth_files, tmp_path, capsys, command, existing):
+        # Both read their inputs, then fail in the stage: no region is
+        # treated (rank-deficient instruments, exit 4), or the forecast
+        # has one sample path (exit 2).  --out appears only at the first
+        # artifact write; one that already existed stays, empty.
+        root, out = synth_files["root"], tmp_path / "out"
+        if existing:
+            out.mkdir()
+        if command == "estimate":
+            regions, treated = dataio.read_regions(root / "regions.csv")
+            untreated = tmp_path / "untreated.csv"
+            dataio.write_regions_csv(regions, np.zeros(len(treated)), untreated)
+            argv = ["estimate", *as_flags(base_overrides(synth_files, out)),
+                    "--regions", str(untreated)]
+            code, message = 4, "rank-deficient instrument matrix"
+        else:
+            forecast = tmp_path / "forecast_samples.csv"
+            dataio.write_forecast_samples_csv(
+                np.ones((1, 1, 1)), synth_files["panel"].region_ids[:1],
+                synth_files["panel"].times[-1:], forecast)
+            argv = ["evaluate", "--forecast", str(forecast),
+                    "--truth", str(root / "panel.csv"), "--out", str(out)]
+            code, message = 2, "sample"
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        if existing:
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
 
     def test_nonpositive_forecast_size_exit_code(self, synth_files, tmp_path,
                                                  capsys):

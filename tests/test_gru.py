@@ -38,7 +38,7 @@ def scalar_cell_oracle(params, layer, x, h):
 class TestForward:
     def test_params_held_by_reference(self):
         params = init_gru_params(2, 3, 1, np.random.default_rng(0))
-        stack = GRUStack(2, 3, 1, params=params)
+        stack = GRUStack(params)
         assert stack.params is params
         x = np.ones((1, 2))
         before, _ = stack.step(x, stack.init_hidden(1))
@@ -46,8 +46,19 @@ class TestForward:
         after, _ = stack.step(x, stack.init_hidden(1))
         assert not np.array_equal(before[0], after[0])
 
+    @pytest.mark.parametrize("input_size, hidden, layers",
+                             [(2, 3, 1), (3, 5, 2), (2, 4, 3)])
+    def test_shape_read_from_params(self, input_size, hidden, layers):
+        params = init_gru_params(input_size, hidden, layers,
+                                 np.random.default_rng(0))
+        params["head.W"], params["head.b"] = np.zeros((hidden, 2)), np.zeros(2)
+        stack = GRUStack(params)
+        assert (stack.num_layers, stack.hidden_size) == (layers, hidden)
+        new_hidden, _ = stack.step(np.ones((4, input_size)), stack.init_hidden(4))
+        assert [h.shape for h in new_hidden] == [(4, hidden)] * layers
+
     def test_zero_params_zero_input_fixed_point(self):
-        stack = GRUStack(2, 5, 2, params={
+        stack = GRUStack({
             k: np.zeros_like(v)
             for k, v in init_gru_params(2, 5, 2, np.random.default_rng(0)).items()
         })
@@ -57,8 +68,7 @@ class TestForward:
             assert np.array_equal(h, np.zeros((1, 5)))
 
     def test_determinism(self):
-        stack = GRUStack(2, 4, 2,
-                         params=init_gru_params(2, 4, 2, np.random.default_rng(1)))
+        stack = GRUStack(init_gru_params(2, 4, 2, np.random.default_rng(1)))
         x = np.random.default_rng(2).normal(size=(3, 2))
         h0 = stack.init_hidden(3)
         out1, _ = stack.step(x, h0)
@@ -68,7 +78,7 @@ class TestForward:
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(3)
-        stack = GRUStack(3, 4, 2, params=init_gru_params(3, 4, 2, rng))
+        stack = GRUStack(init_gru_params(3, 4, 2, rng))
         x = rng.normal(size=(1, 3))
         hidden = [rng.normal(size=(1, 4)) for _ in range(2)]
         new_hidden, _ = stack.step(x, hidden)
@@ -79,7 +89,7 @@ class TestForward:
 
     def test_gates_bounded(self):
         rng = np.random.default_rng(4)
-        stack = GRUStack(2, 6, 1, params=init_gru_params(2, 6, 1, rng))
+        stack = GRUStack(init_gru_params(2, 6, 1, rng))
         x = rng.normal(0, 3, size=(10, 2))
         hidden = [rng.normal(0, 3, size=(10, 6))]
         _, cache = stack.step(x, hidden)
@@ -92,7 +102,7 @@ class TestForward:
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
-        stack = GRUStack(2, 4, 2, params=init_gru_params(2, 4, 2, rng))
+        stack = GRUStack(init_gru_params(2, 4, 2, rng))
         steps = 6
         xs = rng.normal(size=(steps, 3, 2))
         w_out = rng.normal(size=(4,))
@@ -129,8 +139,7 @@ class TestBackward:
                 assert an == pytest.approx(fd, rel=1e-4, abs=1e-7), n
 
     def test_gate_slabs_order(self):
-        stack = GRUStack(2, 3, 2,
-                         params=init_gru_params(2, 3, 2, np.random.default_rng(0)))
+        stack = GRUStack(init_gru_params(2, 3, 2, np.random.default_rng(0)))
         expected = [(layer, kind, g) for layer in range(2) for g in range(3)
                     for kind in "WUb"]
         slabs = list(stack.gate_slabs(stack.params))
@@ -143,7 +152,7 @@ class TestBackward:
         """The gradient reaches the previous hidden state (the layer-0
         input gradient is not formed) and matches central differences."""
         rng = np.random.default_rng(6)
-        stack = GRUStack(2, 3, 1, params=init_gru_params(2, 3, 1, rng))
+        stack = GRUStack(init_gru_params(2, 3, 1, rng))
         x = rng.normal(size=(1, 2))
         hidden = [rng.normal(size=(1, 3))]
         new_hidden, cache = stack.step(x, hidden)

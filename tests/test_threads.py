@@ -2,10 +2,10 @@
 
 OpenBLAS splits a product across its pool's threads above a size, and a
 split product can round differently.  ``fit_did``, ``adjust_panel``,
-``ForecastModel.fit`` and ``ForecastModel.forecast`` run their numpy
-products on one thread, so the caller's count does not reach their bytes.
-At N = 500 the spatial lag, the history encode and the decode blocks are
-large enough to split.
+``ForecastModel.fit`` and ``ForecastModel.forecast`` each hold the one
+``_blas.one_thread`` scope, which sets every pool to 1 thread, so the
+caller's count does not reach their bytes.  At N = 500 the spatial lag,
+the history encode and the decode blocks are large enough to split.
 """
 
 import warnings
