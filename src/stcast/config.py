@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, InputValidationError
 from .forecaster import ModelConfig
 from .spatial import check_alpha
 from .transforms import TRANSFORM_KINDS
@@ -34,6 +34,10 @@ class RunConfig(ModelConfig):
     def __post_init__(self):
         super().__post_init__()
         check_alpha(self.alpha)
+        for name in ("no_spatial", "no_factors"):
+            if not isinstance(getattr(self, name), bool):
+                raise InputValidationError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.post_onset_date:
             self.onset_date()
         if self.target_transform not in TRANSFORM_KINDS:

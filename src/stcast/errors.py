@@ -49,7 +49,7 @@ class DivergenceError(StcastError, RuntimeError):
 
 
 class PropagationError(StcastError, ValueError):
-    """A non-finite value entered the recurrent encoder."""
+    """A non-finite value entered the recurrent encoder or left a score."""
 
     exit_code = 5
 

@@ -11,21 +11,20 @@ all steps.  ``params`` is one name -> array dict, the encoder's
 gate-stacked blocks (see ``gru``) then ``head.W`` and ``head.b``: the GRU
 stack computes with it, SGD updates it in place, and ``model.npz`` saves
 it as ``param.<name>``.  Forecasting encodes each region's history once,
-shares the final state across its sample paths, then draws each future
-value from the projected distribution and feeds it back as the next
-input; z is held at its last observed value over the horizon.
-Per-region standardisation is ``TargetTransform``'s: ``fit`` fits one
-``standardize`` transform to z and one to y, applies them to the inputs
-and the target, and ``forecast`` inverts the y transform on its samples.
-The decode projects and draws over all N x num_samples rows at once, but
-advances the GRU over fixed blocks of DECODE_BLOCK_ROWS rows and writes
-each block's new state back in place, so its temporaries stay one
-block in size whatever the sample count; GEMM rows are independent, so
-the samples are bit-identical to one step over all rows.  ``fit`` and
-``forecast`` run on one thread of each OpenBLAS pool
-(``_blas.one_thread``), so their bits do not depend on the pools'
-counts, and the N-row encode and the decode blocks, which OpenBLAS would
-split across threads, leave a lower memory peak.
+from a zero state over every history step, shares the final state across
+its sample paths, then draws each future value from the projected
+distribution and feeds it back as the next input; z is held at its last
+observed value over the horizon.  Per-region standardisation is
+``TargetTransform``'s: ``fit`` fits one ``standardize`` transform to z
+and one to y, applies them to the inputs and the target, and
+``forecast`` inverts the y transform on its samples.  Outside training
+one stepper advances the GRU, for the N-row encode and the
+N x num_samples-row decode alike: it steps blocks of DECODE_BLOCK_ROWS
+rows, writing each back in place, so its temporaries stay one block in
+size; GEMM rows are independent, so the states are bit-identical to one
+step over all rows.  ``fit`` and ``forecast`` run on one thread of each
+OpenBLAS pool (``_blas.one_thread``), so their bits do not depend on the
+pools' counts, and the blocks leave a lower memory peak.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .gru import GRUStack, init_gru_params, param_shapes
 from .transforms import TargetTransform, fit_target_transform
 
 INPUT_SIZE = 2          # features per step: (z, y)
-DECODE_BLOCK_ROWS = 1024  # rows per GRU step while decoding sample paths
+DECODE_BLOCK_ROWS = 1024  # rows per GRU step when encoding or decoding
 MOMENTUM = 0.9
 
 
@@ -81,11 +80,15 @@ class ModelConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < least):
                 raise InputValidationError(f"{name} must be a {kind} integer")
-        # NaN fails both tests; grad_clip=inf means no clipping.
-        if not (0 <= self.learning_rate < np.inf and self.grad_clip > 0):
+        # A bool or a string is no rate; NaN fails both range tests;
+        # grad_clip=inf means no clipping.
+        rates = (self.learning_rate, self.grad_clip)
+        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in rates)
+                and 0 <= self.learning_rate < np.inf and self.grad_clip > 0):
             raise InputValidationError(
                 "learning_rate must be finite and >= 0, grad_clip > 0; got "
-                f"{self.learning_rate} and {self.grad_clip}"
+                f"{self.learning_rate!r} and {self.grad_clip!r}"
             )
         if self.distribution not in heads.FAMILIES:
             raise InputValidationError(
@@ -274,24 +277,6 @@ class ForecastModel:
 
     # -- forecasting ----------------------------------------------------------
 
-    def _encode_history(self, zs: np.ndarray, ys: np.ndarray, copies: int):
-        """Encode each region's history once; returns its final hidden state
-        shared by (region x copy) sample rows, and the last z inputs."""
-        n, t_hist = ys.shape
-        feats = np.stack([zs, ys], axis=-1)
-        bad = np.argwhere(~np.isfinite(feats))
-        if bad.size:
-            i, t, _ = bad[0]
-            raise PropagationError(
-                f"non-finite encoder input for region index {i} at time {t}"
-            )
-        hidden = self.gru.init_hidden(n)
-        for t in range(t_hist):
-            hidden, _ = self.gru.step(feats[:, t, :], hidden)
-        hidden = [np.repeat(h, copies, axis=0) for h in hidden]
-        z_last = np.repeat(zs[:, -1], copies)
-        return hidden, z_last
-
     def _decode(self, hidden, z_last, steps: int, rng) -> np.ndarray:
         """Project, draw and feed each draw back; returns the standardized
         draws (batch, steps).  ``hidden`` is advanced in place."""
@@ -323,7 +308,8 @@ class ForecastModel:
                 h[rows] = h_new
 
     def _scaled_history(self, z_history, y_history):
-        """Standardized (z, y) histories, once checked against the model."""
+        """Standardized (z, y) histories, once checked against the model;
+        a non-finite scaled value is named by its first (region, time)."""
         if not self.fitted:
             raise InputValidationError("model is not fitted")
         z_history = np.asarray(z_history, dtype=float)
@@ -343,7 +329,14 @@ class ForecastModel:
             raise InsufficientDataError(
                 f"history length {t_hist} < context_len {self.config.context_len}"
             )
-        return self.z_transform.apply(z_history), self.y_transform.apply(y_history)
+        zs, ys = self.z_transform.apply(z_history), self.y_transform.apply(y_history)
+        bad = np.argwhere(~(np.isfinite(zs) & np.isfinite(ys)))
+        if bad.size:
+            i, t = bad[0]
+            raise PropagationError(
+                f"non-finite encoder input for region index {i} at time {t}"
+            )
+        return zs, ys
 
     @one_thread()
     def forecast(self, z_history: np.ndarray, y_history: np.ndarray,
@@ -365,7 +358,11 @@ class ForecastModel:
                                        f"({num_samples}) must be positive")
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
 
-        hidden, z_last = self._encode_history(zs, ys, num_samples)
+        hidden = self.gru.init_hidden(zs.shape[0])
+        for t in range(zs.shape[1]):
+            self._step_in_blocks(hidden, zs[:, t], ys[:, t])
+        hidden = [np.repeat(h, num_samples, axis=0) for h in hidden]
+        z_last = np.repeat(zs[:, -1], num_samples)
         draws = self._decode(hidden, z_last, horizon, rng)
         cube = draws.reshape(-1, num_samples, horizon).transpose(0, 2, 1)
         return ForecastDistribution(samples=self.y_transform.invert(cube))

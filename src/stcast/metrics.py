@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputValidationError
+from .errors import InputValidationError, PropagationError
 
 QUANTILES = (0.1, 0.5, 0.9)
 COVERAGE_LEVELS = (0.1, 0.5, 0.9)
@@ -198,7 +198,9 @@ class ScoreReport:
 
 def score_report(samples: np.ndarray, observed: np.ndarray,
                  region_ids: tuple[str, ...]) -> ScoreReport:
-    """Score an (N, m, num_samples) ensemble against (N, m) observations."""
+    """Score an (N, m, num_samples) ensemble against (N, m) observations.
+    A non-finite score (the energy score's squared norms overflow on
+    samples near 1e160) raises ``PropagationError`` naming the first."""
     samples, observed = _aligned(samples, observed)
     if samples.ndim != 3:
         raise InputValidationError(f"expected samples (N, m, s), got {samples.shape}")
@@ -228,7 +230,7 @@ def score_report(samples: np.ndarray, observed: np.ndarray,
     region_crps = crps_from_samples(samples, observed).mean(axis=1)
     per_region = dict(zip(region_ids, map(float, region_crps)))
 
-    return ScoreReport(
+    report = ScoreReport(
         crps=mean_crps(samples, observed),
         wql=wql,
         coverage_interval=cov_int,
@@ -236,3 +238,8 @@ def score_report(samples: np.ndarray, observed: np.ndarray,
         energy=energy,
         crps_per_region=per_region,
     )
+    for metric, param, value in report.rows():
+        if not np.isfinite(value):
+            name = f"{metric} {param}" if param else metric
+            raise PropagationError(f"score '{name}' is non-finite ({value})")
+    return report

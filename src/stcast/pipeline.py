@@ -196,14 +196,17 @@ def run_pipeline(config: RunConfig, regions=None, panel=None) -> dict[str, Path]
 
     ``regions``/``panel`` may be passed in-memory (e.g. straight from the
     generator); otherwise they are ingested from the configured paths.
-    Scoring needs ``num_samples >= 2``; a smaller count is rejected before
-    anything is written.
+    Scoring needs ``num_samples >= 2``, and ingesting needs
+    ``post_onset_date``; a smaller count, or a run that reads files
+    without that date, is rejected before anything is written.
     """
     if config.num_samples < 2:
         raise InputValidationError(
             f"pipeline scores its forecast, which needs num_samples >= 2, "
             f"got {config.num_samples}"
         )
+    if panel is None or regions is None:
+        config.onset_date()
     manifest = _artifact(config.out, "manifest.txt")   # --out first
     out_dir = manifest.parent
     with dataio.replacing(manifest) as fh:

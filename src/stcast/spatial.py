@@ -10,6 +10,7 @@ writes no file: ``dataio.spatial_matrix_to_csv`` writes the matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -105,8 +106,10 @@ class SpatialMatrix:
 
 
 def check_alpha(alpha: float) -> None:
-    """Reject a decay exponent that is not a finite number above 0."""
-    if not (math.isfinite(alpha) and alpha > 0):
+    """Reject a decay exponent that is not a finite real number above 0
+    (a bool or a string included)."""
+    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+            or not (math.isfinite(alpha) and alpha > 0)):
         raise InputValidationError(f"alpha must be finite and > 0, got {alpha}")
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from stcast import _blas, dataio, errors
+from stcast import _blas, dataio, errors, heads
 from stcast._blas import blas_threads
 from stcast.causal import AdjustedPanel, coefficient_names
 from stcast.cli import build_parser, main
@@ -127,6 +127,27 @@ class TestRunConfig:
         with pytest.raises(InputValidationError,
                            match="epochs must be a positive integer"):
             load_run_config(cfg_file)
+
+    @pytest.mark.parametrize("key, value", [
+        ("no_spatial", "false"), ("no_spatial", 2), ("no_factors", 1),
+        ("no_factors", None), ("alpha", "abc"), ("alpha", True),
+        ("learning_rate", "0.1"), ("learning_rate", False),
+        ("grad_clip", "5"), ("grad_clip", True),
+    ])
+    def test_bool_and_float_keys_type_checked(self, key, value):
+        # A truthy string such as "false" would otherwise switch an
+        # ablation on, and a string rate or decay would raise a bare
+        # TypeError.
+        with pytest.raises(InputValidationError, match=key):
+            RunConfig(**{key: value})
+        if not isinstance(value, str) and value is not None:
+            with pytest.raises(InputValidationError, match=key):
+                load_run_config(overrides={key: value})
+
+    def test_real_numbers_of_any_type_accepted(self):
+        cfg = RunConfig(alpha=2, learning_rate=np.float64(0.5),
+                        grad_clip=np.float32(3.0))
+        assert (cfg.alpha, cfg.learning_rate, cfg.grad_clip) == (2, 0.5, 3.0)
 
     def test_model_settings_declared_once(self):
         # RunConfig inherits the forecaster's settings and declares only
@@ -915,6 +936,75 @@ class TestCli:
         assert rc == 2
         assert "num_samples >= 2" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_pipeline_without_onset_date_creates_no_directory(
+            self, synth_files, tmp_path, capsys):
+        # Ingesting files needs the onset date; without it the run exits 9
+        # before it creates --out for its manifest.
+        out = tmp_path / "run"
+        values = base_overrides(synth_files, out)
+        del values["post_onset_date"]
+        assert main(["pipeline", *as_flags(values)]) == 9
+        assert "post_onset_date is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pipeline_cannot_hold_out_whole_panel(self, synth_files,
+                                                  tmp_path, capsys):
+        out = tmp_path / "run"
+        t = synth_files["panel"].t
+        flags = as_flags(base_overrides(synth_files, out, horizon=t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["pipeline", *flags]) == 3
+        assert (f"panel has {t} steps, cannot hold out horizon={t}"
+                in capsys.readouterr().err)
+        manifest = (out / "manifest.txt").read_text()
+        assert "status=failed\nfailed_stage=ingest\n" in manifest
+        assert not any((out / name).exists() for name in ARTIFACTS)
+
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_divergence_exit_code(self, synth_files, trained_stages, tmp_path,
+                                  capsys, monkeypatch, command):
+        # A non-finite batch NLL stops training at its first batch (exit 5)
+        # before model.npz is written.
+        nll_and_raw_grad = heads.nll_and_raw_grad
+
+        def diverging(raw, targets, family):
+            values, d_raw = nll_and_raw_grad(raw, targets, family)
+            values[0, 0] = np.inf
+            return values, d_raw
+
+        monkeypatch.setattr(heads, "nll_and_raw_grad", diverging)
+        out = tmp_path / "run"
+        argv = [command, *as_flags(base_overrides(synth_files, out))]
+        if command == "train":
+            argv += ["--adjusted", str(trained_stages / "adjusted_panel.csv")]
+        assert main(argv) == 5
+        assert "non-finite loss at epoch 0" in capsys.readouterr().err
+        assert not (out / "model.npz").exists()
+        if command == "train":
+            assert not out.exists()
+        else:
+            manifest = (out / "manifest.txt").read_text()
+            assert "status=failed\nfailed_stage=train\n" in manifest
+
+    def test_evaluate_non_finite_score_exit_code(self, synth_files, tmp_path,
+                                                 capsys):
+        # Finite samples near 1e200 overflow the energy score's squared
+        # norms; the score is refused (exit 5) before --out is created.
+        panel = synth_files["panel"]
+        forecast, out = tmp_path / "fc.csv", tmp_path / "eval"
+        samples = 1e200 * np.random.default_rng(0).normal(size=(panel.n, 2, 5))
+        dataio.write_forecast_samples_csv(samples, panel.region_ids,
+                                          panel.times[-2:], forecast)
+        argv = ["evaluate", "--forecast", str(forecast),
+                "--truth", str(synth_files["root"] / "panel.csv"),
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == 5
+        assert "score 'energy' is non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["build-spatial", "--regions", str(tmp_path / "nope.csv"),

@@ -108,6 +108,16 @@ class TestEncodeProject:
         with pytest.raises(PropagationError, match="region index 1 at time 7"):
             model.forecast(np.zeros((2, 12)), y)
 
+    def test_nonfinite_input_names_first_cell_in_c_order(self):
+        # Region before time, z and y alike: the later-time z defect in
+        # region 0 is named, not the earlier-time y defect in region 1.
+        model = _identity_scaled(ForecastModel(small_config()), 2)
+        z, y = np.zeros((2, 2, 12))
+        z[0, 9] = np.inf
+        y[1, 2] = np.nan
+        with pytest.raises(PropagationError, match="region index 0 at time 9"):
+            model.forecast(z, y)
+
     def test_project_zero_hidden_zero_weights(self):
         raw = np.zeros((1, 8)) @ np.zeros((8, 2)) + np.zeros(2)
         p = heads.project_raw(raw, "gaussian")
@@ -148,7 +158,7 @@ class TestTraining:
         assert np.all(diffs <= 1e-9)
         # The head's location converges to the standardized constant (0).
         zs, ys = _scaled(model, adjusted, panel)
-        hidden, z_last = model._encode_history(zs, ys, 1)
+        hidden, _ = _encode_every_copy(model, zs, ys, 1)
         raw = hidden[-1] @ model.params["head.W"] + model.params["head.b"]
         mu = raw[:, 0]
         assert np.max(np.abs(mu)) < 0.05
@@ -469,22 +479,17 @@ class TestForecast:
         with pytest.raises(PropagationError):
             ForecastDistribution(samples=np.full((1, 1, 2), np.inf))
 
-    @pytest.mark.parametrize("copies", [1, 3, 100])
-    def test_hidden_state_matches_per_copy_encoding(self, copies):
-        model, adjusted, panel = self._fitted()
-        zs, ys = _scaled(model, adjusted, panel)
-        ref_hidden, ref_z = _encode_every_copy(model, zs, ys, copies)
-        hidden, z_last = model._encode_history(zs, ys, copies)
-        assert len(hidden) == len(ref_hidden)
-        for h, ref in zip(hidden, ref_hidden):
-            assert h.shape == (panel.n * copies, model.config.hidden_size)
-            assert np.array_equal(h, ref)
-        assert np.array_equal(z_last, ref_z)
-
-    @pytest.mark.parametrize("family", ["gaussian", "laplace", "student_t"])
-    def test_samples_match_per_copy_sampler(self, family):
+    @pytest.mark.parametrize("family, num_samples", [
+        pytest.param("gaussian", 30, id="gaussian"),
+        pytest.param("laplace", 30, id="laplace"),
+        pytest.param("student_t", 30, id="student_t"),
+        pytest.param("gaussian", 1, id="gaussian-1"),
+        pytest.param("gaussian", 3, id="gaussian-3"),
+        pytest.param("gaussian", 100, id="gaussian-100"),
+    ])
+    def test_samples_match_per_copy_sampler(self, family, num_samples):
         model, adjusted, panel = self._fitted(family=family)
-        num_samples, horizon, seed = 30, 4, 17
+        horizon, seed = 4, 17
         dist = model.forecast(adjusted.z, panel.y, horizon=horizon,
                               num_samples=num_samples, seed=seed)
 
@@ -580,6 +585,35 @@ class TestForecast:
         model._step_in_blocks(hidden, z, y)
         for h, ref in zip(hidden, expected):
             assert np.array_equal(h, ref)
+
+    def test_encode_steps_in_blocks(self):
+        """The history encode goes through the decode's block stepper: no
+        GRU step sees more than DECODE_BLOCK_ROWS rows, and the samples
+        equal one step over every (region, copy) row."""
+        n, num_samples, horizon, seed = DECODE_BLOCK_ROWS + 1, 2, 3, 5
+        model = _identity_scaled(ForecastModel(small_config()), n)
+        rng = np.random.default_rng(4)
+        z, y = rng.normal(size=(2, n, model.config.context_len))
+        sizes, step = [], model.gru.step
+
+        def recording_step(x, hidden):
+            sizes.append(x.shape[0])
+            return step(x, hidden)
+
+        model.gru.step = recording_step
+        dist = model.forecast(z, y, horizon=horizon, num_samples=num_samples,
+                              seed=seed)
+        assert max(sizes) <= DECODE_BLOCK_ROWS
+        assert sum(sizes) == (n * z.shape[1]
+                              + n * num_samples * (horizon - 1))
+
+        hidden, z_last = _encode_every_copy(model, z, y, num_samples)
+        draw_rng = np.random.default_rng(seed)
+        draws, _ = _decode_all_rows(
+            model, hidden, z_last, horizon,
+            lambda params, _k: heads.sample(params, draw_rng))
+        cube = draws.reshape(n, num_samples, horizon).transpose(0, 2, 1)
+        assert np.array_equal(dist.samples, cube)
 
     def test_forecast_peak_allocation_is_one_state_plus_a_block(self):
         """The decode keeps no temporaries the size of all sample rows:

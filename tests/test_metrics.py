@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stcast.errors import InputValidationError
+from stcast.errors import InputValidationError, PropagationError
 from stcast.metrics import (
     ScoreReport,
     coverage,
@@ -327,6 +329,19 @@ class TestScoreReport:
             assert value == coverage(samples, obs, a)
         for t, value in report.coverage_quantile.items():
             assert value == quantile_exceedance(samples, obs, t)
+
+    def test_non_finite_score_raises(self):
+        # Finite samples near 1e160 overflow the energy score's squared
+        # norms while the CRPS stays finite.
+        rng = np.random.default_rng(0)
+        samples = 1e160 * rng.normal(size=(2, 3, 10))
+        obs = 1e160 * rng.normal(size=(2, 3))
+        assert np.isfinite(mean_crps(samples, obs))
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(PropagationError,
+                               match=r"score 'energy' is non-finite \(nan\)"):
+                score_report(samples, obs, ("a", "b"))
 
     def test_rows_layout(self):
         report = ScoreReport(
