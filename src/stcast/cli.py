@@ -25,6 +25,12 @@ Configuration flags are generated from the ``RunConfig`` fields;
 ``simulate`` (which passes only the flags given to ``GeneratorSpec``)
 and ``evaluate`` take no ``--config``, nor ``evaluate`` a ``--seed``.
 
+A command runs with numpy's floating-point warnings off: every stage
+checks its results for non-finite values and exits with its code, so an
+overflow on the way shows as one ``error:`` line, not as numpy's
+``RuntimeWarning`` lines.  Warnings the library raises itself, such as
+the ridge fallback's, still print.
+
 Exit codes: 0 success; 7 malformed CSV or model.npz, or any ``OSError``;
 otherwise the failing error class's code (see errors module).
 """
@@ -270,7 +276,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except StcastError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
+from scipy.special import digamma, gammaln
 
 from .errors import InputValidationError
+from .gru import sigmoid
 
 FAMILIES = ("gaussian", "laplace", "student_t")
 PARAM_ARITY = {"gaussian": 2, "laplace": 2, "student_t": 3}
@@ -122,9 +123,9 @@ def nll_and_raw_grad(raw: np.ndarray, y, family: str):
     dmu, dsigma, dnu = nll_grad_params(params, y)
     d_raw = np.empty_like(raw)
     d_raw[..., 0] = dmu
-    d_raw[..., 1] = dsigma * expit(raw[..., 1])   # d sigma / d raw1
+    d_raw[..., 1] = dsigma * sigmoid(raw[..., 1])   # d sigma / d raw1
     if family == "student_t":
-        d_raw[..., 2] = dnu * expit(raw[..., 2])  # d nu / d raw2
+        d_raw[..., 2] = dnu * sigmoid(raw[..., 2])  # d nu / d raw2
     return values, d_raw
 
 

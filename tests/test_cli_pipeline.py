@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from stcast import _blas, dataio, errors, heads
+from stcast import _blas, causal, dataio, errors, heads
 from stcast._blas import blas_threads
 from stcast.causal import AdjustedPanel, coefficient_names
 from stcast.cli import build_parser, main
@@ -987,6 +987,43 @@ class TestCli:
         else:
             manifest = (out / "manifest.txt").read_text()
             assert "status=failed\nfailed_stage=train\n" in manifest
+
+    def test_overflow_leaves_one_error_line(self, tmp_path, capsys):
+        # A run whose training overflows exits 5 with its one error: line;
+        # numpy's floating-point warnings stay off the CLI's stderr.
+        data = tmp_path / "data"
+        assert main(["simulate", "--out", str(data), "--seed", "31",
+                     "--n-regions", "4", "--t-steps", "80",
+                     "--post-onset-index", "40", "--gamma", "0.3,-0.2"]) == 0
+        capsys.readouterr()
+        argv = ["pipeline", "--regions", str(data / "regions.csv"),
+                "--panel", str(data / "panel.csv"),
+                "--post-onset-date", "2020-07-11",
+                "--target-transform", "standardize", "--epochs", "1",
+                "--num-samples", "10", "--context-len", "10", "--horizon", "2",
+                "--learning-rate", "1e300", "--grad-clip", "inf",
+                "--out", str(tmp_path / "run")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 5
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: stage ")
+
+    def test_library_warnings_still_show(self, synth_files, tmp_path,
+                                         monkeypatch):
+        # Only numpy's floating-point warnings are off: the context_len
+        # ratio warning and the ridge fallback's still reach the user.
+        monkeypatch.setattr(causal, "_COND_LIMIT", 1.0)   # every fit ridges
+        out = tmp_path / "est"
+        flags = as_flags(base_overrides(synth_files, out, context_len=25,
+                                        horizon=9))
+        with pytest.warns(RuntimeWarning) as record:
+            assert main(["estimate", *flags]) == 0
+        messages = [str(w.message) for w in record]
+        assert any("recommended ratio is 5:1" in m for m in messages)
+        assert any("solving with ridge" in m for m in messages)
 
     def test_evaluate_non_finite_score_exit_code(self, synth_files, tmp_path,
                                                  capsys):

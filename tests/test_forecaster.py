@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from stcast.causal import AdjustedPanel
+from stcast import gru, heads
+from stcast.causal import AdjustedPanel, adjust_panel, fit_did
 from stcast.errors import (
     InputValidationError,
     InsufficientDataError,
@@ -18,7 +20,8 @@ from stcast.forecaster import (
     ForecastModel,
     ModelConfig,
 )
-from stcast import heads
+from stcast.spatial import build_spatial_matrix
+from stcast.synth import GeneratorSpec, generate
 from stcast.transforms import TargetTransform, fit_target_transform
 
 from conftest import make_panel
@@ -796,3 +799,36 @@ class TestCheckpoint:
         # 3 gates x (W 2x4 + U 4x4 + b 4) for one layer, head 4x2 + 2.
         expected = 3 * (8 + 16 + 4) + 8 + 2
         assert sum(v.size for v in model.params.values()) == expected
+
+
+# numpy's vectorised exp in the GRU gates and the sigma/nu link derivative
+# in place of scipy's expit (libm's scalar exp) moves a trained model's
+# parameters and samples by at most this much.
+SIGMOID_ATOL = 1e-10
+
+
+class TestSigmoidKernel:
+    @pytest.mark.parametrize("family, epochs", [
+        ("gaussian", 50), ("student_t", 10), ("laplace", 10)])
+    def test_fit_and_forecast_within_tolerance_of_expit(
+            self, monkeypatch, family, epochs):
+        spec = GeneratorSpec(seed=1)                    # N=6, T=300
+        regions, panel, _ = generate(spec)
+        S = build_spatial_matrix(regions, spec.alpha)
+        adjusted = adjust_panel(panel, fit_did(panel, S), S)
+
+        def fit_and_forecast():
+            model = ForecastModel(ModelConfig(distribution=family,
+                                              epochs=epochs))
+            model.fit(adjusted, panel)
+            samples = model.forecast(adjusted.z, panel.y).samples
+            return model.params, samples
+
+        params, samples = fit_and_forecast()
+        monkeypatch.setattr(gru, "sigmoid", expit)     # a ufunc: takes out=
+        monkeypatch.setattr(heads, "sigmoid", expit)
+        ref_params, ref_samples = fit_and_forecast()
+        assert np.all(np.isfinite(samples))
+        assert np.max(np.abs(samples - ref_samples)) <= SIGMOID_ATOL
+        for key, ref in ref_params.items():
+            assert np.max(np.abs(params[key] - ref)) <= SIGMOID_ATOL, key

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from stcast.gru import GRUStack, init_gru_params
+from stcast import gru
+from stcast.gru import GRUStack, init_gru_params, sigmoid
 
 
 def scalar_cell_oracle(params, layer, x, h):
@@ -97,6 +101,68 @@ class TestForward:
         assert np.all((r > 0) & (r < 1))
         assert np.all((u > 0) & (u < 1))
         assert np.all((c > -1) & (c < 1))
+
+
+def parent_step(params, num_layers, x, hidden):
+    """The forward step in its per-gate expressions on ``expit``: each
+    layer's (r, u, c, h')."""
+    out, inp = [], x
+    for layer in range(num_layers):
+        h = hidden[layer]
+        w, u_w, b = (params[f"l{layer}.{kind}"] for kind in "WUb")
+        r = expit(inp @ w[0] + h @ u_w[0] + b[0])
+        u = expit(inp @ w[1] + h @ u_w[1] + b[1])
+        c = np.tanh(inp @ w[2] + (r * h) @ u_w[2] + b[2])
+        inp = u * h + (1.0 - u) * c
+        out.append((r, u, c, inp))
+    return out
+
+
+class TestSigmoid:
+    GRID = np.array([0.0, -0.0, 36.7, -36.7, 709.8, -709.8, 745.0, -745.0,
+                     1e308, -1e308, np.inf, -np.inf, np.nan])
+
+    def test_grid_within_one_ulp_of_expit(self):
+        got, ref = sigmoid(self.GRID), expit(self.GRID)
+        finite = ~np.isnan(ref)
+        assert np.all(np.abs(got - ref)[finite] <= np.spacing(ref[finite]))
+        assert np.array_equal(np.isnan(got), np.isnan(self.GRID))
+
+    def test_dense_values_within_two_ulp_of_expit(self):
+        # Just below 0.5 the spacing halves, so a 1-ulp change in
+        # 1 + exp(-x) moves the result by 2 of its own ulps.
+        x = np.random.default_rng(0).normal(0.0, 3.0, size=200_000)
+        got, ref = sigmoid(x), expit(x)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+
+    def test_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigmoid(self.GRID)
+            sigmoid(np.linspace(-1000.0, 1000.0, 101))
+
+    def test_out_is_updated_in_place(self):
+        x = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        ref = sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("batch", [1, 7, 64, 1024])
+    def test_step_with_expit_matches_parent_expressions(self, monkeypatch,
+                                                        batch):
+        # Only exp changes: with expit behind the helper, the in-place gate
+        # sums and activations give the per-gate expressions' bits.
+        rng = np.random.default_rng(batch)
+        params = init_gru_params(2, 32, 2, rng)
+        x = rng.normal(size=(batch, 2))
+        hidden = [rng.normal(size=(batch, 32)) for _ in range(2)]
+        monkeypatch.setattr(gru, "sigmoid", expit)     # a ufunc: takes out=
+        new_hidden, cache = GRUStack(params).step(x, hidden)
+        for layer, (r, u, c, h_new) in enumerate(
+                parent_step(params, 2, x, hidden)):
+            assert np.array_equal(new_hidden[layer], h_new)
+            for got, ref in zip(cache[layer][2:], (r, u, c)):
+                assert np.array_equal(got, ref)
 
 
 class TestBackward:
