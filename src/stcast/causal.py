@@ -29,6 +29,7 @@ panel with D = 0 covariate columns drops the gamma term.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -237,6 +238,24 @@ def design_column_labels(d: int) -> list[str]:
             + [f"c{k + 1}" for k in range(d)])
 
 
+def _check_matrix(p: Panel, S: SpatialMatrix) -> None:
+    """Refuse a spatial matrix sized for another panel, or one whose region
+    ids, when it carries any, are not the panel's in the panel's order."""
+    if S.n != p.n:
+        raise InputValidationError(
+            f"matrix is {S.n}x{S.n} but panel has {p.n} regions"
+        )
+    if S.region_ids and S.region_ids != p.region_ids:
+        i, (ours, theirs) = next(
+            (i, pair) for i, pair in enumerate(
+                itertools.zip_longest(S.region_ids, p.region_ids))
+            if pair[0] != pair[1])
+        raise InputValidationError(
+            f"matrix region {i} is {ours!r} but panel region {i} is "
+            f"{theirs!r}; the matrix must list the panel's regions in order"
+        )
+
+
 def build_design_matrix(p: Panel, S: SpatialMatrix | None):
     """Stack one regression row per (region, time) cell with t >= 1.
 
@@ -248,10 +267,8 @@ def build_design_matrix(p: Panel, S: SpatialMatrix | None):
     """
     if p.t < 2:
         raise InsufficientDataError(f"need T >= 2 time steps, got {p.t}")
-    if S is not None and S.n != p.n:
-        raise InputValidationError(
-            f"matrix is {S.n}x{S.n} but panel has {p.n} regions"
-        )
+    if S is not None:
+        _check_matrix(p, S)
 
     n, t, d = p.n, p.t, p.d
     lagged = int(S is not None)
@@ -481,6 +498,8 @@ def adjust_panel(p: Panel, est: DidEstimate,
                  S: SpatialMatrix | None) -> AdjustedPanel:
     """Both adjustment steps; with ``S`` None the input equals the
     adjusted target (rho treated as 0)."""
+    if S is not None:
+        _check_matrix(p, S)
     y_tilde = causal_adjust(p, est)
     z = y_tilde.copy() if S is None else build_adjusted_input(y_tilde, S, est.rho)
     return AdjustedPanel(y_tilde=y_tilde, z=z)

@@ -87,7 +87,7 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path) -> dict:
     values, first_line = {}, {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not {err.encoding} text ({err.reason})") from None

@@ -59,15 +59,17 @@ def _fmt(x: float) -> str:
 @contextmanager
 def replacing(path, mode: str = "w", newline: str | None = None):
     """A file to write ``path`` through: it is opened on a temporary sibling
-    (permissions follow the umask), which replaces ``path`` when the block
-    ends.  On any exception the sibling is removed and ``path`` is left as
-    it was.  An ``OSError`` that names the sibling names ``path`` instead.
-    Nothing is fsynced: a raised error or a killed process never leaves a
-    part-written artifact, but a power loss may."""
+    (permissions follow the umask; text is UTF-8), which replaces ``path``
+    when the block ends.  On any exception the sibling is removed and
+    ``path`` is left as it was.  An ``OSError`` that names the sibling
+    names ``path`` instead.  Nothing is fsynced: a raised error or a
+    killed process never leaves a part-written artifact, but a power loss
+    may."""
     target = Path(path)
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(temp, mode, newline=newline) as fh:
+        with open(temp, mode, newline=newline,
+                  encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(temp, target)
     except BaseException as err:
@@ -103,9 +105,10 @@ def _parse_floats(texts, line: int, columns) -> list[float]:
 def _read_rows(path, expected_header: list[str], exact: bool = True):
     """(header, lines, rows): the validated header, then the non-blank
     rows and the line number of each, after checking every row's field
-    count.  A file that does not decode or parse as CSV (such as a field
-    over csv's size limit) raises IngestionError."""
-    with open(path, newline="") as fh:
+    count.  The file decodes as UTF-8, a leading byte-order mark skipped;
+    one that does not decode or parse as CSV (such as a field over csv's
+    size limit) raises IngestionError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -2,8 +2,11 @@
 
 Every error raised by library code derives from :class:`StcastError` so
 callers (and the CLI) can map failures to exit codes without string
-matching.
+matching.  :func:`check_integer` is the one integer-field rule of the
+config dataclasses.
 """
+
+import numbers
 
 
 class StcastError(Exception):
@@ -76,3 +79,13 @@ class ConfigError(StcastError, ValueError):
     """Run configuration is missing, unparsable, or inconsistent."""
 
     exit_code = 9
+
+
+def check_integer(name: str, value, least: int | None = None) -> None:
+    """Reject a value that is not an integer, a bool or a float such as
+    8.0 included (it compares equal to 8 but breaks array shapes and
+    seeds), or, when ``least`` (0 or 1) is given, one below it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise InputValidationError(f"{name} must be {kind} integer")

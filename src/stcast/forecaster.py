@@ -48,6 +48,7 @@ from .errors import (
     InputValidationError,
     InsufficientDataError,
     PropagationError,
+    check_integer,
 )
 from .gru import GRUStack, init_gru_params, param_shapes
 from .transforms import TargetTransform, fit_target_transform
@@ -72,14 +73,9 @@ class ModelConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        # A float such as 8.0 compares equal to 8 but breaks array shapes.
         for name in ("hidden_size", "num_layers", "context_len", "horizon",
                      "epochs", "num_samples", "batch_size", "seed"):
-            value = getattr(self, name)
-            kind, least = ("non-negative", 0) if name == "seed" else ("positive", 1)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise InputValidationError(f"{name} must be a {kind} integer")
+            check_integer(name, getattr(self, name), 0 if name == "seed" else 1)
         # A bool or a string is no rate; NaN fails both range tests;
         # grad_clip=inf means no clipping.
         rates = (self.learning_rate, self.grad_clip)

@@ -3,8 +3,9 @@
 Raw head outputs map to valid parameters through smooth links (softplus
 keeps the scale positive with a small floor; degrees of freedom sit at
 2 + softplus, floored at the next float above 2, so the variance always
-exists).  Each family provides the exact negative log-density and its
-gradient w.r.t. the raw outputs, used by the trainer's backward pass.
+exists).  Each family's exact negative log-density and its gradient
+w.r.t. (mu, sigma[, nu]) come from one pass over its shared terms; the
+trainer's backward pass chains that gradient through the links.
 """
 
 from __future__ import annotations
@@ -71,56 +72,41 @@ def project_raw(raw: np.ndarray, family: str) -> DistributionParams:
 # Negative log-likelihoods
 # ---------------------------------------------------------------------------
 
+def _nll_pass(params: DistributionParams, y):
+    """Elementwise NLL and its gradients w.r.t. (mu, sigma[, nu]), as
+    (values, dmu, dsigma, dnu); each family's shared terms formed once."""
+    y = np.asarray(y, dtype=float)
+    mu, sigma = params.mu, params.sigma
+    if params.family == "laplace":
+        r = np.abs(y - mu) / sigma
+        return (np.log(2.0 * sigma) + r, -np.sign(y - mu) / sigma,
+                (1.0 - r) / sigma, None)
+    z = (y - mu) / sigma
+    if params.family == "gaussian":
+        return (_HALF_LOG_2PI + np.log(sigma) + 0.5 * z * z, -z / sigma,
+                (1.0 - z * z) / sigma, None)
+    nu = params.nu
+    half_nu, half_nu1 = nu / 2.0, (nu + 1.0) / 2.0
+    q = 1.0 + z * z / nu
+    log_q = np.log(q)
+    common = (nu + 1.0) * z / (nu * q)
+    values = (-gammaln(half_nu1) + gammaln(half_nu)
+              + 0.5 * np.log(np.pi * nu) + np.log(sigma) + half_nu1 * log_q)
+    dnu = (0.5 * (digamma(half_nu) - digamma(half_nu1)) + 0.5 / nu
+           + 0.5 * log_q - half_nu1 * z * z / (nu * nu * q))
+    return values, -common / sigma, (1.0 - common * z) / sigma, dnu
+
+
 def nll(params: DistributionParams, y) -> np.ndarray:
     """Elementwise negative log-density of y under the parameters."""
-    y = np.asarray(y, dtype=float)
-    mu, sigma = params.mu, params.sigma
-    if params.family == "gaussian":
-        z = (y - mu) / sigma
-        return _HALF_LOG_2PI + np.log(sigma) + 0.5 * z * z
-    if params.family == "laplace":
-        return np.log(2.0 * sigma) + np.abs(y - mu) / sigma
-    nu = params.nu
-    z = (y - mu) / sigma
-    q = 1.0 + z * z / nu
-    return (-gammaln((nu + 1.0) / 2.0) + gammaln(nu / 2.0)
-            + 0.5 * np.log(np.pi * nu) + np.log(sigma)
-            + (nu + 1.0) / 2.0 * np.log(q))
-
-
-def nll_grad_params(params: DistributionParams, y):
-    """Gradients of the elementwise NLL w.r.t. (mu, sigma[, nu])."""
-    y = np.asarray(y, dtype=float)
-    mu, sigma = params.mu, params.sigma
-    if params.family == "gaussian":
-        z = (y - mu) / sigma
-        dmu = -z / sigma
-        dsigma = (1.0 - z * z) / sigma
-        return dmu, dsigma, None
-    if params.family == "laplace":
-        sgn = np.sign(y - mu)
-        dmu = -sgn / sigma
-        dsigma = (1.0 - np.abs(y - mu) / sigma) / sigma
-        return dmu, dsigma, None
-    nu = params.nu
-    z = (y - mu) / sigma
-    q = 1.0 + z * z / nu
-    common = (nu + 1.0) * z / (nu * q)
-    dmu = -common / sigma
-    dsigma = (1.0 - common * z) / sigma
-    dnu = (0.5 * (digamma(nu / 2.0) - digamma((nu + 1.0) / 2.0))
-           + 0.5 / nu + 0.5 * np.log(q)
-           - (nu + 1.0) / 2.0 * z * z / (nu * nu * q))
-    return dmu, dsigma, dnu
+    return _nll_pass(params, y)[0]
 
 
 def nll_and_raw_grad(raw: np.ndarray, y, family: str):
     """NLL plus its gradient w.r.t. the raw head outputs (chain through
     the links).  Returns (nll_values, d_raw)."""
     raw = np.asarray(raw, dtype=float)
-    params = project_raw(raw, family)
-    values = nll(params, y)
-    dmu, dsigma, dnu = nll_grad_params(params, y)
+    values, dmu, dsigma, dnu = _nll_pass(project_raw(raw, family), y)
     d_raw = np.empty_like(raw)
     d_raw[..., 0] = dmu
     d_raw[..., 1] = dsigma * sigmoid(raw[..., 1])   # d sigma / d raw1

@@ -34,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .causal import DidEstimate, Panel, coefficient_names
-from .errors import GeneratorInstabilityError, InputValidationError
+from .errors import (GeneratorInstabilityError, InputValidationError,
+                     check_integer)
 from .spatial import Region, RegionSet, build_spatial_matrix
 
 BURN_IN = 50
@@ -70,6 +71,9 @@ class GeneratorSpec:
     start_date: dt.date = field(default_factory=lambda: dt.date(2020, 6, 1))
 
     def __post_init__(self):
+        for name in ("n_regions", "t_steps", "post_onset_index"):
+            check_integer(name, getattr(self, name))
+        check_integer("seed", self.seed, 0)
         if self.n_regions < 2:
             raise InputValidationError("need at least 2 regions")
         for name in ("true_rho", "true_delta", "true_gamma", "true_beta0",

@@ -35,7 +35,8 @@ from stcast.errors import (
     NonstationarityError,
 )
 from stcast.pipeline import estimate
-from stcast.spatial import build_spatial_matrix, spatial_lag
+from stcast.spatial import (RegionSet, SpatialMatrix, build_spatial_matrix,
+                            spatial_lag)
 from stcast.synth import GeneratorSpec, generate
 
 from conftest import coefficients, gammas, make_panel
@@ -993,6 +994,54 @@ def _report_fields(est):
     """The report's lines after its title, as label -> text."""
     lines = parameter_report(est).splitlines()[2:]
     return dict(line.strip().split(": ", 1) for line in lines)
+
+
+class TestMatrixRegionOrder:
+    """A matrix built from the panel's regions in another order is refused;
+    one without region ids keeps the size-only check."""
+
+    @staticmethod
+    def _reversed_matrix(regions):
+        return build_spatial_matrix(
+            RegionSet(tuple(reversed(regions.regions))), alpha=1.0)
+
+    def test_fit_did_refuses_reversed_matrix(self):
+        regions, panel, _ = generate(GeneratorSpec(seed=3))
+        with pytest.raises(InputValidationError,
+                           match="matrix region 0 is 'R05' but panel "
+                                 "region 0 is 'R00'") as err:
+            fit_did(panel, self._reversed_matrix(regions))
+        assert err.value.exit_code == 2
+
+    def test_adjust_panel_refuses_reversed_matrix(self):
+        regions, panel, truth = generate(GeneratorSpec(seed=3))
+        with pytest.raises(InputValidationError, match="matrix region 0 "):
+            adjust_panel(panel, truth, self._reversed_matrix(regions))
+
+    def test_names_first_differing_position(self):
+        regions, panel, _ = generate(GeneratorSpec(seed=3))
+        S = build_spatial_matrix(regions, alpha=1.0)
+        ids = list(S.region_ids)
+        ids[2], ids[4] = ids[4], ids[2]
+        swapped = SpatialMatrix(weights=S.weights, alpha=1.0,
+                                region_ids=tuple(ids))
+        with pytest.raises(InputValidationError,
+                           match="matrix region 2 is 'R04' but panel "
+                                 "region 2 is 'R02'"):
+            fit_did(panel, swapped)
+
+    def test_id_less_matrix_keeps_size_check(self):
+        regions, panel, _ = generate(GeneratorSpec(seed=3))
+        S = build_spatial_matrix(regions, alpha=1.0)
+        bare = SpatialMatrix(weights=S.weights, alpha=1.0)
+        est = fit_did(panel, bare)
+        assert est.rho == fit_did(panel, S).rho
+        adjusted = adjust_panel(panel, est, bare)
+        assert np.array_equal(adjusted.z, adjust_panel(panel, est, S).z)
+        small = SpatialMatrix(weights=[[0.0, 1.0], [1.0, 0.0]], alpha=1.0)
+        with pytest.raises(InputValidationError,
+                           match="matrix is 2x2 but panel has 6 regions"):
+            fit_did(panel, small)
 
 
 class TestReport:

@@ -3,6 +3,8 @@ import datetime as dt
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -20,6 +22,7 @@ from stcast.errors import ConfigError, InputValidationError
 from stcast.forecaster import ModelConfig
 from stcast.pipeline import (ARTIFACTS, model_label, run_pipeline,
                              write_manifest)
+from stcast.spatial import RegionSet
 from stcast.synth import GeneratorSpec, generate
 
 
@@ -364,6 +367,20 @@ class TestPipeline:
         assert "failed_stage=estimate" in manifest
         assert "stale_artifact.spatial_matrix.csv=" in manifest
 
+
+    def test_misordered_regions_fail_estimate(self, tmp_path):
+        # In-memory regions in another order than the panel's build a
+        # matrix the estimate refuses instead of fitting rho to it.
+        regions, panel, _ = generate(GeneratorSpec(seed=3))
+        cfg = load_run_config(overrides=dict(
+            out=str(tmp_path / "run"), target_transform="standardize",
+            context_len=10, horizon=2, epochs=1, num_samples=5))
+        with pytest.raises(InputValidationError, match="matrix region 0 "):
+            run_pipeline(cfg, panel=panel, regions=RegionSet(
+                tuple(reversed(regions.regions))))
+        manifest = (tmp_path / "run" / "manifest.txt").read_text()
+        assert "status=failed" in manifest
+        assert "failed_stage=estimate" in manifest
 
     def test_crash_replaces_ok_manifest(self, synth_files, tmp_path,
                                         monkeypatch):
@@ -826,6 +843,33 @@ class TestCli:
         assert f"error: {cfg}: not utf-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bom_prefixed_config_reads_as_plain(self, tmp_path):
+        text = "# run settings\nepochs = 3\nhidden_size = 8\n"
+        plain = tmp_path / "plain.cfg"
+        bom = tmp_path / "bom.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
+        assert parse_config_file(bom) == parse_config_file(plain)
+        first = "\ufeffepochs = 3\n".encode("utf-8")
+        bom.write_bytes(first)
+        assert parse_config_file(bom) == {"epochs": 3}
+
+    def test_pipeline_opens_no_file_in_locale_encoding(self, synth_files,
+                                                       tmp_path):
+        # Every open names its encoding: with the default-encoding warning
+        # raised as an error, a whole pipeline run still exits 0.
+        out = tmp_path / "run"
+        flags = as_flags(base_overrides(synth_files, out, epochs=1,
+                                        num_samples=5, context_len=10,
+                                        horizon=2))
+        env = dict(os.environ, PYTHONPATH=str(Path(causal.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "stcast.cli", "pipeline",
+             *flags], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "status=ok" in (out / "manifest.txt").read_text(encoding="utf-8")
+
     def test_simulate_defaults_are_generator_defaults(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path / "cli")]) == 0
         capsys.readouterr()
@@ -878,6 +922,15 @@ class TestCli:
         out = tmp_path / "sim"
         assert main(["simulate", "--out", str(out), "--noise-sigma", "-1"]) == 2
         assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_negative_seed_creates_no_directory(self, tmp_path,
+                                                         capsys):
+        # numpy's generator would refuse the seed with a bare ValueError.
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: seed must be a non-negative integer\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, name", [

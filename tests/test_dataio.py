@@ -72,6 +72,31 @@ class TestIngestWellFormed:
         assert np.array_equal(panel2.post, panel.post)
 
 
+class TestUtf8:
+    """Inputs decode as UTF-8 whatever the locale, a leading byte-order
+    mark (as Excel writes one) skipped."""
+
+    @pytest.mark.parametrize("bom_in", ["regions", "panel", "both"])
+    def test_bom_prefixed_files_read_as_plain(self, tmp_path, bom_in):
+        ids = {"R00": "Zürich", "R01": "São Paulo"}
+        texts = {"regions": GOOD_REGIONS, "panel": GOOD_PANEL}
+        for old, new in ids.items():
+            texts = {k: v.replace(old, new) for k, v in texts.items()}
+        plain = [tmp_path / "regions.csv", tmp_path / "panel.csv"]
+        marked = [tmp_path / "bom_regions.csv", tmp_path / "bom_panel.csv"]
+        for kind, path, bom_path in zip(texts, plain, marked):
+            path.write_bytes(texts[kind].encode("utf-8"))
+            bom = b"\xef\xbb\xbf" if bom_in in (kind, "both") else b""
+            bom_path.write_bytes(bom + path.read_bytes())
+        plain_rs, want = dataio.ingest(*plain, ONSET)
+        rs, got = dataio.ingest(*marked, ONSET)
+        assert rs == plain_rs
+        assert got.region_ids == want.region_ids == tuple(ids.values())
+        assert got.times == want.times
+        for name in ("y", "c", "treated", "post"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 class TestIngestDiagnostics:
     def test_unknown_region(self, tmp_path):
         content = GOOD_PANEL + "R99,2021-01-01,7.0,0.0,0.0\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import digamma, gammaln
 
 from stcast.errors import InputValidationError
 from stcast.heads import (
@@ -132,6 +133,100 @@ class TestNllGradients:
             dn, _ = nll_and_raw_grad(raw - step, y, family)
             fd = (up - dn) / 2e-6
             assert grad[k] == pytest.approx(float(fd), rel=1e-5, abs=1e-8)
+
+
+def _frozen_nll_and_raw_grad(raw, y, family):
+    """The head's NLL and raw gradient as first written: links, then the
+    NLL and the parameter gradients as two separate passes, then the
+    chain through the links, each expression in its original operand
+    order.  Frozen here so a rewrite of the head must keep its bits."""
+    raw = np.asarray(raw, dtype=float)
+    y = np.asarray(y, dtype=float)
+    mu = raw[..., 0]
+    sigma = np.logaddexp(0.0, raw[..., 1]) + 1e-6
+    nu = (np.maximum(2.0 + np.logaddexp(0.0, raw[..., 2]),
+                     np.nextafter(2.0, 3.0))
+          if family == "student_t" else None)
+    if family == "gaussian":
+        z = (y - mu) / sigma
+        values = 0.5 * np.log(2.0 * np.pi) + np.log(sigma) + 0.5 * z * z
+        z = (y - mu) / sigma
+        dmu = -z / sigma
+        dsigma = (1.0 - z * z) / sigma
+        dnu = None
+    elif family == "laplace":
+        values = np.log(2.0 * sigma) + np.abs(y - mu) / sigma
+        sgn = np.sign(y - mu)
+        dmu = -sgn / sigma
+        dsigma = (1.0 - np.abs(y - mu) / sigma) / sigma
+        dnu = None
+    else:
+        z = (y - mu) / sigma
+        q = 1.0 + z * z / nu
+        values = (-gammaln((nu + 1.0) / 2.0) + gammaln(nu / 2.0)
+                  + 0.5 * np.log(np.pi * nu) + np.log(sigma)
+                  + (nu + 1.0) / 2.0 * np.log(q))
+        z = (y - mu) / sigma
+        q = 1.0 + z * z / nu
+        common = (nu + 1.0) * z / (nu * q)
+        dmu = -common / sigma
+        dsigma = (1.0 - common * z) / sigma
+        dnu = (0.5 * (digamma(nu / 2.0) - digamma((nu + 1.0) / 2.0))
+               + 0.5 / nu + 0.5 * np.log(q)
+               - (nu + 1.0) / 2.0 * z * z / (nu * nu * q))
+
+    def link_slope(x):   # sigmoid: negate, exp, add 1, reciprocal
+        return np.reciprocal(np.exp(np.negative(x)) + 1.0)
+
+    d_raw = np.empty_like(raw)
+    d_raw[..., 0] = dmu
+    d_raw[..., 1] = dsigma * link_slope(raw[..., 1])
+    if family == "student_t":
+        d_raw[..., 2] = dnu * link_slope(raw[..., 2])
+    return values, d_raw
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNllBits:
+    """nll and nll_and_raw_grad keep the bits of the frozen expressions."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "student_t"])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_batches_match_frozen_expressions(self, family, scale):
+        rng = np.random.default_rng(int(scale * 10))
+        raw = rng.normal(0.0, scale, size=(7, 11, PARAM_ARITY[family]))
+        y = rng.normal(0.0, 3.0, size=(7, 11))
+        y[0] = raw[0, :, 0] + 1e6 * scale     # far in the right tail
+        y[1] = raw[1, :, 0] - 1e6 * scale     # far in the left tail
+        y[2] = raw[2, :, 0]                   # at the location
+        if family == "student_t":
+            raw[3, :3, 2] = [-40.0, -800.0, 800.0]
+        with np.errstate(all="ignore"):
+            want_values, want_grad = _frozen_nll_and_raw_grad(raw, y, family)
+            values, d_raw = nll_and_raw_grad(raw, y, family)
+            direct = nll(project_raw(raw, family), y)
+        assert _same_bits(values, want_values)
+        assert _same_bits(d_raw, want_grad)
+        assert _same_bits(direct, want_values)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "student_t"])
+    @pytest.mark.parametrize("raw_value", [-800.0, -40.0, -0.1, 0.0, 1.0,
+                                           37.0, 800.0])
+    @pytest.mark.parametrize("y", [-1e8, -2.5, 0.0, 0.3, 1e8])
+    def test_scalars_match_frozen_expressions(self, family, raw_value, y):
+        raw = np.full(PARAM_ARITY[family], raw_value)
+        raw[0] = 0.25
+        with np.errstate(all="ignore"):
+            want_values, want_grad = _frozen_nll_and_raw_grad(raw, y, family)
+            values, d_raw = nll_and_raw_grad(raw, y, family)
+            direct = nll(project_raw(raw, family), y)
+        assert _same_bits(values, want_values)
+        assert _same_bits(d_raw, want_grad)
+        assert _same_bits(direct, want_values)
 
 
 class TestSampling:

@@ -7,6 +7,7 @@ import pytest
 from stcast import dataio
 from stcast.causal import coefficient_names
 from stcast.errors import GeneratorInstabilityError, InputValidationError
+from stcast.forecaster import ModelConfig
 from stcast.spatial import Region, RegionSet, build_spatial_matrix, spatial_lag
 from stcast.synth import BURN_IN, GeneratorSpec, _draw_noise, generate
 
@@ -76,6 +77,34 @@ class TestGeneratorSpec:
     def test_rejects_degenerate_fraction(self):
         with pytest.raises(InputValidationError):
             GeneratorSpec(treated_fraction=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_regions", 6.0), ("t_steps", 300.0), ("post_onset_index", 150.0),
+        ("n_regions", True), ("t_steps", "300"), ("post_onset_index", None),
+    ])
+    def test_rejects_non_integer_size(self, name, value):
+        with pytest.raises(InputValidationError,
+                           match=f"^{name} must be an integer$"):
+            GeneratorSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [-1, 1.0, True, "3", None])
+    def test_rejects_bad_seed(self, value):
+        # The same rule and message as the forecaster's seed.
+        with pytest.raises(InputValidationError,
+                           match="^seed must be a non-negative integer$"):
+            GeneratorSpec(seed=value)
+        with pytest.raises(InputValidationError,
+                           match="^seed must be a non-negative integer$"):
+            ModelConfig(seed=value)
+
+    def test_range_messages_kept(self):
+        with pytest.raises(InputValidationError,
+                           match="^need at least 2 regions$"):
+            GeneratorSpec(n_regions=1)
+        with pytest.raises(InputValidationError,
+                           match="^post_onset_index must leave"):
+            GeneratorSpec(post_onset_index=-1)
+        assert GeneratorSpec(n_regions=np.int64(4), seed=np.uint32(7)).seed == 7
 
     @pytest.mark.parametrize("name, value", [
         ("noise_sigma", -1.0), ("noise_sigma", np.nan), ("noise_sigma", np.inf),
