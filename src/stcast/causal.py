@@ -44,6 +44,7 @@ from .errors import (
     InputValidationError,
     InsufficientDataError,
     NonstationarityError,
+    check_distinct,
 )
 from .spatial import SpatialMatrix, spatial_lag
 
@@ -68,8 +69,8 @@ class Panel:
 
     y is (N, T), c is (N, T, D) with D possibly 0, treated is a binary
     (N,) vector and post a binary (T,) step vector (zeros then ones).
-    Times must be strictly increasing and evenly spaced; missing values
-    are rejected.
+    Region ids must be distinct, times strictly increasing and evenly
+    spaced; missing values are rejected.
     """
 
     region_ids: tuple[str, ...]
@@ -88,6 +89,7 @@ class Panel:
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
+        check_distinct(self.region_ids)
         n, t = len(self.region_ids), len(self.times)
         if y.shape != (n, t):
             raise InputValidationError(f"y has shape {y.shape}, expected {(n, t)}")

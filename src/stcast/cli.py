@@ -20,9 +20,9 @@ manifest there; ``simulate`` creates it just before it writes.  Stage
 subcommands operate on the full panel they are given; only ``pipeline``
 reserves the final horizon steps for scoring.
 
-Configuration flags are generated from the ``RunConfig`` fields;
-``--config`` points at a key=value file, and flags override it.
-``simulate`` (which passes only the flags given to ``GeneratorSpec``)
+Flags are generated from the ``RunConfig`` fields, ``simulate``'s from
+the ``GeneratorSpec`` fields; ``--config`` points at a key=value file,
+and flags override it.  ``simulate`` (which passes only the flags given)
 and ``evaluate`` take no ``--config``, nor ``evaluate`` a ``--seed``.
 
 A command runs with numpy's floating-point warnings off: every stage
@@ -59,19 +59,27 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
     parser.add_argument("--seed", type=int, help="run seed")
 
 
-def _add_overrides(parser: argparse.ArgumentParser, keys=None) -> None:
-    """One flag per ``RunConfig`` field (all, or those in ``keys``) other
-    than the common ``out`` and ``seed``."""
-    for f in fields(RunConfig):
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _add_fields(parser: argparse.ArgumentParser, cls, keys=None) -> None:
+    """One flag per field of ``cls`` (all, or those in ``keys``) but the
+    common ``out`` and ``seed``: its name less a ``true_`` prefix, dashed,
+    with that stem upper-cased as metavar and its ``help`` metadata."""
+    for f in fields(cls):
         if f.name in ("out", "seed") or (keys is not None and f.name not in keys):
             continue
-        flag = "--" + f.name.replace("_", "-")
+        stem = f.name.removeprefix("true_")
+        flag = "--" + stem.replace("_", "-")
         if f.type == "bool":
             parser.add_argument(flag, action="store_const", const=True,
                                 dest=f.name)
         else:
-            kind = {"int": int, "float": float}.get(f.type, str)
-            parser.add_argument(flag, type=kind, dest=f.name)
+            kind = {"int": int, "float": float,
+                    "tuple[float, ...]": _floats}.get(f.type, str)
+            parser.add_argument(flag, type=kind, dest=f.name,
+                                metavar=stem.upper(), help=f.metadata.get("help"))
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -89,10 +97,6 @@ def _stage_inputs(args):
     transform, panel_t = pipeline.transform_targets(panel,
                                                     config.target_transform)
     return config, regions, transform, panel_t
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -211,46 +215,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic panel")
     _add_common(p, config=False)
-    p.add_argument("--n-regions", type=int)
-    p.add_argument("--t-steps", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--rho", type=float, dest="true_rho", metavar="RHO")
-    p.add_argument("--delta", type=float, dest="true_delta", metavar="DELTA")
-    p.add_argument("--gamma", type=_floats, dest="true_gamma", metavar="GAMMA",
-                   help="comma-separated covariate effects")
-    p.add_argument("--beta0", type=float, dest="true_beta0", metavar="BETA0")
-    p.add_argument("--beta1", type=float, dest="true_beta1", metavar="BETA1")
-    p.add_argument("--beta2", type=float, dest="true_beta2", metavar="BETA2")
-    p.add_argument("--treated-fraction", type=float)
-    p.add_argument("--post-onset-index", type=int)
-    p.add_argument("--noise-sigma", type=float)
+    _add_fields(p, synth.GeneratorSpec,
+                ("n_regions", "t_steps", "alpha", "true_rho", "true_delta",
+                 "true_gamma", "true_beta0", "true_beta1", "true_beta2",
+                 "treated_fraction", "post_onset_index", "noise_sigma"))
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("build-spatial", help="regions.csv -> spatial_matrix.csv")
     _add_common(p)
-    _add_overrides(p, ("regions", "alpha"))
+    _add_fields(p, RunConfig, ("regions", "alpha"))
     p.set_defaults(func=_cmd_build_spatial)
 
     p = sub.add_parser("estimate", help="fit the causal regression")
     _add_common(p)
-    _add_overrides(p)
+    _add_fields(p, RunConfig)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("adjust", help="apply a fitted estimate to the panel")
     _add_common(p)
-    _add_overrides(p)
+    _add_fields(p, RunConfig)
     p.add_argument("--estimate", required=True, help="did_estimate.csv path")
     p.set_defaults(func=_cmd_adjust)
 
     p = sub.add_parser("train", help="train the probabilistic forecaster")
     _add_common(p)
-    _add_overrides(p)
+    _add_fields(p, RunConfig)
     p.add_argument("--adjusted", required=True, help="adjusted_panel.csv path")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("forecast", help="sample future trajectories")
     _add_common(p)
-    _add_overrides(p)
+    _add_fields(p, RunConfig)
     p.add_argument("--model", required=True, help="model.npz path")
     p.add_argument("--adjusted", required=True, help="adjusted_panel.csv path")
     p.add_argument("--estimate", required=True, help="did_estimate.csv path")
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run all stages end to end")
     _add_common(p)
-    _add_overrides(p)
+    _add_fields(p, RunConfig)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

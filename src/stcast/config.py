@@ -11,9 +11,8 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, InputValidationError
+from .errors import ConfigError, InputValidationError, check_real
 from .forecaster import ModelConfig
-from .spatial import check_alpha
 from .transforms import TRANSFORM_KINDS
 
 
@@ -33,7 +32,12 @@ class RunConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        check_alpha(self.alpha)
+        # A path given as an int would be read as a file descriptor.
+        for name in ("regions", "panel", "out", "post_onset_date"):
+            if not isinstance(getattr(self, name), str):
+                raise InputValidationError(
+                    f"{name} must be a string, got {getattr(self, name)!r}")
+        check_real("alpha", self.alpha, "(0, inf)")
         for name in ("no_spatial", "no_factors"):
             if not isinstance(getattr(self, name), bool):
                 raise InputValidationError(

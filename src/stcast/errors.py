@@ -2,11 +2,15 @@
 
 Every error raised by library code derives from :class:`StcastError` so
 callers (and the CLI) can map failures to exit codes without string
-matching.  :func:`check_integer` is the one integer-field rule of the
-config dataclasses.
+matching.  :func:`check_integer` and :func:`check_real` are the one
+integer and the one real-valued setting rule of the config dataclasses;
+:func:`check_distinct` is the one rule that a region axis names each
+region once.
 """
 
+import math
 import numbers
+from collections import Counter
 
 
 class StcastError(Exception):
@@ -89,3 +93,33 @@ def check_integer(name: str, value, least: int | None = None) -> None:
             or (least is not None and value < least)):
         kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
         raise InputValidationError(f"{name} must be {kind} integer")
+
+
+def check_real(name: str, value, interval: str = "(-inf, inf)") -> None:
+    """Reject a value that is not a real number, a bool or a string
+    included, or that lies outside ``interval``, written like ``(0, 1)``,
+    ``[0, inf)`` or ``(0, inf]``; NaN lies in none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputValidationError(f"{name} must be a real number, got {value!r}")
+    lo, hi = (float(b) for b in interval[1:-1].split(","))
+    left, right = interval[0] == "[", interval[-1] == "]"
+    if lo < value < hi or left and value == lo or right and value == hi:
+        return
+    holds_inf = left and lo == -math.inf or right and hi == math.inf
+    if not (holds_inf or math.isfinite(value)):
+        wording = "finite"
+    elif math.isfinite(lo) and math.isfinite(hi):
+        wording = f"in {interval}"
+    else:
+        wording = (f"{'>=' if left else '>'} {lo:g}" if math.isfinite(lo)
+                   else f"{'<=' if right else '<'} {hi:g}")
+        wording = wording if holds_inf else "finite and " + wording
+    raise InputValidationError(f"{name} must be {wording}, got {value}")
+
+
+def check_distinct(ids, error: type[StcastError] = InputValidationError,
+                   where: str = "") -> None:
+    """Reject region ids that name a region more than once."""
+    if len(set(ids)) != len(ids):
+        dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
+        raise error(f"{where}duplicate region ids: {dupes}")

@@ -30,7 +30,6 @@ pools' counts, and the blocks leave a lower memory peak.
 from __future__ import annotations
 
 import json
-import numbers
 import warnings
 import zipfile
 from dataclasses import dataclass, fields
@@ -48,7 +47,9 @@ from .errors import (
     InputValidationError,
     InsufficientDataError,
     PropagationError,
+    check_distinct,
     check_integer,
+    check_real,
 )
 from .gru import GRUStack, init_gru_params, param_shapes
 from .transforms import TargetTransform, fit_target_transform
@@ -76,16 +77,9 @@ class ModelConfig:
         for name in ("hidden_size", "num_layers", "context_len", "horizon",
                      "epochs", "num_samples", "batch_size", "seed"):
             check_integer(name, getattr(self, name), 0 if name == "seed" else 1)
-        # A bool or a string is no rate; NaN fails both range tests;
         # grad_clip=inf means no clipping.
-        rates = (self.learning_rate, self.grad_clip)
-        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    for v in rates)
-                and 0 <= self.learning_rate < np.inf and self.grad_clip > 0):
-            raise InputValidationError(
-                "learning_rate must be finite and >= 0, grad_clip > 0; got "
-                f"{self.learning_rate!r} and {self.grad_clip!r}"
-            )
+        check_real("learning_rate", self.learning_rate, "[0, inf)")
+        check_real("grad_clip", self.grad_clip, "(0, inf]")
         if self.distribution not in heads.FAMILIES:
             raise InputValidationError(
                 f"distribution must be one of {heads.FAMILIES}, "
@@ -382,8 +376,9 @@ class ForecastModel:
     @classmethod
     def load(cls, path) -> "ForecastModel":
         """Read a ``save`` checkpoint.  ``IngestionError`` names the defect: not
-        an .npz archive, a bad ``meta.config``, or a member that is missing,
-        undeclared, not float64 of its shape, non-finite, or a std <= 0."""
+        an .npz archive, a bad ``meta.config``, ``meta.region_ids`` that is
+        not 1-d or repeats an id, or a member that is missing, undeclared,
+        not float64 of its shape, non-finite, or a std <= 0."""
         try:
             with np.load(path, allow_pickle=False) as data:
                 arrays = dict(data.items())
@@ -399,7 +394,13 @@ class ForecastModel:
             config = ModelConfig(**json.loads(str(member("meta.config"))))
         except (TypeError, json.JSONDecodeError, InputValidationError) as err:
             raise IngestionError(f"{path}: bad meta.config ({err})") from None
-        region_ids = tuple(str(r) for r in member("meta.region_ids"))
+        ids = member("meta.region_ids")
+        if ids.ndim != 1:
+            raise IngestionError(f"{path}: member 'meta.region_ids' is {ids.shape}, "
+                                 "expected one id per region")
+        region_ids = tuple(map(str, ids))
+        check_distinct(region_ids, IngestionError,
+                       f"{path}: member 'meta.region_ids' has ")
         layout = _param_shapes(config)
         shapes = {f"param.{k}": v for k, v in layout.items()}
         for name in ("y_mean", "y_std", "z_mean", "z_std"):

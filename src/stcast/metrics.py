@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputValidationError, PropagationError
+from .errors import (InputValidationError, PropagationError, check_distinct,
+                     check_real)
 
 QUANTILES = (0.1, 0.5, 0.9)
 COVERAGE_LEVELS = (0.1, 0.5, 0.9)
@@ -88,8 +89,7 @@ def pinball_loss(q: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
 
 def weighted_quantile_loss(forecasts, observed: np.ndarray, tau: float) -> float:
     """Pinball loss at level tau, doubled and normalized by sum |observed|."""
-    if not 0.0 < tau < 1.0:
-        raise InputValidationError(f"tau must be in (0, 1), got {tau}")
+    check_real("tau", tau, "(0, 1)")
     forecasts, observed = _aligned(forecasts, observed)
     return _wql(quantile(forecasts, tau), observed, tau)
 
@@ -106,8 +106,7 @@ def _wql(q: np.ndarray, observed: np.ndarray, tau: float) -> float:
 def coverage(forecasts, observed: np.ndarray, alpha: float) -> float:
     """Share of observations inside the central (1-alpha) interval
     [q_{alpha/2}, q_{1-alpha/2}]."""
-    if not 0.0 < alpha < 1.0:
-        raise InputValidationError(f"alpha must be in (0, 1), got {alpha}")
+    check_real("alpha", alpha, "(0, 1)")
     forecasts, observed = _aligned(forecasts, observed)
     lo, hi = quantile(forecasts, _interval_levels(alpha))
     return _inside(lo, hi, observed)
@@ -124,8 +123,7 @@ def _inside(lo: np.ndarray, hi: np.ndarray, observed: np.ndarray) -> float:
 def quantile_exceedance(forecasts, observed: np.ndarray, tau: float) -> float:
     """Share of observations at or below the tau-quantile forecast;
     calibrated forecasts give tau."""
-    if not 0.0 < tau < 1.0:
-        raise InputValidationError(f"tau must be in (0, 1), got {tau}")
+    check_real("tau", tau, "(0, 1)")
     forecasts, observed = _aligned(forecasts, observed)
     return _at_or_below(quantile(forecasts, tau), observed)
 
@@ -198,14 +196,16 @@ class ScoreReport:
 
 def score_report(samples: np.ndarray, observed: np.ndarray,
                  region_ids: tuple[str, ...]) -> ScoreReport:
-    """Score an (N, m, num_samples) ensemble against (N, m) observations.
-    A non-finite score (the energy score's squared norms overflow on
-    samples near 1e160) raises ``PropagationError`` naming the first."""
+    """Score an (N, m, num_samples) ensemble against (N, m) observations
+    of the N distinct ``region_ids``.  A non-finite score (the energy
+    score's squared norms overflow on samples near 1e160) raises
+    ``PropagationError`` naming the first."""
     samples, observed = _aligned(samples, observed)
     if samples.ndim != 3:
         raise InputValidationError(f"expected samples (N, m, s), got {samples.shape}")
     if len(region_ids) != observed.shape[0]:
         raise InputValidationError(f"{len(region_ids)} region ids for {observed.shape[0]} regions")
+    check_distinct(region_ids)
 
     # One quantile pass over every distinct level the three scores use.
     levels = tuple(sorted({*QUANTILES, *(x for a in COVERAGE_LEVELS

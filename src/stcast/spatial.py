@@ -10,13 +10,13 @@ writes no file: ``dataio.spatial_matrix_to_csv`` writes the matrix.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputValidationError
+from .errors import (DegenerateInputError, InputValidationError,
+                     check_distinct, check_real)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -47,12 +47,11 @@ class RegionSet:
             raise DegenerateInputError(
                 f"need at least 2 regions, got {len(self.regions)}"
             )
-        ids = [r.region_id for r in self.regions]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise InputValidationError(f"duplicate region ids: {dupes}")
+        check_distinct(self.region_ids)
         for r in self.regions:
-            _check_coordinates(r.lat, r.lon, r.region_id)
+            where = f" of region {r.region_id!r}"
+            check_real("latitude" + where, r.lat, "[-90, 90]")
+            check_real("longitude" + where, r.lon, "[-180, 180]")
 
     @property
     def n(self) -> int:
@@ -73,7 +72,7 @@ class SpatialMatrix:
 
     Invariants (checked at construction): a finite ``alpha`` > 0, finite
     and non-negative entries, zero diagonal, every row sums to 1 within
-    ``ROW_SUM_TOL``.
+    ``ROW_SUM_TOL``, and ``region_ids``, when given, name each row once.
     """
 
     weights: np.ndarray
@@ -86,7 +85,12 @@ class SpatialMatrix:
         w.setflags(write=False)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InputValidationError(f"weights must be square, got {w.shape}")
-        check_alpha(self.alpha)
+        check_real("alpha", self.alpha, "(0, inf)")
+        if self.region_ids:
+            if len(self.region_ids) != w.shape[0]:
+                raise InputValidationError(
+                    f"{len(self.region_ids)} region ids for {w.shape[0]} rows")
+            check_distinct(self.region_ids)
         if not np.all(np.isfinite(w)):
             raise InputValidationError("weights must be finite")
         if np.any(np.diag(w) != 0.0):
@@ -103,22 +107,6 @@ class SpatialMatrix:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-
-def check_alpha(alpha: float) -> None:
-    """Reject a decay exponent that is not a finite real number above 0
-    (a bool or a string included)."""
-    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
-            or not (math.isfinite(alpha) and alpha > 0)):
-        raise InputValidationError(f"alpha must be finite and > 0, got {alpha}")
-
-
-def _check_coordinates(lat: float, lon: float, label: str = "") -> None:
-    tag = f" for region {label!r}" if label else ""
-    if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
-        raise InputValidationError(f"latitude {lat} out of [-90, 90]{tag}")
-    if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
-        raise InputValidationError(f"longitude {lon} out of [-180, 180]{tag}")
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -162,7 +150,7 @@ def build_spatial_matrix(rs: RegionSet, alpha: float = DEFAULT_ALPHA) -> Spatial
     renormalised so each row sums to one.  Distances are clamped to
     ``MIN_DISTANCE_KM`` before inversion.
     """
-    check_alpha(alpha)
+    check_real("alpha", alpha, "(0, inf)")
     d = pairwise_distances(rs)
     d = np.maximum(d, MIN_DISTANCE_KM)
     inv = d ** (-float(alpha))

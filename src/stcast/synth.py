@@ -28,14 +28,14 @@ length share one immutable tuple of dates.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .causal import DidEstimate, Panel, coefficient_names
 from .errors import (GeneratorInstabilityError, InputValidationError,
-                     check_integer)
+                     check_integer, check_real)
 from .spatial import Region, RegionSet, build_spatial_matrix
 
 BURN_IN = 50
@@ -44,29 +44,36 @@ BURN_IN = 50
 _STABILITY_BOUND = 1e9
 
 
+def _real(default: float, interval: str = "(-inf, inf)", **metadata):
+    """A real-valued setting that ``errors.check_real`` holds to
+    ``interval``; for ``true_gamma``, each of its entries."""
+    return field(default=default, metadata={"interval": interval, **metadata})
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     n_regions: int = 6
     t_steps: int = 300
     coordinates: tuple[tuple[float, float], ...] | None = None
-    alpha: float = 1.0
-    true_rho: float = 0.4
-    true_delta: float = -2.0
-    true_gamma: tuple[float, ...] = (1.0, -0.5, -1.0, 0.3)
-    true_beta0: float = 1.0
-    true_beta1: float = 0.5
-    true_beta2: float = -0.3
-    treated_fraction: float = 0.5
+    alpha: float = _real(1.0, "(0, inf)")
+    true_rho: float = _real(0.4, "(-1, 1)")
+    true_delta: float = _real(-2.0)
+    true_gamma: tuple[float, ...] = _real(
+        (1.0, -0.5, -1.0, 0.3), help="comma-separated covariate effects")
+    true_beta0: float = _real(1.0)
+    true_beta1: float = _real(0.5)
+    true_beta2: float = _real(-0.3)
+    treated_fraction: float = _real(0.5, "(0, 1)")
     post_onset_index: int = 150
-    cov_persistence: float = 0.9
-    cov_noise_scale: float = 0.5
-    noise_sigma: float = 0.1
+    cov_persistence: float = _real(0.9, "[0, 1)")
+    cov_noise_scale: float = _real(0.5, "[0, inf)")
+    noise_sigma: float = _real(0.1, "[0, inf)")
     noise_family: str = "gaussian"   # "gaussian" | "student_t"
-    noise_df: float = 5.0
+    noise_df: float = _real(5.0, "(0, inf)")
     # Level shift added to the first covariate on treated post-period
     # cells (a policy-response covariate that co-moves with the
     # intervention).  Zero keeps covariates independent of treatment.
-    cov_shift_treated_post: float = 0.0
+    cov_shift_treated_post: float = _real(0.0)
     seed: int = 0
     start_date: dt.date = field(default_factory=lambda: dt.date(2020, 6, 1))
 
@@ -76,20 +83,19 @@ class GeneratorSpec:
         check_integer("seed", self.seed, 0)
         if self.n_regions < 2:
             raise InputValidationError("need at least 2 regions")
-        for name in ("true_rho", "true_delta", "true_gamma", "true_beta0",
-                     "true_beta1", "true_beta2", "cov_shift_treated_post"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise InputValidationError(
-                    f"{name} must be finite, got {getattr(self, name)}")
-        if abs(self.true_rho) >= 1.0:
-            raise InputValidationError(f"|true_rho| must be < 1, got {self.true_rho}")
         if not 1 <= self.post_onset_index <= self.t_steps - 1:
             raise InputValidationError(
                 "post_onset_index must leave at least one pre and one post "
                 f"period, got {self.post_onset_index} for T={self.t_steps}"
             )
-        if not 0.0 < self.treated_fraction < 1.0:
-            raise InputValidationError("treated_fraction must be in (0, 1)")
+        if not isinstance(self.true_gamma, (tuple, list, np.ndarray)):
+            raise InputValidationError(
+                f"true_gamma must be a sequence of reals, got {self.true_gamma!r}")
+        for f in fields(self):
+            if "interval" in f.metadata:
+                value = getattr(self, f.name)
+                for v in value if f.name == "true_gamma" else (value,):
+                    check_real(f.name, v, f.metadata["interval"])
         if self.coordinates is not None and len(self.coordinates) != self.n_regions:
             raise InputValidationError(
                 f"{len(self.coordinates)} coordinate pairs for "
@@ -99,14 +105,6 @@ class GeneratorSpec:
             raise InputValidationError(
                 f"unknown noise family {self.noise_family!r}"
             )
-        if not 0.0 <= self.cov_persistence < 1.0:
-            raise InputValidationError("cov_persistence must be in [0, 1)")
-        for name in ("noise_sigma", "cov_noise_scale"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise InputValidationError(
-                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not self.noise_df > 0.0:
-            raise InputValidationError(f"noise_df must be > 0, got {self.noise_df}")
 
     @property
     def d(self) -> int:

@@ -71,6 +71,16 @@ class TestPanelValidation:
         with pytest.raises(InputValidationError, match="non-finite"):
             make_panel(y)
 
+    def test_repeated_region_id_rejected(self):
+        # A repeated id would make two rows one region for every reader
+        # keyed by id.
+        with pytest.raises(InputValidationError,
+                           match=r"^duplicate region ids: \['a'\]$") as exc:
+            Panel(region_ids=("a", "a"), times=(dt.date(2021, 1, 1),),
+                  y=np.zeros((2, 1)), c=np.zeros((2, 1, 0)),
+                  treated=np.array([1.0, 0.0]), post=np.array([0.0]))
+        assert exc.value.exit_code == 2
+
 
 class TestDidEstimateType:
     def test_nonstationary_rho_rejected(self):

@@ -147,6 +147,30 @@ class TestRunConfig:
             with pytest.raises(InputValidationError, match=key):
                 load_run_config(overrides={key: value})
 
+    @pytest.mark.parametrize("value", [3, None, b"x.csv", 1.5])
+    @pytest.mark.parametrize("key", ["regions", "panel", "out",
+                                     "post_onset_date"])
+    def test_text_keys_type_checked(self, key, value):
+        # An int path would be read as a file descriptor, and a non-string
+        # onset date would raise a bare TypeError.
+        with pytest.raises(InputValidationError,
+                           match=f"^{key} must be a string, got ") as exc:
+            RunConfig(**{key: value})
+        assert exc.value.exit_code == 2
+        if value is not None:
+            with pytest.raises(InputValidationError, match=f"^{key} must be"):
+                load_run_config(None, {key: value})
+
+    def test_integer_regions_leave_the_descriptor_open(self):
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(InputValidationError, match="^regions must"):
+                load_run_config(None, {"regions": read_end})
+            os.fstat(read_end)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
     def test_real_numbers_of_any_type_accepted(self):
         cfg = RunConfig(alpha=2, learning_rate=np.float64(0.5),
                         grad_clip=np.float32(3.0))
@@ -199,6 +223,66 @@ class TestRunConfig:
                 continue
             flag = "--" + f.name.replace("_", "-")
             assert flag in flags and flags[flag].dest == f.name, flag
+
+    def test_options_pinned(self):
+        # The generated flags keep the strings, dests, metavars and types
+        # the hand-written ones had.
+        common = [("--config", "config", "CONFIG", None),
+                  ("--out", "out", "OUT", None), ("--seed", "seed", "SEED", "int")]
+        run = [("--" + name.replace("_", "-"), name, name.upper(), kind)
+               for name, kind in (
+                   ("hidden_size", "int"), ("num_layers", "int"),
+                   ("distribution", "str"), ("context_len", "int"),
+                   ("horizon", "int"), ("learning_rate", "float"),
+                   ("epochs", "int"), ("grad_clip", "float"),
+                   ("num_samples", "int"), ("batch_size", "int"),
+                   ("regions", "str"), ("panel", "str"), ("alpha", "float"),
+                   ("post_onset_date", "str"), ("target_transform", "str"))]
+        run += [("--no-spatial", "no_spatial", None, None),
+                ("--no-factors", "no_factors", None, None)]
+        simulate = [
+            ("--n-regions", "n_regions", "N_REGIONS", "int"),
+            ("--t-steps", "t_steps", "T_STEPS", "int"),
+            ("--alpha", "alpha", "ALPHA", "float"),
+            ("--rho", "true_rho", "RHO", "float"),
+            ("--delta", "true_delta", "DELTA", "float"),
+            ("--gamma", "true_gamma", "GAMMA", "_floats"),
+            ("--beta0", "true_beta0", "BETA0", "float"),
+            ("--beta1", "true_beta1", "BETA1", "float"),
+            ("--beta2", "true_beta2", "BETA2", "float"),
+            ("--treated-fraction", "treated_fraction", "TREATED_FRACTION",
+             "float"),
+            ("--post-onset-index", "post_onset_index", "POST_ONSET_INDEX",
+             "int"),
+            ("--noise-sigma", "noise_sigma", "NOISE_SIGMA", "float")]
+        estimate = [("--estimate", "estimate", "ESTIMATE", None)]
+        adjusted = [("--adjusted", "adjusted", "ADJUSTED", None)]
+        expected = {
+            "simulate": common[1:] + simulate,
+            "build-spatial": common + [run[10], run[12]],
+            "estimate": common + run,
+            "adjust": common + run + estimate,
+            "train": common + run + adjusted,
+            "forecast": common + run + [("--model", "model", "MODEL", None),
+                                        *adjusted, *estimate],
+            "evaluate": [("--out", "out", "OUT", None),
+                         ("--forecast", "forecast", "FORECAST", None),
+                         ("--truth", "truth", "TRUTH", None),
+                         ("--model-name", "model_name", "MODEL_NAME", None)],
+            "pipeline": common + run,
+        }
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {}
+        for command, parser in sub.choices.items():
+            got[command] = [
+                (*a.option_strings, a.dest,
+                 None if a.nargs == 0 else a.metavar or a.dest.upper(),
+                 getattr(a.type, "__name__", None))
+                for a in parser._actions if a.dest != "help"]
+        assert got == expected
+        gamma = sub.choices["simulate"]._option_string_actions["--gamma"]
+        assert gamma.help == "comma-separated covariate effects"
 
 
 class TestPipeline:
@@ -1278,6 +1362,30 @@ class TestCli:
         assert rc == 7
         assert f"{model}: {expected}" in capsys.readouterr().err
         assert not (out / "forecast_samples.csv").exists()
+
+    @pytest.mark.parametrize("defect", ["0-d", "repeated"])
+    def test_malformed_model_region_ids_exit_code(
+            self, synth_files, trained_stages, tmp_path, capsys, defect):
+        with np.load(trained_stages / "model.npz") as data:
+            arrays = dict(data.items())
+        ids = [str(r) for r in arrays["meta.region_ids"]]
+        if defect == "0-d":
+            arrays["meta.region_ids"] = np.array(ids[0])
+            expected = "member 'meta.region_ids' is (), expected one id per region"
+        else:
+            arrays["meta.region_ids"] = np.array([ids[1], *ids[1:]])
+            expected = (f"member 'meta.region_ids' has duplicate region ids: "
+                        f"['{ids[1]}']")
+        model = tmp_path / "model.npz"
+        np.savez(model, **arrays)
+        out = tmp_path / "out"
+        rc = main(["forecast", *as_flags(base_overrides(synth_files, out)),
+                   "--model", str(model),
+                   "--adjusted", str(trained_stages / "adjusted_panel.csv"),
+                   "--estimate", str(trained_stages / "did_estimate.csv")])
+        assert rc == 7
+        assert f"error: {model}: {expected}\n" == capsys.readouterr().err
+        assert not out.exists()
 
     def test_forecast_rejects_reordered_regions(self, synth_files,
                                                 trained_stages, tmp_path,

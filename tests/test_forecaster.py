@@ -69,11 +69,11 @@ class TestModelConfig:
             small_config(seed=-1)   # numpy's generators reject it in training
         # NaN grad_clip would silently switch clipping off; a non-finite
         # learning rate would only fail in training, as a divergence.
-        for bad in ({"grad_clip": float("nan")},
-                    {"learning_rate": float("nan")},
-                    {"learning_rate": float("inf")}):
-            with pytest.raises(InputValidationError, match="learning_rate must"):
-                small_config(**bad)
+        for name, bad in (("grad_clip", float("nan")),
+                          ("learning_rate", float("nan")),
+                          ("learning_rate", float("inf"))):
+            with pytest.raises(InputValidationError, match=f"{name} must"):
+                small_config(**{name: bad})
 
     def test_infinite_grad_clip_means_no_clipping(self):
         adjusted, panel = random_training_data(2)

@@ -299,6 +299,16 @@ class TestScoreReport:
             b = score_report(np.ascontiguousarray(strided), obs, ids)
             assert a.rows() == b.rows()
 
+    def test_repeated_region_id_rejected(self):
+        # crps_per_region would keep one row for the two regions.
+        rng = np.random.default_rng(1)
+        obs = rng.normal(size=(3, 2))
+        samples = obs[:, :, None] + rng.normal(size=(3, 2, 20))
+        with pytest.raises(InputValidationError,
+                           match=r"^duplicate region ids: \['a'\]$") as exc:
+            score_report(samples, obs, ("a", "b", "a"))
+        assert exc.value.exit_code == 2
+
     @pytest.mark.parametrize("m", [1, 5, 9, 130])
     def test_region_crps_matches_per_region_calls(self, m):
         # The per-region scores come from one all-cell pass; each must be

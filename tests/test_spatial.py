@@ -246,6 +246,20 @@ class TestSpatialMatrixType:
         with pytest.raises(InputValidationError):
             SpatialMatrix(weights=w, alpha=1.0)
 
+    @pytest.mark.parametrize("ids, message", [
+        (("a",), "^1 region ids for 2 rows$"),
+        (("a", "b", "c"), "^3 region ids for 2 rows$"),
+        (("a", "a"), r"^duplicate region ids: \['a'\]$"),
+    ], ids=["too-few", "too-many", "repeated"])
+    def test_region_ids_name_each_row_once(self, ids, message):
+        # spatial_matrix_to_csv would write a header no reader accepts.
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InputValidationError, match=message):
+            SpatialMatrix(weights=swap, alpha=1.0, region_ids=ids)
+        assert SpatialMatrix(weights=swap, alpha=1.0).region_ids == ()
+        assert SpatialMatrix(weights=swap, alpha=1.0,
+                             region_ids=("b", "a")).region_ids == ("b", "a")
+
 
 class TestMatrixCsv:
     def test_dump_full_precision(self, square_regions, tmp_path):

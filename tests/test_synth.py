@@ -128,6 +128,53 @@ class TestGeneratorSpec:
                            match=f"^{name} must be finite, got "):
             GeneratorSpec(**{name: value})
 
+    REAL_SETTINGS = ("alpha", "true_rho", "true_delta", "true_gamma",
+                     "true_beta0", "true_beta1", "true_beta2",
+                     "treated_fraction", "cov_persistence", "cov_noise_scale",
+                     "noise_sigma", "noise_df", "cov_shift_treated_post")
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, np.nan],
+                             ids=["bool", "str", "None", "nan"])
+    @pytest.mark.parametrize("name", REAL_SETTINGS)
+    def test_real_setting_refuses_non_real(self, name, value):
+        # A bool compares as 0 or 1 and a string or None would escape as a
+        # bare TypeError; NaN fails every range.  true_gamma's entries are
+        # held to the rule one by one.
+        given = (value,) if name == "true_gamma" else value
+        with pytest.raises(InputValidationError, match=f"^{name} must be ") as exc:
+            GeneratorSpec(**{name: given})
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, np.nan, 1.0])
+    def test_gamma_must_be_a_sequence(self, value):
+        with pytest.raises(InputValidationError,
+                           match="^true_gamma must be a sequence of reals, got "):
+            GeneratorSpec(true_gamma=value)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("true_rho", 1.0, r"true_rho must be in \(-1, 1\), got 1.0"),
+        ("true_rho", -1, r"true_rho must be in \(-1, 1\), got -1"),
+        ("treated_fraction", 1.0,
+         r"treated_fraction must be in \(0, 1\), got 1.0"),
+        ("cov_persistence", 1.0,
+         r"cov_persistence must be in \[0, 1\), got 1.0"),
+        ("cov_noise_scale", -0.5,
+         "cov_noise_scale must be finite and >= 0, got -0.5"),
+        ("noise_df", 0.0, "noise_df must be finite and > 0, got 0.0"),
+        ("noise_df", np.inf, "noise_df must be finite, got inf"),
+        ("alpha", 0, "alpha must be finite and > 0, got 0"),
+    ])
+    def test_range_of_each_real_setting(self, name, value, message):
+        # An infinite noise_df would draw a NaN noise scale.
+        with pytest.raises(InputValidationError, match=f"^{message}$"):
+            GeneratorSpec(**{name: value})
+
+    def test_edges_inside_the_ranges_accepted(self):
+        spec = GeneratorSpec(cov_persistence=0.0, noise_sigma=0.0,
+                             cov_noise_scale=0, true_rho=np.float32(-0.5),
+                             true_gamma=[np.int64(1), 0.5], noise_df=1e-3)
+        assert spec.d == 2
+
 
 class TestGenerate:
     def test_degenerate_dgp_closed_form(self):
