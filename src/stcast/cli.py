@@ -46,7 +46,7 @@ import numpy as np
 
 from . import dataio, pipeline, synth
 from .config import RunConfig, load_run_config
-from .errors import InsufficientDataError, StcastError
+from .errors import PARSERS, InsufficientDataError, StcastError
 from .forecaster import ForecastModel
 from .pipeline import evaluate_files, model_label, run_pipeline
 from .spatial import build_spatial_matrix
@@ -59,26 +59,20 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
     parser.add_argument("--seed", type=int, help="run seed")
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
 def _add_fields(parser: argparse.ArgumentParser, cls, keys=None) -> None:
     """One flag per field of ``cls`` (all, or those in ``keys``) but the
     common ``out`` and ``seed``: its name less a ``true_`` prefix, dashed,
-    with that stem upper-cased as metavar and its ``help`` metadata."""
+    with that stem upper-cased as metavar, ``errors.PARSERS``' parser of
+    its type and its ``help`` metadata."""
     for f in fields(cls):
         if f.name in ("out", "seed") or (keys is not None and f.name not in keys):
             continue
         stem = f.name.removeprefix("true_")
         flag = "--" + stem.replace("_", "-")
         if f.type == "bool":
-            parser.add_argument(flag, action="store_const", const=True,
-                                dest=f.name)
+            parser.add_argument(flag, action="store_const", const=True, dest=f.name)
         else:
-            kind = {"int": int, "float": float,
-                    "tuple[float, ...]": _floats}.get(f.type, str)
-            parser.add_argument(flag, type=kind, dest=f.name,
+            parser.add_argument(flag, type=PARSERS[f.type], dest=f.name,
                                 metavar=stem.upper(), help=f.metadata.get("help"))
 
 

@@ -1,9 +1,10 @@
 """Run configuration: flat key=value files plus command-line overrides.
 
 Every key has a default; unknown keys are rejected, and every value is
-checked when the ``RunConfig`` is built, before any stage runs.
-Booleans accept true/false/1/0/yes/no.  Lines starting with '#' and
-blank lines are ignored; a key may appear once per file.
+checked when the ``RunConfig`` is built, before any stage runs.  Values
+are read by ``errors.PARSERS``, as flags are; booleans accept true/false/
+1/0/yes/no.  Lines starting with '#' and blank lines are ignored; a key
+may appear once per file.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, InputValidationError, check_real
+from .errors import PARSERS, ConfigError, setting
 from .forecaster import ModelConfig
 from .transforms import TRANSFORM_KINDS
 
@@ -24,7 +25,7 @@ class RunConfig(ModelConfig):
     regions: str = ""
     panel: str = ""
     out: str = "stcast-out"
-    alpha: float = 1.0
+    alpha: float = setting(1.0, interval="(0, inf)")
     post_onset_date: str = ""
     target_transform: str = "log1p-standardize"
     no_spatial: bool = False
@@ -32,16 +33,6 @@ class RunConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        # A path given as an int would be read as a file descriptor.
-        for name in ("regions", "panel", "out", "post_onset_date"):
-            if not isinstance(getattr(self, name), str):
-                raise InputValidationError(
-                    f"{name} must be a string, got {getattr(self, name)!r}")
-        check_real("alpha", self.alpha, "(0, inf)")
-        for name in ("no_spatial", "no_factors"):
-            if not isinstance(getattr(self, name), bool):
-                raise InputValidationError(
-                    f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.post_onset_date:
             self.onset_date()
         if self.target_transform not in TRANSFORM_KINDS:
@@ -69,23 +60,12 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if kind == "bool":
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key '{key}': cannot parse boolean '{raw}'")
+    kind, raw = _FIELD_TYPES[key], raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"config key '{key}': cannot parse {kind} '{raw}'") from None
-    return raw
+        return PARSERS[kind](raw)
+    except (KeyError, ValueError):
+        noun = "boolean" if kind == "bool" else kind
+        raise ConfigError(f"config key '{key}': cannot parse {noun} '{raw}'") from None
 
 
 def parse_config_file(path) -> dict:

@@ -3,14 +3,19 @@
 Every error raised by library code derives from :class:`StcastError` so
 callers (and the CLI) can map failures to exit codes without string
 matching.  :func:`check_integer` and :func:`check_real` are the one
-integer and the one real-valued setting rule of the config dataclasses;
-:func:`check_distinct` is the one rule that a region axis names each
-region once.
+integer and the one real-valued rule; :func:`check_distinct` is the one
+rule that a region axis names each region once.  :func:`check_settings`
+holds each field of a config dataclass to the rule of its declared type,
+as :func:`setting` narrows it; ``PARSERS`` reads each type from text.
 """
 
 import math
 import numbers
 from collections import Counter
+from dataclasses import field, fields
+from functools import cache
+
+import numpy as np
 
 
 class StcastError(Exception):
@@ -123,3 +128,51 @@ def check_distinct(ids, error: type[StcastError] = InputValidationError,
     if len(set(ids)) != len(ids):
         dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
         raise error(f"{where}duplicate region ids: {dupes}")
+
+
+def setting(default, *, least=None, interval="(-inf, inf)", choices=None, help=None):
+    """A config field with the rule that narrows its type's: ``least``
+    (0 or 1) for an int, ``interval`` for a float or each entry of a tuple
+    of reals, ``choices`` for a str; ``help`` is its flag's help text."""
+    return field(default=default, metadata={
+        "least": least, "interval": interval, "choices": choices, "help": help})
+
+
+_UNDECLARED = setting(None).metadata
+_fields = cache(fields)   # each config class's fields, listed once
+
+
+def check_settings(config) -> None:
+    """Hold each field of the dataclass ``config``, in order, to the rule
+    of its annotation's text (the config modules postpone annotations)."""
+    for f in _fields(type(config)):
+        name, kind, value = f.name, f.type, getattr(config, f.name)
+        rule = f.metadata or _UNDECLARED
+        if kind == "int":
+            check_integer(name, value, rule["least"])
+        elif kind == "float":
+            check_real(name, value, rule["interval"])
+        elif kind == "tuple[float, ...]":
+            if not isinstance(value, (tuple, list, np.ndarray)):
+                raise InputValidationError(f"{name} must be a sequence of reals, got {value!r}")
+            for v in value:
+                check_real(name, v, rule["interval"])
+        elif kind == "bool" and not isinstance(value, bool):
+            raise InputValidationError(f"{name} must be true or false, got {value!r}")
+        elif kind == "str":
+            # A path given as an int would be read as a file descriptor.
+            choices = rule["choices"]
+            if not isinstance(value, str) or choices and value not in choices:
+                wording = f"one of {choices}" if choices else "a string"
+                raise InputValidationError(f"{name} must be {wording}, got {value!r}")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+# Each declared type's parser of text; a KeyError or ValueError refuses it.
+PARSERS = {"int": int, "float": float, "tuple[float, ...]": _floats,
+           "bool": lambda text: _BOOLEANS[text.lower()], "str": str}

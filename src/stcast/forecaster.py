@@ -48,8 +48,8 @@ from .errors import (
     InsufficientDataError,
     PropagationError,
     check_distinct,
-    check_integer,
-    check_real,
+    check_settings,
+    setting,
 )
 from .gru import GRUStack, init_gru_params, param_shapes
 from .transforms import TargetTransform, fit_target_transform
@@ -61,30 +61,20 @@ MOMENTUM = 0.9
 
 @dataclass(frozen=True)
 class ModelConfig:
-    hidden_size: int = 32
-    num_layers: int = 2
-    distribution: str = "gaussian"
-    context_len: int = 25
-    horizon: int = 5
-    learning_rate: float = 0.01
-    epochs: int = 50
-    grad_clip: float = 5.0
-    num_samples: int = 100
-    seed: int = 0
-    batch_size: int = 64
+    hidden_size: int = setting(32, least=1)
+    num_layers: int = setting(2, least=1)
+    distribution: str = setting("gaussian", choices=heads.FAMILIES)
+    context_len: int = setting(25, least=1)
+    horizon: int = setting(5, least=1)
+    learning_rate: float = setting(0.01, interval="[0, inf)")
+    epochs: int = setting(50, least=1)
+    grad_clip: float = setting(5.0, interval="(0, inf]")   # inf: no clipping
+    num_samples: int = setting(100, least=1)
+    seed: int = setting(0, least=0)
+    batch_size: int = setting(64, least=1)
 
     def __post_init__(self):
-        for name in ("hidden_size", "num_layers", "context_len", "horizon",
-                     "epochs", "num_samples", "batch_size", "seed"):
-            check_integer(name, getattr(self, name), 0 if name == "seed" else 1)
-        # grad_clip=inf means no clipping.
-        check_real("learning_rate", self.learning_rate, "[0, inf)")
-        check_real("grad_clip", self.grad_clip, "(0, inf]")
-        if self.distribution not in heads.FAMILIES:
-            raise InputValidationError(
-                f"distribution must be one of {heads.FAMILIES}, "
-                f"got {self.distribution!r}"
-            )
+        check_settings(self)
         if self.context_len != 5 * self.horizon:
             warnings.warn(
                 f"context_len:horizon is {self.context_len}:{self.horizon}; "

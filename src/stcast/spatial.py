@@ -29,6 +29,14 @@ DEFAULT_ALPHA = 1.0
 ROW_SUM_TOL = 1e-12
 
 
+def check_coordinates(lat, lon, where: str = "") -> None:
+    """Reject a latitude outside [-90, 90] or a longitude outside
+    [-180, 180] degrees, or either not a real number; ``where`` names
+    the pair in the message."""
+    check_real("latitude" + where, lat, "[-90, 90]")
+    check_real("longitude" + where, lon, "[-180, 180]")
+
+
 @dataclass(frozen=True)
 class Region:
     region_id: str
@@ -49,9 +57,7 @@ class RegionSet:
             )
         check_distinct(self.region_ids)
         for r in self.regions:
-            where = f" of region {r.region_id!r}"
-            check_real("latitude" + where, r.lat, "[-90, 90]")
-            check_real("longitude" + where, r.lon, "[-180, 180]")
+            check_coordinates(r.lat, r.lon, where=f" of region {r.region_id!r}")
 
     @property
     def n(self) -> int:

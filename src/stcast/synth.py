@@ -6,7 +6,9 @@ treatment/post indicators, AR(1) covariates, and Gaussian (optionally
 Student-t) noise.  A burn-in prefix washes out initial conditions so the
 retained window starts near the stationary regime.  Because the
 parameters are known exactly, generated panels serve as recovery oracles
-for the estimator and end-to-end tests.
+for the estimator and end-to-end tests.  A ``GeneratorSpec`` is checked
+when built: each setting by its field's rule (``errors.check_settings``),
+then the cross-field ranges, the start date and each coordinate pair.
 
 Only the two true recursions step through time, each over a time-major
 array so that a step touches contiguous rows: the covariate AR(1)
@@ -28,15 +30,15 @@ length share one immutable tuple of dates.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .causal import DidEstimate, Panel, coefficient_names
 from .errors import (GeneratorInstabilityError, InputValidationError,
-                     check_integer, check_real)
-from .spatial import Region, RegionSet, build_spatial_matrix
+                     check_settings, setting)
+from .spatial import Region, RegionSet, build_spatial_matrix, check_coordinates
 
 BURN_IN = 50
 
@@ -44,43 +46,35 @@ BURN_IN = 50
 _STABILITY_BOUND = 1e9
 
 
-def _real(default: float, interval: str = "(-inf, inf)", **metadata):
-    """A real-valued setting that ``errors.check_real`` holds to
-    ``interval``; for ``true_gamma``, each of its entries."""
-    return field(default=default, metadata={"interval": interval, **metadata})
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     n_regions: int = 6
     t_steps: int = 300
     coordinates: tuple[tuple[float, float], ...] | None = None
-    alpha: float = _real(1.0, "(0, inf)")
-    true_rho: float = _real(0.4, "(-1, 1)")
-    true_delta: float = _real(-2.0)
-    true_gamma: tuple[float, ...] = _real(
+    alpha: float = setting(1.0, interval="(0, inf)")
+    true_rho: float = setting(0.4, interval="(-1, 1)")
+    true_delta: float = -2.0
+    true_gamma: tuple[float, ...] = setting(
         (1.0, -0.5, -1.0, 0.3), help="comma-separated covariate effects")
-    true_beta0: float = _real(1.0)
-    true_beta1: float = _real(0.5)
-    true_beta2: float = _real(-0.3)
-    treated_fraction: float = _real(0.5, "(0, 1)")
+    true_beta0: float = 1.0
+    true_beta1: float = 0.5
+    true_beta2: float = -0.3
+    treated_fraction: float = setting(0.5, interval="(0, 1)")
     post_onset_index: int = 150
-    cov_persistence: float = _real(0.9, "[0, 1)")
-    cov_noise_scale: float = _real(0.5, "[0, inf)")
-    noise_sigma: float = _real(0.1, "[0, inf)")
-    noise_family: str = "gaussian"   # "gaussian" | "student_t"
-    noise_df: float = _real(5.0, "(0, inf)")
+    cov_persistence: float = setting(0.9, interval="[0, 1)")
+    cov_noise_scale: float = setting(0.5, interval="[0, inf)")
+    noise_sigma: float = setting(0.1, interval="[0, inf)")
+    noise_family: str = setting("gaussian", choices=("gaussian", "student_t"))
+    noise_df: float = setting(5.0, interval="(0, inf)")
     # Level shift added to the first covariate on treated post-period
     # cells (a policy-response covariate that co-moves with the
     # intervention).  Zero keeps covariates independent of treatment.
-    cov_shift_treated_post: float = _real(0.0)
-    seed: int = 0
+    cov_shift_treated_post: float = 0.0
+    seed: int = setting(0, least=0)
     start_date: dt.date = field(default_factory=lambda: dt.date(2020, 6, 1))
 
     def __post_init__(self):
-        for name in ("n_regions", "t_steps", "post_onset_index"):
-            check_integer(name, getattr(self, name))
-        check_integer("seed", self.seed, 0)
+        check_settings(self)
         if self.n_regions < 2:
             raise InputValidationError("need at least 2 regions")
         if not 1 <= self.post_onset_index <= self.t_steps - 1:
@@ -88,23 +82,24 @@ class GeneratorSpec:
                 "post_onset_index must leave at least one pre and one post "
                 f"period, got {self.post_onset_index} for T={self.t_steps}"
             )
-        if not isinstance(self.true_gamma, (tuple, list, np.ndarray)):
+        if not isinstance(self.start_date, dt.date):
             raise InputValidationError(
-                f"true_gamma must be a sequence of reals, got {self.true_gamma!r}")
-        for f in fields(self):
-            if "interval" in f.metadata:
-                value = getattr(self, f.name)
-                for v in value if f.name == "true_gamma" else (value,):
-                    check_real(f.name, v, f.metadata["interval"])
-        if self.coordinates is not None and len(self.coordinates) != self.n_regions:
-            raise InputValidationError(
-                f"{len(self.coordinates)} coordinate pairs for "
-                f"{self.n_regions} regions"
-            )
-        if self.noise_family not in ("gaussian", "student_t"):
-            raise InputValidationError(
-                f"unknown noise family {self.noise_family!r}"
-            )
+                f"start_date must be a date, got {self.start_date!r}")
+        if self.coordinates is not None:
+            if not isinstance(self.coordinates, (tuple, list, np.ndarray)):
+                raise InputValidationError("coordinates must be a sequence of "
+                                           f"pairs, got {self.coordinates!r}")
+            if len(self.coordinates) != self.n_regions:
+                raise InputValidationError(
+                    f"{len(self.coordinates)} coordinate pairs for "
+                    f"{self.n_regions} regions"
+                )
+            for i, pair in enumerate(self.coordinates):
+                if not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 2:
+                    raise InputValidationError(
+                        f"coordinate pair {i} must be (latitude, longitude), "
+                        f"got {pair!r}")
+                check_coordinates(*pair, where=f" of coordinate pair {i}")
 
     @property
     def d(self) -> int:

@@ -1,11 +1,24 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stcast.errors import (IngestionError, InputValidationError,
-                           check_distinct, check_real)
+from stcast.config import RunConfig
+from stcast.errors import (PARSERS, ConfigError, IngestionError,
+                           InputValidationError, check_distinct, check_real)
+from stcast.forecaster import ModelConfig
+from stcast.synth import GeneratorSpec
+
+CONFIG_CLASSES = (ModelConfig, RunConfig, GeneratorSpec)
+# A value of the wrong type for each declared type that has a rule.
+WRONG_TYPED = {"int": 8.0, "float": "0.5", "tuple[float, ...]": 1.0,
+               "bool": 1, "str": 5}
+# Fields whose type has no rule in check_settings; __post_init__ checks them.
+OWN_RULES = {(GeneratorSpec, "coordinates"), (GeneratorSpec, "start_date")}
+SETTINGS = [(cls, f.name, f.type) for cls in CONFIG_CLASSES
+            for f in dataclasses.fields(cls) if (cls, f.name) not in OWN_RULES]
 
 
 class TestCheckReal:
@@ -64,3 +77,48 @@ class TestCheckDistinct:
     def test_error_class_and_prefix(self):
         with pytest.raises(IngestionError, match=r"^f: duplicate region ids"):
             check_distinct(("a", "a"), IngestionError, "f: ")
+
+
+class TestCheckSettings:
+    def test_every_field_has_a_rule(self):
+        # A field of a type with no rule would go unchecked.
+        for cls, name, kind in SETTINGS:
+            assert kind in WRONG_TYPED and kind in PARSERS, (cls.__name__, name)
+
+    @pytest.mark.parametrize("value", ["None", "wrong type"])
+    @pytest.mark.parametrize("cls, name, kind", SETTINGS,
+                             ids=[f"{c.__name__}.{n}" for c, n, _ in SETTINGS])
+    def test_field_refuses_none_and_a_wrong_type(self, cls, name, kind, value):
+        given = None if value == "None" else WRONG_TYPED[kind]
+        with pytest.raises(InputValidationError, match=f"^{name} must be ") as exc:
+            cls(**{name: given})
+        assert exc.value.exit_code == 2
+
+    def test_non_string_transform_is_a_type_error(self):
+        # A target_transform that is not a string is an invalid value (exit
+        # 2); a string that names no transform stays a ConfigError (exit 9).
+        with pytest.raises(InputValidationError,
+                           match="^target_transform must be a string, got 5$") as exc:
+            RunConfig(target_transform=5)
+        assert exc.value.exit_code == 2
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(target_transform="sqrt")
+        assert exc.value.exit_code == 9
+
+    def test_first_bad_field_in_declaration_order_reported(self):
+        with pytest.raises(InputValidationError, match="^hidden_size "):
+            RunConfig(no_spatial=1, alpha=0, epochs=0, hidden_size=0)
+        with pytest.raises(InputValidationError, match="^alpha "):
+            GeneratorSpec(seed=-1, noise_family="x", alpha=0)
+
+    def test_parsers_read_what_the_rules_accept(self):
+        assert PARSERS["int"]("8") == 8
+        assert PARSERS["float"]("inf") == math.inf
+        assert PARSERS["tuple[float, ...]"]("1,-0.5") == (1.0, -0.5)
+        assert [PARSERS["bool"](t) for t in ("TRUE", "yes", "0", "No")] == [
+            True, True, False, False]
+        assert PARSERS["str"]("a.csv") == "a.csv"
+        for kind, text in (("int", "8.0"), ("float", "x"), ("bool", "maybe"),
+                           ("tuple[float, ...]", "1;2")):
+            with pytest.raises((KeyError, ValueError)):
+                PARSERS[kind](text)

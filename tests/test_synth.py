@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 import warnings
 
 import numpy as np
@@ -174,6 +175,62 @@ class TestGeneratorSpec:
                              cov_noise_scale=0, true_rho=np.float32(-0.5),
                              true_gamma=[np.int64(1), 0.5], noise_df=1e-3)
         assert spec.d == 2
+
+    @pytest.mark.parametrize("pair, message", [
+        ((0, "x"), "^longitude of coordinate pair 0 must be a real number, got 'x'$"),
+        ((True, 0), "^latitude of coordinate pair 0 must be a real number, got True$"),
+        ((95, 0), r"^latitude of coordinate pair 0 must be in \[-90, 90\], got 95$"),
+        ((0, -180.5),
+         r"^longitude of coordinate pair 0 must be in \[-180, 180\], got -180.5$"),
+        ((0, np.nan), r"^longitude of coordinate pair 0 must be finite, got nan$"),
+        (None, r"^coordinate pair 0 must be \(latitude, longitude\), got None$"),
+        ((1.0,), r"^coordinate pair 0 must be \(latitude, longitude\), got \(1.0,\)$"),
+        ((1, 2, 3), r"^coordinate pair 0 must be \(latitude, longitude\), got "),
+        (5.0, r"^coordinate pair 0 must be \(latitude, longitude\), got 5.0$"),
+    ])
+    def test_rejects_bad_coordinate_pair(self, pair, message):
+        # Each entry is checked when the spec is built, not by generate,
+        # where a string or None escaped as a bare ValueError or TypeError
+        # and a bool passed on as a latitude of 1.0.
+        with pytest.raises(InputValidationError, match=message) as exc:
+            GeneratorSpec(n_regions=2, coordinates=(pair, (1.0, 1.0)))
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("lat, lon", [(0, "x"), (True, 0), (95, 0),
+                                          (0, -180.5), (0, np.nan)])
+    def test_coordinate_rule_is_the_region_sets(self, lat, lon):
+        with pytest.raises(InputValidationError) as from_spec:
+            GeneratorSpec(n_regions=2, coordinates=((lat, lon), (1.0, 1.0)))
+        with pytest.raises(InputValidationError) as from_regions:
+            RegionSet((Region("a", lat, lon), Region("b", 1.0, 1.0)))
+        assert (str(from_spec.value).replace(" of coordinate pair 0", "")
+                == str(from_regions.value).replace(" of region 'a'", ""))
+
+    @pytest.mark.parametrize("coordinates", [5, "ab", ((0.0, 0.0),)])
+    def test_rejects_coordinates_not_one_pair_per_region(self, coordinates):
+        with pytest.raises(InputValidationError, match="coordinate") as exc:
+            GeneratorSpec(n_regions=2, coordinates=coordinates)
+        assert exc.value.exit_code == 2
+
+    def test_edge_coordinates_accepted(self):
+        pairs = np.array([[-90.0, -180.0], [90.0, 180.0], [0.0, 0.0]])
+        spec = GeneratorSpec(n_regions=3, coordinates=pairs, t_steps=30,
+                             post_onset_index=15)
+        regions, _, _ = generate(spec)
+        assert regions.coordinates().tolist() == pairs.tolist()
+
+    @pytest.mark.parametrize("value", ["2020-06-01", None, 20200601])
+    def test_rejects_start_date_not_a_date(self, value):
+        # generate would fail on it with a bare TypeError.
+        with pytest.raises(InputValidationError,
+                           match="^start_date must be a date, got ") as exc:
+            GeneratorSpec(start_date=value)
+        assert exc.value.exit_code == 2
+
+    def test_noise_family_choices_message(self):
+        with pytest.raises(InputValidationError, match=re.escape(
+                "noise_family must be one of ('gaussian', 'student_t'), got 'x'")):
+            GeneratorSpec(noise_family="x")
 
 
 class TestGenerate:
