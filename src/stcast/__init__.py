@@ -6,9 +6,7 @@ from .causal import (
     DidEstimate,
     Panel,
     adjust_panel,
-    build_adjusted_input,
     build_design_matrix,
-    causal_adjust,
     estimate_ols_given_rho,
     estimate_rho_iv,
     fit_did,
@@ -53,10 +51,8 @@ __all__ = [
     "SpatialMatrix",
     "TargetTransform",
     "adjust_panel",
-    "build_adjusted_input",
     "build_design_matrix",
     "build_spatial_matrix",
-    "causal_adjust",
     "coverage",
     "crps_from_samples",
     "energy_score",

@@ -9,11 +9,11 @@ The regression is
 fitted in two stages: the coefficient on the (endogenous) spatial lag is
 estimated first by two-stage least squares, then the remaining
 coefficients by ordinary least squares with the spatial-lag contribution
-moved to the left-hand side.  ``causal_adjust`` removes the estimated
-treatment effect from treated post-period cells and
-``build_adjusted_input`` folds the spatial spillover back in to produce
-the forecaster's conditioning series.  ``fit_did`` and ``adjust_panel``
-run on one thread of each OpenBLAS pool (``_blas.one_thread``), so their
+moved to the left-hand side.  ``treatment`` is the one treated x post
+indicator: the delta column, and the effect that ``adjust_panel`` removes
+before it folds the spatial spillover back in to produce the
+forecaster's conditioning series.  ``fit_did`` and ``adjust_panel`` run
+on one thread of each OpenBLAS pool (``_blas.one_thread``), so their
 bits do not depend on either pool's count.
 
 The fit is a ``DidEstimate``: one ordered table of (estimate, standard
@@ -226,6 +226,11 @@ class AdjustedPanel:
 # Design matrix
 # ---------------------------------------------------------------------------
 
+def treatment(treated: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """The (N, T) indicator treated[i] * post[t] of treated post cells."""
+    return np.outer(treated, post)
+
+
 def coefficient_names(d: int) -> list[str]:
     """A ``DidEstimate``'s row names in order: rho for the spatial lag,
     then one per exogenous design column."""
@@ -281,7 +286,7 @@ def build_design_matrix(p: Panel, S: SpatialMatrix | None):
     exog[:, :, 0] = 1.0
     exog[:, :, 1] = p.treated[:, None]
     exog[:, :, 2] = p.post[1:]
-    exog[:, :, 3] = p.treated[:, None] * p.post[1:]
+    exog[:, :, 3] = treatment(p.treated, p.post[1:])
     exog[:, :, 4:] = p.c[:, 1:]
     return X.reshape(n * (t - 1), -1), p.y[:, 1:].reshape(-1)
 
@@ -481,29 +486,17 @@ def fit_did(p: Panel, S: SpatialMatrix | None) -> DidEstimate:
 # Adjustment
 # ---------------------------------------------------------------------------
 
-def causal_adjust(p: Panel, est: DidEstimate) -> np.ndarray:
-    """Remove the estimated treatment effect from treated post-period cells:
-    y_tilde[i,t] = y[i,t] - delta_hat * treated[i] * post[t]."""
-    return p.y - est.delta * np.outer(p.treated, p.post)
-
-
-def build_adjusted_input(y_tilde: np.ndarray, S: SpatialMatrix,
-                         rho_hat: float) -> np.ndarray:
-    """Contemporaneous spillover fold-in:
-    z[i,t] = y_tilde[i,t] + rho_hat * sum_j S[i,j] y_tilde[j,t]."""
-    y_tilde = np.asarray(y_tilde, dtype=float)
-    return y_tilde + rho_hat * spatial_lag(S, y_tilde)
-
-
 @one_thread()
 def adjust_panel(p: Panel, est: DidEstimate,
                  S: SpatialMatrix | None) -> AdjustedPanel:
-    """Both adjustment steps; with ``S`` None the input equals the
-    adjusted target (rho treated as 0)."""
+    """Remove the estimated effect from treated post-period cells,
+    y_tilde = y - delta_hat * treatment, then fold the contemporaneous
+    spillover in, z = y_tilde + rho_hat * S y_tilde; with ``S`` None, z
+    equals y_tilde (rho treated as 0)."""
     if S is not None:
         _check_matrix(p, S)
-    y_tilde = causal_adjust(p, est)
-    z = y_tilde.copy() if S is None else build_adjusted_input(y_tilde, S, est.rho)
+    y_tilde = p.y - est.delta * treatment(p.treated, p.post)
+    z = y_tilde.copy() if S is None else y_tilde + est.rho * spatial_lag(S, y_tilde)
     return AdjustedPanel(y_tilde=y_tilde, z=z)
 
 

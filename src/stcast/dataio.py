@@ -21,14 +21,16 @@ via ``repr``):
     scores_long.csv       model,horizon,metric,value
 
 In every reader a row must have the header's field count, and a repeated
-key is rejected citing its first line.  No reader accepts a region id that
-the writers, which never quote, could not write back.  The panel,
-adjusted, sample and truth files are one (region, date[, sample]) grid,
-read in one column-wise pass by ``_read_grid`` and written by
-``_write_grid``: a file that is not one full grid on its own is an
-IngestionError (exit 7) naming its first broken row, or its first gap
-when no row is broken; one whose regions or dates differ from the
-artifact it is read against is an AlignmentError (exit 8).
+key is rejected citing its first line.  One rule, ``unwritable``, names
+the region ids that the writers, which never quote, could not write back:
+no reader accepts one, and every writer refuses one before it opens its
+file (``check_writable``, exit 2).  The panel, adjusted, sample and truth
+files are one (region, date[, sample]) grid, read in one column-wise
+pass by ``_read_grid`` and written by ``_write_grid``: a file that is not
+one full grid on its own is an IngestionError (exit 7) naming its first
+broken row, or its first gap when no row is broken; one whose regions or
+dates differ from the artifact it is read against is an AlignmentError
+(exit 8).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .causal import (AdjustedPanel, DidEstimate, Panel, coefficient_names,
                      invalid_rows)
-from .errors import AlignmentError, IngestionError
+from .errors import AlignmentError, IngestionError, InputValidationError
 from .metrics import ScoreReport
 from .spatial import Region, RegionSet, SpatialMatrix
 
@@ -148,14 +150,37 @@ def _record_key(seen: dict, key, line: int, what: str) -> None:
                              f"(first at line {first})")
 
 
-# The writers never quote, so a region id must not hold these.
-_REGION_ID_BREAKS = frozenset(',"\r\n')
+_BREAKS = frozenset(',"\r\n')
+
+
+def unwritable(text) -> str | None:
+    """Why ``text`` cannot be a field that the writers, which never quote,
+    write and the readers, which strip blanks, read back unchanged; None
+    when it can."""
+    if not isinstance(text, str):
+        return "is not a string"
+    if not text:
+        return "is empty"
+    if text != text.strip():
+        return "has leading or trailing whitespace"
+    if not _BREAKS.isdisjoint(text):
+        return "contains a comma, quote or line break"
+    return None
+
+
+def check_writable(texts, what: str = "region id") -> None:
+    """Refuse, naming it, the first of ``texts`` that ``unwritable`` faults;
+    every writer calls it on its region ids before it opens its file."""
+    for text in texts:
+        why = unwritable(text)
+        if why:
+            raise InputValidationError(f"{what} {text!r} {why}")
 
 
 def _check_region_id(rid: str, line: int) -> None:
-    if not _REGION_ID_BREAKS.isdisjoint(rid):
-        raise IngestionError(f"line {line}: region_id {rid!r} contains a "
-                             "comma, quote or line break")
+    why = unwritable(rid)
+    if why:
+        raise IngestionError(f"line {line}: region_id {rid!r} {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +227,7 @@ def _read_grid(path, header: list[str], region_ids=None, exact: bool = True):
     position = {}
     for text in dict.fromkeys(columns[0]):
         rid = text.strip()
-        if region_ids is None and _REGION_ID_BREAKS.isdisjoint(rid):
+        if region_ids is None and not unwritable(rid):
             index.setdefault(rid, len(index))
         position[text] = index.get(rid, -1)
     region = _positions(columns[0], position)
@@ -289,6 +314,7 @@ def _write_grid(path, header: list[str], region_ids, dates,
     if (n, t) != (len(region_ids), len(dates)):
         raise AlignmentError(f"values {values.shape[:2]} vs {len(region_ids)} "
                              f"regions, {len(dates)} dates")
+    check_writable(region_ids)
     keys = [date.isoformat() for date in dates]
     if header[2] == "sample":
         keys = [f"{key},{j}" for key in keys for j in range(s)]
@@ -330,8 +356,6 @@ def read_regions(path) -> tuple[RegionSet, np.ndarray]:
     seen = {}
     for line, row in zip(lines, rows):
         rid = row[0].strip()
-        if not rid:
-            raise IngestionError(f"line {line}: empty region_id")
         _check_region_id(rid, line)
         _record_key(seen, rid, line, "region_id '{}'")
         lat, lon = _parse_floats(row[1:3], line, ("lat", "lon"))
@@ -346,6 +370,7 @@ def read_regions(path) -> tuple[RegionSet, np.ndarray]:
 
 
 def write_regions_csv(rs: RegionSet, treated: np.ndarray, path) -> None:
+    check_writable(rs.region_ids)
     _write_table(path, ["region_id", "lat", "lon", "treated"],
                  ((r.region_id, _fmt(r.lat), _fmt(r.lon), str(int(flag)))
                   for r, flag in zip(rs.regions, treated)))
@@ -354,6 +379,7 @@ def write_regions_csv(rs: RegionSet, treated: np.ndarray, path) -> None:
 def spatial_matrix_to_csv(S: SpatialMatrix, path) -> None:
     """The weight matrix: a header of region ids (of row indices for a
     matrix without them), then N rows of N full-precision reals."""
+    check_writable(S.region_ids)
     _write_table(path, S.region_ids or map(str, range(S.n)),
                  (map(repr, row) for row in S.weights.tolist()))
 
@@ -502,6 +528,7 @@ def read_forecast_samples(path):
 
 
 def write_scores_csv(report: ScoreReport, path) -> None:
+    check_writable(report.crps_per_region)
     _write_table(path, ["metric", "level", "value"],
                  ((metric, level, _fmt(value))
                   for metric, level, value in report.rows()))
@@ -509,6 +536,7 @@ def write_scores_csv(report: ScoreReport, path) -> None:
 
 def write_scores_long_csv(report: ScoreReport, model: str, horizon: int, path) -> None:
     """Plot-ready long format mirroring the per-horizon results layout."""
+    check_writable(report.crps_per_region)
     _write_table(path, ["model", "horizon", "metric", "value"],
                  ((model, str(horizon), f"{metric}[{level}]" if level else metric,
                    _fmt(value)) for metric, level, value in report.rows()))

@@ -171,6 +171,9 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+_floats.__name__ = "float list"     # argparse: "invalid float list value"
+
+
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 # Each declared type's parser of text; a KeyError or ValueError refuses it.

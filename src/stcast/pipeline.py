@@ -29,7 +29,7 @@ import scipy
 
 from . import dataio
 from ._blas import blas_threads
-from .causal import Panel, adjust_panel, fit_did, parameter_report
+from .causal import Panel, adjust_panel, fit_did, parameter_report, treatment
 from .config import RunConfig
 from .dataio import spatial_matrix_to_csv
 from .errors import (InputValidationError, InsufficientDataError,
@@ -175,7 +175,7 @@ def forecast(model, adjusted, panel_t: Panel, transform, est, post, dates,
         num_samples=config.num_samples,
         seed=config.seed + _FORECAST_SEED_OFFSET,
     )
-    effect = est.delta * np.outer(panel_t.treated, post)
+    effect = est.delta * treatment(panel_t.treated, post)
     samples = transform.invert(dist.samples + effect[:, :, None])
     dataio.write_forecast_samples_csv(samples, panel_t.region_ids, dates,
                                       _artifact(out, "forecast_samples.csv"))
@@ -270,9 +270,7 @@ def evaluate_files(forecast_path, truth_panel_path, out_dir,
     forecast region and date; it may hold more.  ``model`` becomes a field
     of scores_long.csv, so it may not hold what a region id may not.
     """
-    if not dataio._REGION_ID_BREAKS.isdisjoint(model):
-        raise InputValidationError(f"model name {model!r} contains a comma, "
-                                   "quote or line break")
+    dataio.check_writable([model], "model name")
     region_ids, dates, samples = dataio.read_forecast_samples(forecast_path)
     observed = dataio.read_truth_values(truth_panel_path, region_ids, dates)
     out = Path(out_dir)

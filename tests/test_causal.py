@@ -17,9 +17,7 @@ from stcast.causal import (
     DidEstimate,
     Panel,
     adjust_panel,
-    build_adjusted_input,
     build_design_matrix,
-    causal_adjust,
     coefficient_names,
     design_column_labels,
     estimate_ols_given_rho,
@@ -917,11 +915,12 @@ class TestOneThreadScope:
 class TestAdjustment:
     def test_zero_delta_identity(self, small_panel):
         est = _estimate(delta=0.0, gamma=(1.0, -0.5, 0.0, 0.0))
-        assert np.array_equal(causal_adjust(small_panel, est), small_panel.y)
+        adjusted = adjust_panel(small_panel, est, None)
+        assert np.array_equal(adjusted.y_tilde, small_panel.y)
 
     def test_untreated_rows_unchanged(self, small_panel):
         est = _estimate(delta=-4.0, gamma=(1.0, -0.5, 0.0, 0.0))
-        y_tilde = causal_adjust(small_panel, est)
+        y_tilde = adjust_panel(small_panel, est, None).y_tilde
         control = small_panel.treated == 0.0
         assert np.array_equal(y_tilde[control], small_panel.y[control])
 
@@ -930,49 +929,62 @@ class TestAdjustment:
                            treated=np.array([1.0, 0.0]),
                            post=np.array([0.0, 0.0, 1.0, 1.0]))
         est = _estimate(delta=-12.5, gamma=(0.0,) * 4)
-        y_tilde = causal_adjust(panel, est)
+        y_tilde = adjust_panel(panel, est, None).y_tilde
         assert y_tilde[0, 2] == pytest.approx(112.5)
         assert y_tilde[0, 0] == 100.0
         assert y_tilde[1, 2] == 100.0
 
     def test_adjustment_locality(self, small_panel):
         est = _estimate(delta=0.7, gamma=(1.0, -0.5, 0.0, 0.0))
-        y_tilde = causal_adjust(small_panel, est)
+        y_tilde = adjust_panel(small_panel, est, None).y_tilde
         changed = y_tilde != small_panel.y
         mask = np.outer(small_panel.treated, small_panel.post) == 1.0
         assert np.array_equal(changed, mask)
 
     def test_zero_rho_input_identity(self, small_panel):
         S = _matrix_for(small_panel)
-        y_tilde = small_panel.y
-        assert np.array_equal(build_adjusted_input(y_tilde, S, 0.0), y_tilde)
+        est = _estimate(rho=0.0, delta=0.0, gamma=(0.0,) * 4)
+        assert np.array_equal(adjust_panel(small_panel, est, S).z,
+                              small_panel.y)
 
     def test_constant_series_scales(self, small_panel):
-        S = _matrix_for(small_panel)
-        y_tilde = np.full((4, 12), 2.0)
-        z = build_adjusted_input(y_tilde, S, 0.25)
+        panel = replace(small_panel, y=np.full((4, 12), 2.0))
+        est = _estimate(rho=0.25, delta=0.0, gamma=(0.0,) * 4)
+        z = adjust_panel(panel, est, _matrix_for(panel)).z
         assert np.allclose(z, 2.0 * 1.25, atol=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(31)
-        y_tilde = rng.normal(size=(3, 5))
-        panel = make_panel(y_tilde, c=np.zeros((3, 5, 1)))
+        y = rng.normal(size=(3, 5))
+        panel = make_panel(y, c=np.zeros((3, 5, 1)))
         S = _matrix_for(panel)
-        z = build_adjusted_input(y_tilde, S, 0.3)
-        expected = np.zeros_like(y_tilde)
+        z = adjust_panel(panel, _estimate(rho=0.3, delta=0.0, gamma=(0.0,)), S).z
+        expected = np.zeros_like(y)
         for i in range(3):
             for t in range(5):
-                acc = sum(S.weights[i, j] * y_tilde[j, t] for j in range(3))
-                expected[i, t] = y_tilde[i, t] + 0.3 * acc
+                acc = sum(S.weights[i, j] * y[j, t] for j in range(3))
+                expected[i, t] = y[i, t] + 0.3 * acc
         assert np.allclose(z, expected, atol=1e-12)
+
+    def test_input_folds_in_the_adjusted_target(self, small_panel):
+        # z is the spillover fold-in of y_tilde, not of y.
+        S = _matrix_for(small_panel)
+        est = _estimate(rho=0.3, delta=-0.8, gamma=(0.0,) * 4)
+        adjusted = adjust_panel(small_panel, est, S)
+        y_tilde = small_panel.y + 0.8 * np.outer(small_panel.treated,
+                                                 small_panel.post)
+        assert np.allclose(adjusted.y_tilde, y_tilde, atol=1e-12)
+        assert np.allclose(adjusted.z, y_tilde + 0.3 * S.weights @ y_tilde,
+                           atol=1e-12)
 
     def test_linearity_in_y_tilde(self, small_panel):
         S = _matrix_for(small_panel)
-        y_tilde = small_panel.y
+        est = _estimate(rho=0.4, delta=0.0, gamma=(0.0,) * 4)
         a = 3.7
+        scaled = replace(small_panel, y=a * small_panel.y)
         assert np.allclose(
-            build_adjusted_input(a * y_tilde, S, 0.4),
-            a * build_adjusted_input(y_tilde, S, 0.4),
+            adjust_panel(scaled, est, S).z,
+            a * adjust_panel(small_panel, est, S).z,
             atol=1e-10,
         )
 
@@ -1066,6 +1078,22 @@ class TestReport:
     def test_limited_effectiveness_flag(self):
         assert _report_fields(_estimate(delta=0.0))["intervention"] == \
             "limited effectiveness"
+
+    @pytest.mark.parametrize("rho, flag", [
+        (0.31, "strong positive spatial correlation"),
+        (0.3, "moderate positive spatial correlation"),
+        (0.1, "negligible spatial correlation"),
+        (-0.1, "negligible spatial correlation"),
+        (-0.11, "negative spatial correlation")])
+    def test_spillover_flag_boundaries(self, rho, flag):
+        assert _report_fields(_estimate(rho=rho))["spillover"] == flag
+
+    @pytest.mark.parametrize("delta, flag", [
+        (-0.11, "effective"), (-0.1, "limited effectiveness"),
+        (0.1, "limited effectiveness"),
+        (0.11, "adverse (positive effect estimate)")])
+    def test_intervention_flag_boundaries(self, delta, flag):
+        assert _report_fields(_estimate(delta=delta))["intervention"] == flag
 
     def test_rows_cover_all_coefficients(self):
         fields = _report_fields(_estimate())

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +113,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape(
                 f"{cfg_file}:4: duplicate key 'epochs' (first at line 1)")):
             parse_config_file(cfg_file)
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# comment\nepochs 3\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{cfg_file}:2: expected key=value, got 'epochs 3'")) as err:
+            parse_config_file(cfg_file)
+        assert err.value.exit_code == 9
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown config key 'learning_rat'")) as err:
+            load_run_config(overrides={"learning_rat": 0.1})
+        assert err.value.exit_code == 9
 
     def test_bad_boolean_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -246,7 +260,7 @@ class TestRunConfig:
             ("--alpha", "alpha", "ALPHA", "float"),
             ("--rho", "true_rho", "RHO", "float"),
             ("--delta", "true_delta", "DELTA", "float"),
-            ("--gamma", "true_gamma", "GAMMA", "_floats"),
+            ("--gamma", "true_gamma", "GAMMA", "float list"),
             ("--beta0", "true_beta0", "BETA0", "float"),
             ("--beta1", "true_beta1", "BETA1", "float"),
             ("--beta2", "true_beta2", "BETA2", "float"),
@@ -465,6 +479,28 @@ class TestPipeline:
         manifest = (tmp_path / "run" / "manifest.txt").read_text()
         assert "status=failed" in manifest
         assert "failed_stage=estimate" in manifest
+
+    @pytest.mark.parametrize("rid", ["a,b", "x\ny", "", " R00", 'a"b'],
+                             ids=repr)
+    def test_unwritable_region_id_fails_spatial(self, tmp_path, rid):
+        # In-memory regions may carry an id no artifact can hold; the
+        # first stage that writes one refuses it before writing.
+        regions, panel, _ = generate(GeneratorSpec(seed=3))
+        ids = (rid, *panel.region_ids[1:])
+        regions = RegionSet((replace(regions.regions[0], region_id=rid),
+                             *regions.regions[1:]))
+        cfg = load_run_config(overrides=dict(
+            out=str(tmp_path / "run"), target_transform="standardize",
+            context_len=10, horizon=2, epochs=1, num_samples=5))
+        with pytest.raises(InputValidationError,
+                           match=re.escape(f"region id {rid!r} ")) as err:
+            run_pipeline(cfg, panel=replace(panel, region_ids=ids),
+                         regions=regions)
+        assert (err.value.exit_code, err.value.stage) == (2, "spatial")
+        manifest = (tmp_path / "run" / "manifest.txt").read_text()
+        assert "status=failed\nfailed_stage=spatial\n" in manifest
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "manifest.txt"]
 
     def test_crash_replaces_ok_manifest(self, synth_files, tmp_path,
                                         monkeypatch):
@@ -1015,6 +1051,19 @@ class TestCli:
         assert main(["simulate", "--out", str(out), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == \
             "error: seed must be a non-negative integer\n"
+        assert not out.exists()
+
+    def test_simulate_unparsable_gamma_names_the_flag(self, tmp_path, capsys):
+        # argparse names a flag's parser in its message; the comma-separated
+        # one reads as a float list, not as a private helper.
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--out", str(out), "--gamma", "1,x"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: argument --gamma: invalid float list value: '1,x'\n")
+        assert "_floats" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, name", [

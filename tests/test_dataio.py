@@ -7,7 +7,7 @@ import pytest
 
 from stcast import dataio
 from stcast.causal import AdjustedPanel, DidEstimate, Panel, coefficient_names
-from stcast.errors import AlignmentError, IngestionError
+from stcast.errors import AlignmentError, IngestionError, InputValidationError
 from stcast.metrics import ScoreReport
 from stcast.spatial import Region, RegionSet, SpatialMatrix
 from stcast.synth import GeneratorSpec, generate
@@ -566,6 +566,8 @@ class TestWholeWrites:
         before = path.read_bytes()
 
         class Breaking:
+            crps_per_region = {}        # read before the file is opened
+
             def rows(self):
                 yield "crps", "", 9.0
                 raise RuntimeError("interrupted")
@@ -886,3 +888,122 @@ class TestGrid:
         observed = dataio.read_truth_values(
             path, ("R01", "R00"), (dt.date(2021, 1, 2), dt.date(2021, 1, 3)))
         assert np.array_equal(observed, [[5.0, 6.0], [2.0, 3.0]])
+
+
+# Ids the writers, which never quote, cannot write so that the readers,
+# which strip blanks, read them back: empty, blank-edged, holding a field
+# or row break, or not a string at all.
+UNWRITABLE_IDS = ["", " a", "a ", "\t", "a,b", 'a"b', "a\rb", "x\ny", 5]
+ID_WRITERS = ["regions", "spatial_matrix", "panel", "adjusted",
+              "forecast_samples", "scores", "scores_long"]
+
+
+def id_writer(name, rid):
+    """A writer of ``name`` whose first region is ``rid``; region "c" second."""
+    ids, dates = (rid, "c"), (dt.date(2021, 1, 1), dt.date(2021, 1, 2))
+    panel = Panel(region_ids=ids, times=dates, y=np.zeros((2, 2)),
+                  c=np.zeros((2, 2, 0)), treated=[1.0, 0.0], post=[0.0, 1.0])
+    report = ScoreReport(crps=0.5, wql={}, coverage_interval={},
+                         coverage_quantile={}, energy=1.0,
+                         crps_per_region={rid: 0.4, "c": 0.6})
+    return {
+        "regions": lambda p: dataio.write_regions_csv(
+            RegionSet((Region(rid, 0.0, 0.0), Region("c", 1.0, 1.0))),
+            np.array([1.0, 0.0]), p),
+        "spatial_matrix": lambda p: dataio.spatial_matrix_to_csv(
+            SpatialMatrix(weights=[[0.0, 1.0], [1.0, 0.0]], alpha=1.0,
+                          region_ids=ids), p),
+        "panel": lambda p: dataio.write_panel_csv(panel, p),
+        "adjusted": lambda p: dataio.write_adjusted_csv(
+            panel, AdjustedPanel(y_tilde=panel.y, z=panel.y), p),
+        "forecast_samples": lambda p: dataio.write_forecast_samples_csv(
+            np.zeros((2, 2, 3)), ids, dates, p),
+        "scores": lambda p: dataio.write_scores_csv(report, p),
+        "scores_long": lambda p: dataio.write_scores_long_csv(
+            report, "gaussian-full", 2, p),
+    }[name]
+
+
+class TestUnwritableRegionIds:
+    """Every writer refuses, before it opens its file, a region id that
+    its own reader would refuse or read back as another id."""
+
+    @pytest.mark.parametrize("rid", UNWRITABLE_IDS, ids=repr)
+    @pytest.mark.parametrize("name", ID_WRITERS)
+    def test_writer_refuses(self, tmp_path, name, rid):
+        path = tmp_path / f"{name}.csv"
+        with pytest.raises(InputValidationError,
+                           match=re.escape(f"region id {rid!r} ")) as err:
+            id_writer(name, rid)(path)
+        assert err.value.exit_code == 2
+        assert list(tmp_path.iterdir()) == []
+
+        id_writer(name, "a")(path)
+        before = path.read_bytes()
+        with pytest.raises(InputValidationError):
+            id_writer(name, rid)(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("rid, why", [
+        ("", "is empty"), (" a", "has leading or trailing whitespace"),
+        ("a\t", "has leading or trailing whitespace"),
+        ("a,b", "contains a comma, quote or line break"),
+        (5, "is not a string"), ("a b", None), ("région 1", None)])
+    def test_rule(self, rid, why):
+        assert dataio.unwritable(rid) == why
+
+    def test_inner_blank_round_trips(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        id_writer("regions", "a b")(path)
+        regions, _ = dataio.read_regions(path)
+        assert regions.region_ids == ["a b", "c"]
+
+    def test_checked_once_per_region(self, tmp_path, monkeypatch):
+        # Three regions, four dates and five samples: three checks, not
+        # one per row.
+        checked = []
+        rule = dataio.unwritable
+        monkeypatch.setattr(dataio, "unwritable",
+                            lambda rid: checked.append(rid) or rule(rid))
+        dates = tuple(dt.date(2021, 1, d) for d in range(1, 5))
+        dataio.write_forecast_samples_csv(np.zeros((3, 4, 5)), ("a", "b", "c"),
+                                          dates, tmp_path / "fc.csv")
+        assert checked == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("field, line", [
+        ("", "line 4: region_id '' is empty"),
+        ("   ", "line 4: region_id '' is empty")])
+    def test_read_regions_refuses_empty_id(self, tmp_path, field, line):
+        path = write(tmp_path, "regions.csv",
+                     GOOD_REGIONS + f"{field},0.0,0.0,0\n")
+        with pytest.raises(IngestionError, match=re.escape(line)) as err:
+            dataio.read_regions(path)
+        assert err.value.exit_code == 7
+
+    def test_forecast_samples_refuse_empty_id(self, tmp_path):
+        # No writer writes an empty id, so no reader takes one as a region.
+        path = write(tmp_path, "fc.csv", "region_id,date,sample,value\n"
+                     "R00,2021-01-01,0,1.0\n,2021-01-01,0,1.0\n")
+        with pytest.raises(IngestionError,
+                           match=re.escape("line 3: region_id '' is empty")):
+            dataio.read_forecast_samples(path)
+
+
+class TestRarelyTakenBranches:
+    def test_did_estimate_missing_required_coefficient(self, tmp_path):
+        path = write(tmp_path, "est.csv", "coefficient,estimate,std_error\n"
+                     "rho,0.3,0.05\nbeta0,1.0,0.1\nbeta1,0.2,0.1\n"
+                     "delta,-1.5,0.2\nresidual_variance,0.5,\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                f"{path}: missing coefficients ['beta2']")) as err:
+            dataio.read_did_estimate(path)
+        assert err.value.exit_code == 7
+
+    def test_header_only_panel(self, tmp_path):
+        regions = write(tmp_path, "regions.csv", GOOD_REGIONS)
+        panel = write(tmp_path, "panel.csv", "region_id,date,y,c1,c2\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                f"{panel}: no data rows")) as err:
+            dataio.ingest(regions, panel, ONSET)
+        assert err.value.exit_code == 7

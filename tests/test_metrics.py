@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -307,6 +308,16 @@ class TestScoreReport:
         with pytest.raises(InputValidationError,
                            match=r"^duplicate region ids: \['a'\]$") as exc:
             score_report(samples, obs, ("a", "b", "a"))
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("ids", [("a", "b"), ("a", "b", "c", "d")])
+    def test_region_id_count_must_match(self, ids):
+        rng = np.random.default_rng(1)
+        obs = rng.normal(size=(3, 2))
+        samples = obs[:, :, None] + rng.normal(size=(3, 2, 20))
+        with pytest.raises(InputValidationError, match=re.escape(
+                f"{len(ids)} region ids for 3 regions")) as exc:
+            score_report(samples, obs, ids)
         assert exc.value.exit_code == 2
 
     @pytest.mark.parametrize("m", [1, 5, 9, 130])
